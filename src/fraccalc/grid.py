@@ -10,7 +10,7 @@ results carry ``singular_start=True`` with the index-0 value stored as NaN
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,11 +55,8 @@ class GridFunction:
     t1: float
     values: np.ndarray
     singular_start: bool = False
-    _skip_checks: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self._skip_checks:
-            return
         t0 = float(self.t0)
         t1 = float(self.t1)
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):

@@ -13,11 +13,19 @@ non-excluded nodes within tolerance; a piecewise-linear rule would plateau
 near 5e-3 at node 8 no matter the grid, since for self-similar data the node-k
 error is independent of h.
 
+Every operator reduces to causal convolutions with a translation-invariant
+kernel plus O(1) per-row edge terms.  They share one primitive that sums
+directly on short grids and goes through a real FFT from 512 nodes on, so the
+operators cost O(n log n) (the fast product-integration route of Hairer,
+Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
+
 Near t0 a derivative estimate may diverge under refinement (for example the
 derivative of any function with f(t0) != 0 behaves like (t-t0)^-alpha).  The
 first-node estimates are probed on stride-4/2/1 subgrids, and if they grow by
 >= 1.15x at each halving the output carries the singular-start marker instead
-of a meaningless number.
+of a meaningless number.  The probe reads only the first ceil(alpha) + 2
+nodes of each subgrid, so it works for any n >= 13 and its cost does not
+depend on n.
 """
 
 from __future__ import annotations
@@ -50,6 +58,10 @@ __all__ = [
 # Estimates at the first node must grow by at least this factor under each of
 # two successive grid refinements before the output is marked singular.
 _PROBE_GROWTH = 1.15
+# Grids of at least this many nodes convolve by FFT; below it the direct sum
+# is faster.  Measured with numpy 2.4 on one core: 22 us direct against 42 us
+# FFT at n = 256, 51 against 55 at n = 512, 169 against 66 at n = 1024.
+_FFT_MIN_NODES = 512
 
 
 class DerivativeMethod(str, enum.Enum):
@@ -71,6 +83,22 @@ def _as_method(method: DerivativeMethod | str | None, order: FracOrder) -> Deriv
     except ValueError:
         choices = ", ".join(m.value for m in DerivativeMethod)
         raise InvalidParameterError(f"unknown derivative method {method!r}; known: {choices}") from None
+
+
+def _fft_size(m: int) -> int:
+    # Smallest c * 2**j >= m with c in (1, 3, 5, 9); numpy's FFT is fast on
+    # these, and 2**j alone would pad the 2n - 1 of an n = 2**k + 1 grid to 4n.
+    return min(c << (-(-m // c) - 1).bit_length() for c in (1, 3, 5, 9))
+
+
+def _causal_convolve(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """First ``g.size`` terms of the linear convolution of ``g`` and ``kernel``."""
+    n = g.size
+    if n < _FFT_MIN_NODES:
+        return np.convolve(g, kernel)[:n]
+    size = _fft_size(n + kernel.size - 1)
+    spectrum = np.fft.rfft(g, size) * np.fft.rfft(kernel, size)
+    return np.fft.irfft(spectrum, size)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +128,7 @@ def _frac_integral_values(g: np.ndarray, h: float, a: float) -> np.ndarray:
     if n < 2:
         return out
     kernel, A = _integral_kernel(n, a)
-    conv = np.convolve(g, kernel)[:n]
+    conv = _causal_convolve(g, kernel)
     # The full convolution pretends the data extends past node 0; remove the
     # phantom left-neighbour contribution A(k+1) * g[0] from each row.
     k = np.arange(1, n)
@@ -231,7 +259,7 @@ def _marchaud_values(g: np.ndarray, h: float, a: float) -> np.ndarray:
         c[1] = s1 + wR[1]
         c[2] = s2 + wM[1] + wR[2]
         c[3:] = wL[1 : n - 2] + wM[2 : n - 1] + wR[3:n]
-        conv = np.convolve(g, c)[:n]
+        conv = _causal_convolve(g, c)
         k = np.arange(3, n)
         T = s1 + s2 + (1.0 - k ** (-a)) / a
         sums[3:] = (
@@ -269,12 +297,14 @@ def _probe_singular_start(v: np.ndarray, h: float, a: float, method: DerivativeM
     # Re-estimate the first-node derivative on stride-4 and stride-2 subgrids.
     # A genuine (t-t0)^-a blow-up makes the estimate grow like 2**a per
     # halving; bounded derivatives keep it flat or shrinking.
-    n = v.size
-    if n < 13 or (n - 1) % 4:
+    if v.size < 13:
         return False
+    # Index 1 of a derivative of order a depends only on the first ceil(a) + 2
+    # nodes, so each subgrid is cut to those and the cost does not grow with n.
+    nodes = math.ceil(a) + 2
     estimates = []
     for stride in (4, 2, 1):
-        sub = v[::stride]
+        sub = v[::stride][:nodes]
         estimates.append(abs(float(_rl_values(sub, h * stride, a, method)[1])))
     e4, e2, e1 = estimates
     if e4 <= 0.0 or e2 <= 0.0:
@@ -377,27 +407,66 @@ def _require_same_grid(u: GridFunction, v: GridFunction) -> None:
 
 def _product_correction(u: np.ndarray, v: np.ndarray, a: float) -> np.ndarray:
     # I[k] ~ int_0^k tau**(-a-1) [u(t-tau h) - u(t)] [v(t-tau h) - v(t)] dtau
-    # with both increments piecewise linear per cell.  On cell m the increment
-    # U(xi) = UR + (UL-UR) xi (xi = tau - (m-1)) has UR = u[k-m+1] - u[k],
-    # UL = u[k-m] - u[k]; products integrate against the mu moments.  The
-    # mu0 weight on the first cell multiplies UR_1 * VR_1 = 0, hence mu0' = 0
-    # there.
+    # with both increments piecewise linear per cell.  On cell m (left node
+    # i = k-m) the increment U(xi) = UR + du xi (xi = tau - (m-1)) has
+    # UR = u[i+1] - u[k] and du = u[i] - u[i+1], which does not depend on k;
+    # products integrate against the mu moments.  The mu0 weight on the first
+    # cell multiplies UR * VR = 0, hence mu0' = 0 there.  Expanding UR and VR
+    # turns every term into a causal convolution over i, weighted by 1, u[k],
+    # v[k] or u[k] v[k]; sum(mu0'[:k]) telescopes to (1 - k**-a)/a.  The
+    # expanded terms scale with the data's values but their sum only with its
+    # increments, so the data are first shifted to start at 0, which changes
+    # no increment (without the shift an offset of 100 costs ~4 digits).
+    # Each sum pairs the u and v terms as (A_u + A_v), so swapping u and v
+    # gives the same result bit for bit.
     n = u.size
-    mu0, mu1, mu2 = _cell_moments(n, a)
-    mu0 = mu0.copy()
-    mu0[0] = 0.0
     out = np.zeros(n)
-    for k in range(1, n):
-        ur = u[k:0:-1] - u[k]
-        ul = u[k - 1 :: -1] - u[k]
-        vr = v[k:0:-1] - v[k]
-        vl = v[k - 1 :: -1] - v[k]
-        du = ul - ur
-        dv = vl - vr
-        out[k] = (
-            np.dot(ur * vr, mu0[:k]) + np.dot(ur * dv + vr * du, mu1[:k]) + np.dot(du * dv, mu2[:k])
-        )
+    u = u - u[0]
+    v = v - v[0]
+    mu0, mu1, mu2 = _cell_moments(n - 1, a)
+    mu0[0] = 0.0
+    ur, vr = u[1:], v[1:]
+    du = u[:-1] - ur
+    dv = v[:-1] - vr
+    k = np.arange(1, n)
+    from_u = _causal_convolve(ur, mu0) + _causal_convolve(du, mu1)
+    from_v = _causal_convolve(vr, mu0) + _causal_convolve(dv, mu1)
+    out[1:] = (
+        _causal_convolve(ur * vr, mu0)
+        + _causal_convolve(ur * dv + vr * du, mu1)
+        + _causal_convolve(du * dv, mu2)
+        + ur * vr * (1.0 - k ** (-a)) / a
+        - (ur * from_v + vr * from_u)
+    )
     return out
+
+
+def _leibniz(u: GridFunction, v: GridFunction, alpha: float, caputo: bool) -> GridFunction:
+    a = as_order(alpha).alpha
+    if not 0.0 < a < 1.0:
+        raise PreconditionError(f"the product formula requires 0 < order < 1, got {a}")
+    _require_same_grid(u, v)
+    h = u.h
+    uu, vv = u.values, v.values
+    if caputo:
+        u0, v0 = uu[0], vv[0]
+        du = caputo_derivative(u, a, (float(u0),)).values
+        dv = caputo_derivative(v, a, (float(v0),)).values
+    else:
+        u0 = v0 = 0.0
+        du = _marchaud_values(uu, h, a)
+        dv = _marchaud_values(vv, h, a)
+    corr = _product_correction(uu, vv, a)
+    out = np.zeros(u.n)
+    k = np.arange(1, u.n, dtype=float)
+    gam = rgamma(1.0 - a)
+    out[1:] = (
+        uu[1:] * dv[1:]
+        + vv[1:] * du[1:]
+        - a * gam * h**-a * corr[1:]
+        - (uu[1:] - u0) * (vv[1:] - v0) * gam * (k * h) ** -a
+    )
+    return GridFunction(u.t0, u.t1, out)
 
 
 def leibniz_rl(u: GridFunction, v: GridFunction, alpha: float) -> GridFunction:
@@ -409,25 +478,7 @@ def leibniz_rl(u: GridFunction, v: GridFunction, alpha: float) -> GridFunction:
     where K is the kernel integral of the product of increments.  Output
     index 0 is zero.
     """
-    a = as_order(alpha).alpha
-    if not 0.0 < a < 1.0:
-        raise PreconditionError(f"the product formula requires 0 < order < 1, got {a}")
-    _require_same_grid(u, v)
-    h = u.h
-    uu, vv = u.values, v.values
-    du = _marchaud_values(uu, h, a)
-    dv = _marchaud_values(vv, h, a)
-    corr = _product_correction(uu, vv, a)
-    out = np.zeros(u.n)
-    k = np.arange(1, u.n, dtype=float)
-    gam = rgamma(1.0 - a)
-    out[1:] = (
-        uu[1:] * dv[1:]
-        + vv[1:] * du[1:]
-        - a * gam * h**-a * corr[1:]
-        - uu[1:] * vv[1:] * gam * (k * h) ** -a
-    )
-    return GridFunction(u.t0, u.t1, out)
+    return _leibniz(u, v, alpha, caputo=False)
 
 
 def leibniz_caputo(u: GridFunction, v: GridFunction, alpha: float) -> GridFunction:
@@ -439,22 +490,4 @@ def leibniz_caputo(u: GridFunction, v: GridFunction, alpha: float) -> GridFuncti
     The increment-product kernel integral K is the same one as in the
     Riemann-Liouville formula.  Output index 0 is zero.
     """
-    a = as_order(alpha).alpha
-    if not 0.0 < a < 1.0:
-        raise PreconditionError(f"the product formula requires 0 < order < 1, got {a}")
-    _require_same_grid(u, v)
-    h = u.h
-    uu, vv = u.values, v.values
-    cdu = caputo_derivative(u, a, (float(uu[0]),)).values
-    cdv = caputo_derivative(v, a, (float(vv[0]),)).values
-    corr = _product_correction(uu, vv, a)
-    out = np.zeros(u.n)
-    k = np.arange(1, u.n, dtype=float)
-    gam = rgamma(1.0 - a)
-    out[1:] = (
-        uu[1:] * cdv[1:]
-        + vv[1:] * cdu[1:]
-        - a * gam * h**-a * corr[1:]
-        - (uu[1:] - uu[0]) * (vv[1:] - vv[0]) * gam * (k * h) ** -a
-    )
-    return GridFunction(u.t0, u.t1, out)
+    return _leibniz(u, v, alpha, caputo=True)

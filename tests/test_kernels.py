@@ -1,0 +1,114 @@
+"""Oracle tests for the convolution kernels under the grid operators: the
+direct/FFT causal convolution, the convolution form of the Leibniz
+correction, and the Leibniz error against closed forms."""
+
+import numpy as np
+import pytest
+
+import fraccalc as fc
+from fraccalc.operators import _FFT_MIN_NODES, _causal_convolve, _cell_moments, _product_correction
+
+
+def _product_correction_loop(u: np.ndarray, v: np.ndarray, a: float) -> np.ndarray:
+    """The original O(n^2) row loop: on cell m of row k the increments are
+    linear, U(xi) = UR + (UL - UR) xi, and their product is integrated against
+    the mu moments; the first cell's mu0 weight multiplies UR * VR = 0."""
+    n = u.size
+    mu0, mu1, mu2 = _cell_moments(n, a)
+    mu0 = mu0.copy()
+    mu0[0] = 0.0
+    out = np.zeros(n)
+    for k in range(1, n):
+        ur = u[k:0:-1] - u[k]
+        ul = u[k - 1 :: -1] - u[k]
+        vr = v[k:0:-1] - v[k]
+        vl = v[k - 1 :: -1] - v[k]
+        du = ul - ur
+        dv = vl - vr
+        out[k] = (
+            np.dot(ur * vr, mu0[:k]) + np.dot(ur * dv + vr * du, mu1[:k]) + np.dot(du * dv, mu2[:k])
+        )
+    return out
+
+
+class TestCausalConvolve:
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, _FFT_MIN_NODES - 1, _FFT_MIN_NODES, _FFT_MIN_NODES + 1, 4097]
+    )
+    def test_matches_direct_convolution(self, n):
+        rng = np.random.default_rng(n)
+        g, kernel = rng.standard_normal((2, n))
+        ref = np.convolve(g, kernel)[:n]
+        got = _causal_convolve(g, kernel)
+        assert got.shape == (n,)
+        if n < _FFT_MIN_NODES:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _factor_pairs(n):
+    t = np.linspace(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    return {
+        "random": tuple(rng.standard_normal((2, n))),
+        "smooth": (t**0.6, np.cos(3.0 * t)),
+        "offset": (100.0 + t**0.6, 50.0 + t),
+    }
+
+
+class TestProductCorrection:
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 600])
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("data", ["random", "smooth", "offset"])
+    def test_matches_row_loop(self, n, a, data):
+        u, v = _factor_pairs(n)[data]
+        ref = _product_correction_loop(u, v, a)
+        got = _product_correction(u, v, a)
+        # The sum depends only on increments, so its rounding scale is set by
+        # the ranges of the data, not by their offsets.
+        scale = max(np.ptp(u) * np.ptp(v), 1e-300)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+        assert got[0] == 0.0
+
+    def test_constant_factor_gives_zero(self):
+        u = np.sqrt(np.linspace(0.0, 1.0, 700))
+        assert np.all(_product_correction(u, np.full(700, 3.0), 0.5) == 0.0)
+
+    @pytest.mark.parametrize("n", [129, 1025])
+    def test_symmetric_bit_for_bit(self, n):
+        u, v = _factor_pairs(n)["random"]
+        assert np.array_equal(_product_correction(u, v, 0.4), _product_correction(v, u, 0.4))
+
+
+# Sup error past node 8 against the closed form, computed with the O(n^2)
+# loop at commit 2d10e6e719fcc490b0a5e23b715c41a8283713ec.  The convolution
+# form must stay within 1.1x of them.
+_LEIBNIZ_RL_ERRORS = {257: 9.160531e-05, 1025: 2.630672e-05, 4097: 7.554620e-06, 8193: 4.048421e-06}
+_LEIBNIZ_CAPUTO_SHIFTED_ERRORS = {257: 1.348408e-04, 1025: 1.576157e-04, 4097: 1.497222e-04, 8193: 1.423612e-04}
+
+
+def _power_rl(p, t):
+    return fc.builtin("power", {"p": p}).rl_derivative(0.5, t)
+
+
+class TestLeibnizErrorPinned:
+    @pytest.mark.parametrize("n", sorted(_LEIBNIZ_RL_ERRORS))
+    def test_rl_against_closed_form(self, n):
+        t = np.linspace(0.0, 1.0, n)
+        u = fc.GridFunction(0.0, 1.0, t**0.6)
+        v = fc.GridFunction(0.0, 1.0, t**0.8)
+        got = fc.leibniz_rl(u, v, 0.5).values
+        err = np.max(np.abs(got[8:] - _power_rl(1.4, t)[8:]))
+        assert err <= 1.1 * _LEIBNIZ_RL_ERRORS[n]
+
+    @pytest.mark.parametrize("n", sorted(_LEIBNIZ_CAPUTO_SHIFTED_ERRORS))
+    def test_caputo_shifted_factors_against_closed_form(self, n):
+        # cD[(1 + t^0.6)(2 + t^0.8)] = 2 D t^0.6 + D t^0.8 + D t^1.4.
+        t = np.linspace(0.0, 1.0, n)
+        u = fc.GridFunction(0.0, 1.0, 1.0 + t**0.6)
+        v = fc.GridFunction(0.0, 1.0, 2.0 + t**0.8)
+        closed = 2.0 * _power_rl(0.6, t) + _power_rl(0.8, t) + _power_rl(1.4, t)
+        got = fc.leibniz_caputo(u, v, 0.5).values
+        err = np.max(np.abs(got[8:] - closed[8:]))
+        assert err <= 1.1 * _LEIBNIZ_CAPUTO_SHIFTED_ERRORS[n]
