@@ -296,20 +296,12 @@ def _make_weierstrass_shifted(params: dict | None) -> AnalyticFunction:
     if sigma <= 1.0:
         raise InvalidParameterError(f"weierstrass_shifted: need sigma > 1, got {sigma}")
     w0 = weierstrass(a, sigma, t0)
-
-    def ev(t: np.ndarray) -> np.ndarray:
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(tt)
-        for i, ti in enumerate(tt):
-            out[i] = weierstrass(a, sigma, ti) - w0
-        return out.reshape(np.shape(t))
-
     return AnalyticFunction(
         name="weierstrass_shifted",
         label=_label("weierstrass_shifted", p),
         params=p,
         base_point=t0,
-        eval=ev,
+        eval=lambda t: weierstrass(a, sigma, t) - w0,
         taylor=None,  # nowhere differentiable; no Taylor data exists
         anchors={},
         summary=(

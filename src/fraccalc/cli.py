@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, catalog
 from .errors import DataError, FracCalcError, PreconditionError, UsageError
 from .grid import GridFunction
-from .harness import SuiteConfig, resolve_check_ids, resolved_threads, run_suite
+from .harness import SuiteConfig, resolve_check_ids, run_suite
 from .operators import caputo_derivative, frac_integral, leibniz_rl, rl_derivative
 
 _SING = "sing"
@@ -187,8 +187,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ids = resolve_check_ids(args.suite)
-    config = SuiteConfig(n=args.n, seed=args.seed, checks=tuple(ids))
-    reports = run_suite(config)
+    reports = run_suite(SuiteConfig(n=args.n, seed=args.seed, checks=tuple(ids)))
     aggregate = all(r.passed for r in reports)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -196,14 +195,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"{'PASS' if aggregate else 'FAIL'}: {sum(r.passed for r in reports)}/{len(reports)} checks passed")
     if args.json:
         document = {
-            "schema": 1,
+            "schema": 2,
             "tool_version": __version__,
-            "config_echo": {
-                "suite": ids,
-                "n": args.n,
-                "seed": args.seed,
-                "threads": resolved_threads(config),
-            },
+            "config_echo": {"suite": ids, "n": args.n, "seed": args.seed},
             "reports": [r.to_dict() for r in reports],
             "aggregate_pass": aggregate,
         }

@@ -33,10 +33,6 @@ class FracOrder:
     def ceil_alpha(self) -> int:
         return math.ceil(self.alpha)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.alpha == math.floor(self.alpha)
-
 
 def as_order(order: FracOrder | float) -> FracOrder:
     return order if isinstance(order, FracOrder) else FracOrder(float(order))
@@ -92,12 +88,3 @@ class GridFunction:
         if np.asarray(values).shape != self.values.shape:
             raise DataError("with_values requires data of identical length")
         return GridFunction(self.t0, self.t1, values, singular_start)
-
-    def subsample(self, stride: int) -> "GridFunction":
-        """Every ``stride``-th node (node 0 and node n-1 included).
-
-        Requires ``(n - 1) % stride == 0`` so the endpoints survive.
-        """
-        if stride < 1 or (self.n - 1) % stride != 0:
-            raise DataError(f"stride {stride} does not divide the grid with {self.n} nodes")
-        return GridFunction(self.t0, self.t1, self.values[::stride], self.singular_start)

@@ -18,8 +18,6 @@ validates, so reports can be traced back to their source statement.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -74,6 +72,9 @@ _PROTOCOL_WINDOW = 32
 _W = EXCLUDED_START_NODES
 
 _FAIL = 2.0  # normalized ratio assigned to a failed boolean sub-assertion
+
+# Smallest grid any check that takes ``n`` (and the suite) accepts.
+_MIN_N = 65
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,11 @@ def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
+def _require_n(who: str, n: int) -> None:
+    if n < _MIN_N:
+        raise InvalidParameterError(f"{who} needs n >= {_MIN_N}, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
@@ -137,8 +143,7 @@ def _sup(a: np.ndarray) -> float:
 
 def check_semigroup(alpha: float, beta: float, n: int) -> CheckReport:
     """J^alpha[J^beta f] versus J^(alpha+beta) f for f(t) = t on [0, 1]."""
-    if n < 65:
-        raise InvalidParameterError(f"check_semigroup needs n >= 65, got {n}")
+    _require_n("check_semigroup", n)
     f = catalog.builtin("power", {"p": 1.0})
     g = catalog.sample(f, 0.0, 1.0, n)
     composed = frac_integral(frac_integral(g, beta), alpha)
@@ -161,6 +166,7 @@ def check_semigroup(alpha: float, beta: float, n: int) -> CheckReport:
 
 def check_integral_shift(alpha: float, m: int, n: int) -> CheckReport:
     """J^alpha f versus J^(alpha+m) f^(m) plus the Taylor boundary sum, f = t^2."""
+    _require_n("check_integral_shift", n)
     if m not in (1, 2):
         raise InvalidParameterError(f"check_integral_shift supports m in {{1, 2}}, got {m}")
     f = catalog.builtin("power", {"p": 2.0})
@@ -191,6 +197,7 @@ def check_integral_shift(alpha: float, m: int, n: int) -> CheckReport:
 
 def check_derivative_commute(alpha: float, m: int, n: int) -> CheckReport:
     """m-fold difference of J^alpha f versus J^alpha f^(m), f = t^2."""
+    _require_n("check_derivative_commute", n)
     if m not in (1, 2):
         raise InvalidParameterError(f"check_derivative_commute supports m in {{1, 2}}, got {m}")
     f = catalog.builtin("power", {"p": 2.0})
@@ -218,6 +225,7 @@ def check_derivative_commute(alpha: float, m: int, n: int) -> CheckReport:
 
 def check_inversion(alpha: float, n: int) -> CheckReport:
     """J^alpha[D^alpha f] versus f for f = t^1.5, off the start window."""
+    _require_n("check_inversion", n)
     f = catalog.builtin("power", {"p": 1.5})
     g = catalog.sample(f, 0.0, 1.0, n)
     d = rl_derivative(g, alpha)
@@ -266,6 +274,7 @@ def check_vanishing_at_start(alpha: float) -> CheckReport:
 
 def check_hardy_littlewood(alpha: float, beta: float, n: int) -> CheckReport:
     """A Hölder-beta power is a member of the order-alpha space, 0 < alpha < beta."""
+    _require_n("check_hardy_littlewood", n)
     if not 0.0 < alpha < beta <= 1.0:
         raise InvalidParameterError(f"need 0 < alpha < beta <= 1, got alpha={alpha}, beta={beta}")
     f = _power(beta, n)
@@ -332,6 +341,7 @@ def check_embedding_constant(alpha: float, trials: int, seed: int = 7) -> CheckR
 
 def check_leibniz(alpha: float, n: int, caputo: bool) -> CheckReport:
     """Product formula for t^0.6 * t^0.8 against the closed derivative of t^1.4."""
+    _require_n("check_leibniz", n)
     u = _power(0.6, n)
     v = _power(0.8, n)
     out = leibniz_caputo(u, v, alpha) if caputo else leibniz_rl(u, v, alpha)
@@ -355,6 +365,7 @@ def check_leibniz(alpha: float, n: int, caputo: bool) -> CheckReport:
 
 def check_banach_algebra(alpha: float, n: int) -> CheckReport:
     """Products of members stay members: D^alpha(uv) continuous with vanishing start limit."""
+    _require_n("check_banach_algebra", n)
     u = _power(0.7, n)
     v = _power(0.9, n)
     w = u.with_values(u.values * v.values)
@@ -393,6 +404,7 @@ def _interior_jump_detected(d: np.ndarray, jump_index: int, halfwidth: int = 8) 
 def check_counterexample_step(alpha: float, n: int, t_jump: float = 0.5) -> CheckReport:
     """J^alpha of a jump: Hölder exponent alpha, derivative reproducing the jump,
     and an interior discontinuity that expels it from the order-alpha space."""
+    _require_n("check_counterexample_step", n)
     entry = catalog.builtin("step", {"t_jump": t_jump})
     step = catalog.sample(entry, 0.0, 1.0, n)
     g = frac_integral(step, alpha)
@@ -423,6 +435,7 @@ def check_counterexample_step(alpha: float, n: int, t_jump: float = 0.5) -> Chec
 def check_weierstrass_nonmembership(alpha: float, sigma: float, n: int) -> CheckReport:
     """The lacunary cosine sum has the right Hölder exponent but its derivative
     estimates never settle under refinement."""
+    _require_n("check_weierstrass_nonmembership", n)
     entry = catalog.builtin("weierstrass_shifted", {"alpha": alpha, "sigma": sigma})
     sizes = [n, 2 * n - 1, 4 * n - 3]
     samples = [catalog.sample(entry, 0.0, 1.0, m) for m in sizes]
@@ -467,11 +480,9 @@ class SuiteConfig:
     n: int = 2049
     seed: int = 7
     checks: tuple[str, ...] | None = None  # None = all, in registry order
-    threads: int | None = None  # None = FRACCALC_THREADS or serial
 
     def __post_init__(self) -> None:
-        if self.n < 65:
-            raise InvalidParameterError(f"suite needs n >= 65, got {self.n}")
+        _require_n("suite", self.n)
 
 
 _REGISTRY: dict[str, Callable[[SuiteConfig], CheckReport]] = {
@@ -527,31 +538,16 @@ def _run_one(check_id: str, config: SuiteConfig) -> CheckReport:
         )
 
 
-def resolved_threads(config: SuiteConfig) -> int:
-    if config.threads is not None:
-        return max(int(config.threads), 1)
-    env = os.environ.get("FRACCALC_THREADS", "")
-    try:
-        return max(int(env), 1) if env else 1
-    except ValueError:
-        return 1
-
-
 def run_suite(config: SuiteConfig | None = None) -> list[CheckReport]:
-    """Run the selected checks with frozen defaults; never aborts on a crash.
+    """Run the selected checks one after another with frozen defaults; never
+    aborts on a crash.
 
     Reports come back in the order the checks were selected (registry order
-    for the full suite), so output is deterministic regardless of the thread
-    count.
+    for the full suite).
     """
     config = config or SuiteConfig()
     ids = list(config.checks) if config.checks is not None else check_ids()
     for cid in ids:
         if cid not in _REGISTRY:
             raise UnknownNameError(f"unknown check id {cid!r}")
-    workers = resolved_threads(config)
-    if workers > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, cid, config) for cid in ids]
-            return [f.result() for f in futures]
     return [_run_one(cid, config) for cid in ids]

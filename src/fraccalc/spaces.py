@@ -35,6 +35,9 @@ EXCLUDED_START_NODES = 8
 # The classifier examines this many consecutive values after the window.
 _CLASSIFY_COUNT = 16
 
+# Node pairs the Hölder scan evaluates per vectorized block.
+_BLOCK_PAIRS = 1 << 14
+
 
 @dataclass(frozen=True)
 class HolderEstimate:
@@ -52,13 +55,22 @@ class HolderEstimate:
     exact: bool
 
 
-def _row_max(v: np.ndarray, t: np.ndarray, gamma: float, i: int) -> tuple[float, int]:
-    d = np.abs(v - v[i])
-    dist = np.abs(t - t[i])
-    dist[i] = np.inf
-    r = d / dist**gamma
-    j = int(np.argmax(r))
-    return float(r[j]), j
+def _budget_blocks(n: int, pair_budget: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    # Every pair touching the first or last ``edge`` nodes, plus every pair of
+    # a strided subsample, as (anchors, partners) sets that name each pair once.
+    edge = min(32, n // 2)
+    # Subsample stride chosen so the internal pair count fits the budget left
+    # after the edge rows; endpoints are always part of the subsample.
+    remaining = max(pair_budget - 2 * edge * (n - 1), 0)
+    m = max(int((2.0 * remaining) ** 0.5), 2)
+    stride = max(n // m, 1)
+    sub = np.unique(np.concatenate([np.arange(0, n, stride), [n - 1]]))
+    inner = sub[(sub >= edge) & (sub < n - edge)]
+    return [
+        (np.arange(edge), np.arange(n)),
+        (np.arange(edge, n - 1), np.arange(n - edge, n)),
+        (inner, inner),
+    ]
 
 
 def holder_seminorm(
@@ -72,7 +84,8 @@ def holder_seminorm(
     strided subsample plus every pair touching the first or last 32 nodes
     (endpoint pairs dominate seminorms of power-type data, so they are always
     kept); the result is then a certified lower bound rather than the exact
-    grid value.
+    grid value.  Either way each examined pair i < j is visited once; on the
+    exact path ``argmax_pair`` is the first maximizing pair in (i, j) order.
     """
     if not 0.0 < gamma <= 1.0:
         raise InvalidParameterError(f"need 0 < gamma <= 1, got {gamma}")
@@ -83,45 +96,30 @@ def holder_seminorm(
     v = g.values
     t = g.times()
     n = v.size
-    total_pairs = n * (n - 1) // 2
+    exact = n * (n - 1) // 2 <= pair_budget
+    blocks = [(np.arange(n - 1), np.arange(n))] if exact else _budget_blocks(n, pair_budget)
 
     best = -1.0
     best_pair = (0, 1)
     examined = 0
-
-    def scan(indices: np.ndarray) -> None:
-        nonlocal best, best_pair, examined
-        for i in indices:
-            val, j = _row_max(v, t, gamma, int(i))
-            examined += n - 1
-            if val > best:
-                best = val
-                best_pair = (min(int(i), j), max(int(i), j))
-
-    if total_pairs <= pair_budget:
-        # Exact scan: row i against all j > i would halve the work, but the
-        # full-row form shares code with the subsampled path.
-        scan(np.arange(n - 1))
-        return HolderEstimate(gamma, best, best_pair, total_pairs, exact=True)
-
-    edge = min(32, n // 2)
-    edge_rows = np.concatenate([np.arange(edge), np.arange(n - edge, n)])
-    scan(edge_rows)
-    remaining = max(pair_budget - examined, 0)
-    # Subsample stride chosen so the internal pair count fits the leftover
-    # budget; endpoints are always part of the subsample.
-    m = max(int((2.0 * remaining) ** 0.5), 2)
-    stride = max(n // m, 1)
-    sub = np.unique(np.concatenate([np.arange(0, n, stride), [n - 1]]))
-    for a_pos, i in enumerate(sub[:-1]):
-        js = sub[a_pos + 1 :]
-        r = np.abs(v[js] - v[i]) / (t[js] - t[i]) ** gamma
-        examined += js.size
-        jloc = int(np.argmax(r))
-        if float(r[jloc]) > best:
-            best = float(r[jloc])
-            best_pair = (int(i), int(js[jloc]))
-    return HolderEstimate(gamma, best, best_pair, examined, exact=False)
+    for anchors, partners in blocks:
+        # Blocks of anchor rows against the partners past the block's first
+        # anchor; pairs with j <= i inside a block are masked out.
+        step = max(_BLOCK_PAIRS // max(partners.size, 1), 1)
+        for lo in range(0, anchors.size, step):
+            i = anchors[lo : lo + step, None]
+            j = partners[partners > i[0, 0]]
+            if j.size == 0:
+                continue
+            keep = j > i
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.where(keep, np.abs(v[j] - v[i]) / (t[j] - t[i]) ** gamma, -1.0)
+            examined += int(np.count_nonzero(keep))
+            row, col = divmod(int(np.argmax(r)), j.size)
+            if r[row, col] > best:
+                best = float(r[row, col])
+                best_pair = (int(i[row, 0]), int(j[col]))
+    return HolderEstimate(gamma, best, best_pair, examined, exact)
 
 
 def holder_exponent(g: GridFunction) -> float:

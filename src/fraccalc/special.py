@@ -1,16 +1,20 @@
-"""Scalar special functions: gamma, Mittag-Leffler, and a Weierstrass-type sum.
+"""Special functions: gamma, Mittag-Leffler, and a Weierstrass-type sum.
 
-Everything here is plain-float arithmetic with explicit error control, so the
-rest of the package has no hidden dependency on third-party special-function
-libraries.  The gamma implementation uses a 15-term Lanczos approximation
-(g = 607/128) with the reflection formula below 1/2; the series evaluators use
-compensated (Kahan) summation with documented stopping rules.
+Gamma and Mittag-Leffler take scalar arguments; the Weierstrass-type sum
+takes a scalar or an array of points.  Everything here is elementary
+floating-point arithmetic with explicit error control, so the rest of the
+package has no hidden dependency on third-party special-function libraries.
+The gamma implementation uses a 15-term Lanczos approximation (g = 607/128)
+with the reflection formula below 1/2; the series evaluators use compensated
+(Kahan) summation with documented stopping rules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidParameterError, NonConvergenceError, PoleError
 
@@ -192,13 +196,16 @@ def mittag_leffler(
 def weierstrass(
     alpha: float,
     sigma: float,
-    t: float,
+    t: float | np.ndarray,
     control: SeriesControl | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Weierstrass-type lacunary sum  sum_{j>=0} sigma**(-j*alpha) * cos(sigma**j * t).
 
-    Truncation uses the geometric tail bound w_N / (1 - sigma**(-alpha)) <= tol
-    where w_N = sigma**(-N*alpha).  Requires sigma > 1 and 0 < alpha <= 1.
+    ``t`` may be a scalar, which returns a ``float``, or an array, which
+    returns an array of the same shape.  Truncation uses the geometric tail
+    bound w_N / (1 - sigma**(-alpha)) <= tol where w_N = sigma**(-N*alpha), so
+    the term count depends on (alpha, sigma) only, never on ``t``.  Requires
+    sigma > 1 and 0 < alpha <= 1.
     Note the reduced arguments sigma**j * t grow exponentially, so individual
     cosines carry an argument-reduction noise floor of order |t|*sigma**N*eps;
     for the defaults this is ~1e-8 absolute and perfectly reproducible.
@@ -208,24 +215,24 @@ def weierstrass(
         raise InvalidParameterError(f"need sigma > 1, got {sigma}")
     if not (0.0 < alpha <= 1.0):
         raise InvalidParameterError(f"need 0 < alpha <= 1, got {alpha}")
-    if not math.isfinite(t):
+    arg = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(arg)):
         raise InvalidParameterError(f"need finite t, got {t}")
 
     q = sigma**-alpha
     tail_scale = 1.0 / (1.0 - q)
-    total = 0.0
-    comp = 0.0
+    total = np.zeros_like(arg)
+    comp = np.zeros_like(arg)
     w = 1.0
-    arg = t
     for _ in range(ctl.max_terms):
-        y = w * math.cos(arg) - comp
+        y = w * np.cos(arg) - comp
         s = total + y
         comp = (s - total) - y
         total = s
         w *= q
-        arg *= sigma
+        arg = arg * sigma
         if w * tail_scale <= ctl.tol:
-            return total
+            return float(total) if np.ndim(total) == 0 else total
     raise NonConvergenceError(
         f"Weierstrass sum did not reach its tail bound within {ctl.max_terms} terms "
         f"(alpha={alpha}, sigma={sigma})"

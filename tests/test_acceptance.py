@@ -211,7 +211,7 @@ def test_a11_verification_runs_are_byte_identical(tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outs.append(path.read_bytes())
     doc = json.loads(outs[0])
-    ok = outs[0] == outs[1] and doc["aggregate_pass"] is True and doc["schema"] == 1
+    ok = outs[0] == outs[1] and doc["aggregate_pass"] is True and doc["schema"] == 2
     _report(
         "A11",
         ok,

@@ -207,12 +207,13 @@ class TestVerifyCommand:
         assert run_cli("verify", "--suite", "semigroup", "inversion",
                        "--n", "257", "--json", str(p)) == 0
         doc = json.loads(p.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["tool_version"] == fc.__version__
         assert doc["aggregate_pass"] is True
         assert doc["config_echo"]["suite"] == ["semigroup", "inversion"]
         assert doc["config_echo"]["n"] == 257
         assert doc["config_echo"]["seed"] == 7
+        assert set(doc["config_echo"]) == {"suite", "n", "seed"}
         assert [r["check_id"] for r in doc["reports"]] == ["semigroup", "inversion"]
         for r in doc["reports"]:
             assert r["passed"] is True

@@ -14,8 +14,6 @@ class TestFracOrder:
         a = FracOrder(0.5)
         assert a.alpha == 0.5
         assert a.ceil_alpha == 1
-        assert not a.is_integer
-        assert FracOrder(2.0).is_integer
         assert FracOrder(0.0).ceil_alpha == 0
 
     def test_validation(self):
@@ -67,11 +65,3 @@ class TestGridFunction:
         g2 = g.with_values(np.ones(5))
         assert g2.t0 == g.t0 and g2.t1 == g.t1
         assert np.all(g2.values == 1.0)
-
-    def test_subsample(self):
-        g = GridFunction(0.0, 1.0, np.arange(9, dtype=float))
-        s = g.subsample(2)
-        assert s.n == 5
-        assert np.array_equal(s.values, np.array([0.0, 2.0, 4.0, 6.0, 8.0]))
-        with pytest.raises(DataError):
-            g.subsample(3)  # 8 intervals do not divide evenly by 3

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fraccalc.harness as hz
-from fraccalc import UnknownNameError
+from fraccalc import InvalidParameterError, UnknownNameError
 from fraccalc.harness import (
     CheckReport,
     SuiteConfig,
@@ -112,12 +112,6 @@ class TestDeterminism:
         b = [r.to_dict() for r in run_suite(SuiteConfig(n=257))]
         assert a == b
 
-    def test_thread_count_does_not_change_reports(self, monkeypatch):
-        serial = [r.to_dict() for r in run_suite(SuiteConfig(n=257))]
-        monkeypatch.setenv("FRACCALC_THREADS", "4")
-        threaded = [r.to_dict() for r in run_suite(SuiteConfig(n=257))]
-        assert serial == threaded
-
 
 def test_crashed_check_becomes_failed_report(monkeypatch):
     def boom(config):
@@ -133,6 +127,35 @@ def test_crashed_check_becomes_failed_report(monkeypatch):
     d = r.to_dict()
     assert d["max_error"] is None  # non-finite floats map to null in JSON
     json.dumps(d)
+
+
+_CHECKS_TAKING_N = {
+    "semigroup": lambda n: check_semigroup(0.3, 0.4, n),
+    "integral_shift": lambda n: check_integral_shift(0.5, 1, n),
+    "derivative_commute": lambda n: check_derivative_commute(0.5, 1, n),
+    "inversion": lambda n: check_inversion(0.6, n),
+    "hardy_littlewood": lambda n: check_hardy_littlewood(0.3, 0.7, n),
+    "leibniz_rl": lambda n: check_leibniz(0.5, n, caputo=False),
+    "leibniz_caputo": lambda n: check_leibniz(0.5, n, caputo=True),
+    "banach_algebra": lambda n: hz.check_banach_algebra(0.5, n),
+    "counterexample_step": lambda n: check_counterexample_step(0.5, n),
+    "weierstrass_nonmembership": lambda n: check_weierstrass_nonmembership(0.5, 2.0, n),
+}
+
+
+class TestGridSizeGuard:
+    """Every check that takes a grid size shares the suite's n >= 65 minimum,
+    so a small grid is a parameter error, not a crash inside numpy."""
+
+    @pytest.mark.parametrize("n", [5, 64])
+    @pytest.mark.parametrize("check", sorted(_CHECKS_TAKING_N))
+    def test_small_grid_is_a_parameter_error(self, check, n):
+        with pytest.raises(InvalidParameterError, match="needs n >= 65"):
+            _CHECKS_TAKING_N[check](n)
+
+    @pytest.mark.parametrize("check", sorted(_CHECKS_TAKING_N))
+    def test_smallest_grid_produces_a_report(self, check):
+        assert isinstance(_CHECKS_TAKING_N[check](65), CheckReport)
 
 
 class TestConvergenceDiscipline:
