@@ -225,11 +225,7 @@ def _make_ml_exp(params: dict | None) -> AnalyticFunction:
 
     def ml_vec(order_shift: float, t: np.ndarray) -> np.ndarray:
         # E_{a, 1 + order_shift}((t - t0)^a), elementwise.
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(tt)
-        for i, ti in enumerate(tt):
-            out[i] = mittag_leffler(a, 1.0 + order_shift, (ti - t0) ** a)
-        return out.reshape(np.shape(t))
+        return mittag_leffler(a, 1.0 + order_shift, (np.asarray(t, dtype=float) - t0) ** a)
 
     def rl_int(order: float, t: np.ndarray) -> np.ndarray:
         return _positive_power(np.asarray(t, float) - t0, order) * ml_vec(order, t)

@@ -9,6 +9,7 @@ singular index-0 value.  All file writes go through a temp file + rename.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,14 +43,13 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def write_grid_csv(path: str, g: GridFunction) -> None:
-    t = g.times()
-    lines = ["t,value"]
-    for i in range(g.n):
-        if i == 0 and g.singular_start:
-            lines.append(f"{t[i]:.17g},{_SING}")
-        else:
-            lines.append(f"{t[i]:.17g},{g.values[i]:.17g}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    # One format operation for the whole table.  Only a singular index 0 can
+    # format as "nan": every other value of a GridFunction is finite.
+    cells = np.column_stack([g.times(), g.values]).ravel().tolist()
+    table = ("%.17g,%.17g\n" * g.n) % tuple(cells)
+    if g.singular_start:
+        table = table.replace(",nan\n", f",{_SING}\n", 1)
+    _atomic_write(path, "t,value\n" + table)
 
 
 def read_grid_csv(path: str) -> GridFunction:
@@ -58,13 +58,45 @@ def read_grid_csv(path: str) -> GridFunction:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines or lines[0].strip() != "t,value":
+    rows = [ln for ln in lines if ln.strip()]
+    if not rows or rows[0].strip() != "t,value":
         raise DataError(f"{path}: first line must be the header 't,value'")
+    # numpy's C reader parses both columns at once, to the same doubles as
+    # float(); it accepts a subset of what float() does.  A file it refuses,
+    # or one with a non-finite number, goes to the row loop, which reports the
+    # first bad row or parses what only float() accepts (such as "1_000").
+    body = rows[1:]
+    singular = bool(body) and body[0].partition(",")[2].strip() == _SING
+    if singular:
+        body[0] = body[0].partition(",")[0] + ",nan"
+    t_arr = vals = None
+    if body:  # loadtxt warns on empty input
+        try:
+            t_arr, vals = np.loadtxt(body, delimiter=",", comments=None, ndmin=2).T
+        except ValueError:
+            pass
+    if t_arr is None or not (np.all(np.isfinite(t_arr)) and np.all(np.isfinite(vals[int(singular):]))):
+        t_arr, vals, singular = _parse_rows(path, lines)
+    if t_arr.size < 2:
+        raise DataError(f"{path}: need at least 2 data rows")
+    span = t_arr[-1] - t_arr[0]
+    if span <= 0:
+        raise DataError(f"{path}: t column must be strictly increasing")
+    h = span / (t_arr.size - 1)
+    dt = np.diff(t_arr)
+    if np.any(dt <= 0) or np.max(np.abs(dt - h)) > 1e-9 * span:
+        raise DataError(f"{path}: t column is not uniformly spaced (relative tolerance 1e-9)")
+    return GridFunction(float(t_arr[0]), float(t_arr[-1]), vals, singular)
+
+
+def _parse_rows(path: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray, bool]:
+    # Data rows are the non-blank lines after the header; errors name the
+    # physical line, blank lines included.
+    numbered = [(lineno, ln) for lineno, ln in enumerate(lines, start=1) if ln.strip()]
     ts: list[float] = []
     vals: list[float] = []
     singular = False
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in numbered[1:]:
         parts = ln.split(",")
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected 't,value', got {ln!r}")
@@ -89,17 +121,7 @@ def read_grid_csv(path: str) -> GridFunction:
             raise DataError(f"{path}:{lineno}: non-finite t {parts[0]!r}")
         ts.append(t)
         vals.append(v)
-    if len(ts) < 2:
-        raise DataError(f"{path}: need at least 2 data rows")
-    t_arr = np.asarray(ts)
-    span = t_arr[-1] - t_arr[0]
-    if span <= 0:
-        raise DataError(f"{path}: t column must be strictly increasing")
-    h = span / (len(ts) - 1)
-    dt = np.diff(t_arr)
-    if np.any(dt <= 0) or np.max(np.abs(dt - h)) > 1e-9 * span:
-        raise DataError(f"{path}: t column is not uniformly spaced (relative tolerance 1e-9)")
-    return GridFunction(float(t_arr[0]), float(t_arr[-1]), np.asarray(vals), singular)
+    return np.asarray(ts), np.asarray(vals), singular
 
 
 def _parse_fn_spec(spec: str) -> catalog.AnalyticFunction:
@@ -240,9 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so one per process serves every call.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "catalog":
             return _cmd_catalog(args)

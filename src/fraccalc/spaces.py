@@ -84,7 +84,11 @@ def holder_seminorm(
     strided subsample plus every pair touching the first or last 32 nodes
     (endpoint pairs dominate seminorms of power-type data, so they are always
     kept); the result is then a certified lower bound rather than the exact
-    grid value.  Either way each examined pair i < j is visited once; on the
+    grid value.  The budget bounds only the strided subsample: the edge rows
+    always cost about 2·32·(n−1) pairs, and what the budget has left after
+    them sizes the subsample (stride n//2 once nothing is left).  So
+    ``pairs_examined`` can exceed ``pair_budget``: 63,520 pairs at n = 1025
+    with a budget of 10,000.  Either way each examined pair i < j is visited once; on the
     exact path ``argmax_pair`` is the first maximizing pair in (i, j) order.
     """
     if not 0.0 < gamma <= 1.0:

@@ -1,7 +1,7 @@
 """Special functions: gamma, Mittag-Leffler, and a Weierstrass-type sum.
 
-Gamma and Mittag-Leffler take scalar arguments; the Weierstrass-type sum
-takes a scalar or an array of points.  Everything here is elementary
+Gamma takes scalar arguments; Mittag-Leffler and the Weierstrass-type sum
+take a scalar or an array of points.  Everything here is elementary
 floating-point arithmetic with explicit error control, so the rest of the
 package has no hidden dependency on third-party special-function libraries.
 The gamma implementation uses a 15-term Lanczos approximation (g = 607/128)
@@ -46,6 +46,9 @@ class SeriesControl:
 
 
 _DEFAULT_CONTROL = SeriesControl()
+_EPS = 2.0**-52
+# Largest relative rounding error a Mittag-Leffler value may carry.
+_CANCELLATION_LIMIT = 1e-10
 
 # Lanczos coefficients for g = 607/128, n = 15 (Godfrey's set).  Relative
 # error of the rational part is below 1e-15 on the right half-line.
@@ -139,18 +142,26 @@ def _lgamma_pos(x: float) -> float:
 def mittag_leffler(
     alpha: float,
     beta: float,
-    z: float,
+    z: float | np.ndarray,
     control: SeriesControl | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) by direct series.
 
-    The series sum_{j>=0} z**j / gamma(alpha*j + beta) is summed with Kahan
-    compensation.  Direct summation is only trustworthy on a bounded argument
-    box, enforced here as ``|z| <= 5`` and ``alpha >= 0.3``; outside it the
-    call raises :class:`InvalidParameterError` rather than return garbage.
-    Summation stops once alpha*j + beta > 2 and the current term is below
-    ``tol`` relative to the running total; exhausting ``max_terms`` raises
-    :class:`NonConvergenceError`.
+    ``z`` may be a scalar, which returns a ``float``, or an array, which
+    returns an array of the same shape.  The series
+    sum_{j>=0} z**j / gamma(alpha*j + beta) is summed with Kahan compensation,
+    one pass over j for all points.  Direct summation is only trustworthy on a
+    bounded argument box, enforced here as ``|z| <= 5`` and ``alpha >= 0.3``;
+    outside it the call raises :class:`InvalidParameterError` rather than
+    return garbage.  Summation of a point stops once alpha*j + beta > 2 and
+    its current term is below ``tol`` relative to its running total;
+    exhausting ``max_terms`` raises :class:`NonConvergenceError`.  So does a
+    point whose estimated rounding error exceeds 1e-10 relative to its value:
+    for negative z the alternating terms cancel (E_{0.5}(-5) ~ 0.11 sums terms
+    up to ~1e10, E_{0.3}(-5) terms up to ~1e90), and near a zero of E any
+    absolute error is a large relative one.  For z >= 0 and beta > 0 every
+    term is positive and no point is refused; with beta <= 0 the first terms
+    change sign, and a point near a zero of E is refused even for z >= 0.
     """
     ctl = control if control is not None else _DEFAULT_CONTROL
     if not (alpha > 0.0 and math.isfinite(alpha) and math.isfinite(beta)):
@@ -159,38 +170,71 @@ def mittag_leffler(
         raise InvalidParameterError(
             f"alpha={alpha} below the supported direct-summation box (alpha >= 0.3)"
         )
-    if not (math.isfinite(z) and abs(z) <= 5.0):
-        raise InvalidParameterError(f"z={z} outside the supported direct-summation box (|z| <= 5)")
-    if z == 0.0:
-        return rgamma(beta)
+    arg = np.asarray(z, dtype=float)
+    outside = ~(np.abs(arg) <= 5.0)
+    if np.any(outside):
+        raise InvalidParameterError(
+            f"z={arg[outside].flat[0]} outside the supported direct-summation box (|z| <= 5)"
+        )
 
-    log_abs_z = math.log(abs(z))
-    total = 0.0
-    comp = 0.0
-    for j in range(ctl.max_terms):
-        den = alpha * j + beta
-        if j == 0:
-            term = rgamma(beta)
-        elif den > 0.0:
-            # Log-space evaluation keeps z**j from overflowing before the
-            # 1/gamma decay takes over (matters near the |z|=5, alpha=0.3
-            # corner of the box, where intermediate terms reach ~1e90).
-            mag = j * log_abs_z - _lgamma_pos(den)
-            term = math.exp(mag) if mag > -745.0 else 0.0
-            if z < 0.0 and j % 2:
-                term = -term
-        else:
-            term = z**j * rgamma(den)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if den > 2.0 and abs(term) <= ctl.tol * max(1.0, abs(total)):
-            return total
-    raise NonConvergenceError(
-        f"Mittag-Leffler series did not converge within {ctl.max_terms} terms "
-        f"(alpha={alpha}, beta={beta}, z={z})"
-    )
+    out = np.full(arg.shape, rgamma(beta))  # the value at z = 0
+    live = np.flatnonzero(arg)  # points still being summed
+    x = arg.ravel()[live]
+    log_abs_x = np.log(np.abs(x))
+    abs_log = np.abs(log_abs_x)
+    total = np.zeros_like(x)
+    comp = np.zeros_like(x)
+    err2 = np.zeros_like(x)  # squared rounding-error estimate of total, in units of _EPS
+    # Terms and their error estimates may underflow to 0, harmlessly.
+    with np.errstate(under="ignore"):
+        for j in range(ctl.max_terms):
+            if live.size == 0:
+                break
+            den = alpha * j + beta
+            lg = 0.0
+            if j == 0:
+                term = np.full_like(x, rgamma(beta))
+            elif den > 0.0:
+                # Log-space evaluation keeps z**j from overflowing before the
+                # 1/gamma decay takes over (matters near the |z|=5, alpha=0.3
+                # corner of the box, where intermediate terms reach ~1e90).
+                lg = _lgamma_pos(den)
+                term = np.exp(j * log_abs_x - lg)
+                if j % 2:
+                    term = np.copysign(term, x)
+            else:
+                term = x**j * rgamma(den)
+            y = term - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+            # A term's relative error is a few ulps of the logarithms it is
+            # built from, plus the Lanczos error (~1e-15) of its gamma factor.
+            # The errors of different terms are independent and add in
+            # quadrature; adding their magnitudes would refuse E_1(-5), whose
+            # actual error is 1e-11.
+            e = term * (j * abs_log + (abs(lg) + 8.0))
+            err2 += e * e
+            if den > 2.0:
+                done = np.abs(term) <= ctl.tol * np.maximum(1.0, np.abs(total))
+                if not done.any():
+                    continue
+                lossy = err2[done] > (_CANCELLATION_LIMIT / _EPS * total[done]) ** 2
+                if lossy.any():
+                    raise NonConvergenceError(
+                        f"Mittag-Leffler series loses more than {_CANCELLATION_LIMIT:g} relative "
+                        f"accuracy to cancellation (alpha={alpha}, beta={beta}, z={x[done][lossy][0]})"
+                    )
+                out.flat[live[done]] = total[done]
+                keep = ~done
+                live, x, log_abs_x, abs_log = live[keep], x[keep], log_abs_x[keep], abs_log[keep]
+                total, comp, err2 = total[keep], comp[keep], err2[keep]
+    if live.size:
+        raise NonConvergenceError(
+            f"Mittag-Leffler series did not converge within {ctl.max_terms} terms "
+            f"(alpha={alpha}, beta={beta}, z={x[0]})"
+        )
+    return float(out) if out.ndim == 0 else out
 
 
 def weierstrass(

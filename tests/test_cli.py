@@ -77,6 +77,23 @@ class TestCsvFormat:
         assert capsys.readouterr().err.startswith("fraccalc: error:")
 
 
+    @pytest.mark.parametrize(
+        "content, where",
+        [
+            ("t,value\n0,1\n\n0.5,2\nx,3\n", ":5: bad t value 'x'"),
+            ("\nt,value\n0,1\n0.5,sing\n1,2\n", ":4: 'sing' is only allowed"),
+            ("t,value\n\n\n0,1,9\n1,2\n", ":4: expected 't,value'"),
+        ],
+    )
+    def test_errors_name_the_physical_line(self, tmp_path, content, where):
+        # Blank lines are skipped as data but still count as lines.
+        p = tmp_path / "bad.csv"
+        p.write_text(content)
+        with pytest.raises(fc.DataError) as info:
+            read_grid_csv(str(p))
+        assert str(info.value).startswith(str(p) + where)
+
+
 class TestTransformCommand:
     def test_derivative_of_sqrt(self, tmp_path):
         out = tmp_path / "d.csv"

@@ -7,6 +7,7 @@ tolerances, never recomputed from the code under test.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -126,6 +127,66 @@ class TestMittagLeffler:
             SeriesControl(tol=0.0)
         with pytest.raises(InvalidParameterError):
             SeriesControl(max_terms=0)
+
+
+def _ml_mpmath(alpha, beta, z, rgammas):
+    # The series at 150 digits, to 1e-25 of its largest term; ``rgammas``
+    # caches 1/gamma(alpha*j + beta) by j.
+    total, peak, j = mpmath.mpf(0), mpmath.mpf(0), 0
+    x = mpmath.mpf(z)
+    while True:
+        if j == len(rgammas):
+            rgammas.append(mpmath.rgamma(mpmath.mpf(alpha) * j + mpmath.mpf(beta)))
+        term = x**j * rgammas[j]
+        total += term
+        peak = max(peak, abs(term))
+        if alpha * j + beta > 2 and abs(term) <= mpmath.mpf(10) ** -25 * peak:
+            return total
+        j += 1
+
+
+class TestMittagLefflerCancellation:
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.5, 0.7, 1.0, 2.0])
+    def test_accurate_or_refused(self, alpha, beta):
+        # For negative z the alternating terms cancel: E_{0.3}(-3) came out
+        # as -432.5 and E_{0.4}(-4) as 0.2048 (true 0.0385).  Each value must
+        # now match the 150-digit series to 1e-10 or raise.
+        returned = 0
+        with mpmath.workdps(150):
+            rgammas = []
+            for z in np.linspace(-5.0, 5.0, 41):
+                try:
+                    value = mittag_leffler(alpha, beta, float(z))
+                except NonConvergenceError:
+                    assert z < 0.0, z
+                    continue
+                exact = _ml_mpmath(alpha, beta, float(z), rgammas)
+                assert abs(value - float(exact)) <= 1e-10 * abs(float(exact)), z
+                returned += 1
+        assert returned >= 24  # every z >= 0, and some negative z
+
+    @pytest.mark.parametrize("alpha, z", [(0.3, -3.0), (0.4, -4.0), (0.5, -5.0)])
+    def test_known_cancellation_cases_raise(self, alpha, z):
+        with pytest.raises(NonConvergenceError, match="cancellation"):
+            mittag_leffler(alpha, 1.0, z)
+        with pytest.raises(NonConvergenceError):
+            mittag_leffler(alpha, 1.0, np.array([0.5, z]))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0, 1.6, 2.0])
+    def test_catalog_arguments_never_raise(self, alpha):
+        # ml_exp evaluates at z = (t - t0)**alpha in [0, 1], with beta > 0
+        # for integrals and for derivatives of order below 1 + alpha.
+        z = np.linspace(0.0, 1.0, 1025) ** alpha
+        for beta in (0.2, 0.5, 1.0, 1.3, 1.7, 2.5):
+            assert np.all(np.isfinite(mittag_leffler(alpha, beta, z)))
+
+    def test_near_a_zero_is_refused(self):
+        # Higher derivative orders give beta <= 0, where E can cross zero on
+        # [0, 1]: E_{0.4,-0.35} is about -5.1e-6 here, summed from terms of
+        # order 1, so 1e-10 relative cannot be certified.
+        with pytest.raises(NonConvergenceError, match="cancellation"):
+            mittag_leffler(0.4, -0.35, 0.4311655192066296)
 
 
 class TestWeierstrass:
