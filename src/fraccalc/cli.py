@@ -58,45 +58,14 @@ def read_grid_csv(path: str) -> GridFunction:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    rows = [ln for ln in lines if ln.strip()]
-    if not rows or rows[0].strip() != "t,value":
+    # Blank lines are skipped, but errors name the physical line.
+    rows = [(lineno, ln) for lineno, ln in enumerate(lines, start=1) if ln.strip()]
+    if not rows or rows[0][1].strip() != "t,value":
         raise DataError(f"{path}: first line must be the header 't,value'")
-    # numpy's C reader parses both columns at once, to the same doubles as
-    # float(); it accepts a subset of what float() does.  A file it refuses,
-    # or one with a non-finite number, goes to the row loop, which reports the
-    # first bad row or parses what only float() accepts (such as "1_000").
-    body = rows[1:]
-    singular = bool(body) and body[0].partition(",")[2].strip() == _SING
-    if singular:
-        body[0] = body[0].partition(",")[0] + ",nan"
-    t_arr = vals = None
-    if body:  # loadtxt warns on empty input
-        try:
-            t_arr, vals = np.loadtxt(body, delimiter=",", comments=None, ndmin=2).T
-        except ValueError:
-            pass
-    if t_arr is None or not (np.all(np.isfinite(t_arr)) and np.all(np.isfinite(vals[int(singular):]))):
-        t_arr, vals, singular = _parse_rows(path, lines)
-    if t_arr.size < 2:
-        raise DataError(f"{path}: need at least 2 data rows")
-    span = t_arr[-1] - t_arr[0]
-    if span <= 0:
-        raise DataError(f"{path}: t column must be strictly increasing")
-    h = span / (t_arr.size - 1)
-    dt = np.diff(t_arr)
-    if np.any(dt <= 0) or np.max(np.abs(dt - h)) > 1e-9 * span:
-        raise DataError(f"{path}: t column is not uniformly spaced (relative tolerance 1e-9)")
-    return GridFunction(float(t_arr[0]), float(t_arr[-1]), vals, singular)
-
-
-def _parse_rows(path: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray, bool]:
-    # Data rows are the non-blank lines after the header; errors name the
-    # physical line, blank lines included.
-    numbered = [(lineno, ln) for lineno, ln in enumerate(lines, start=1) if ln.strip()]
     ts: list[float] = []
     vals: list[float] = []
     singular = False
-    for lineno, ln in numbered[1:]:
+    for lineno, ln in rows[1:]:
         parts = ln.split(",")
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected 't,value', got {ln!r}")
@@ -121,7 +90,17 @@ def _parse_rows(path: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray, bo
             raise DataError(f"{path}:{lineno}: non-finite t {parts[0]!r}")
         ts.append(t)
         vals.append(v)
-    return np.asarray(ts), np.asarray(vals), singular
+    if len(ts) < 2:
+        raise DataError(f"{path}: need at least 2 data rows")
+    t_arr = np.asarray(ts)
+    span = t_arr[-1] - t_arr[0]
+    if span <= 0:
+        raise DataError(f"{path}: t column must be strictly increasing")
+    h = span / (len(ts) - 1)
+    dt = np.diff(t_arr)
+    if np.any(dt <= 0) or np.max(np.abs(dt - h)) > 1e-9 * span:
+        raise DataError(f"{path}: t column is not uniformly spaced (relative tolerance 1e-9)")
+    return GridFunction(float(t_arr[0]), float(t_arr[-1]), np.asarray(vals), singular)
 
 
 def _parse_fn_spec(spec: str) -> catalog.AnalyticFunction:

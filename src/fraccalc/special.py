@@ -156,12 +156,12 @@ def mittag_leffler(
     return garbage.  Summation of a point stops once alpha*j + beta > 2 and
     its current term is below ``tol`` relative to its running total;
     exhausting ``max_terms`` raises :class:`NonConvergenceError`.  So does a
-    point whose estimated rounding error exceeds 1e-10 relative to its value:
-    for negative z the alternating terms cancel (E_{0.5}(-5) ~ 0.11 sums terms
-    up to ~1e10, E_{0.3}(-5) terms up to ~1e90), and near a zero of E any
-    absolute error is a large relative one.  For z >= 0 and beta > 0 every
-    term is positive and no point is refused; with beta <= 0 the first terms
-    change sign, and a point near a zero of E is refused even for z >= 0.
+    negative z whose estimated rounding error exceeds 1e-10 relative to its
+    value: there the alternating terms cancel (E_{0.5}(-5) ~ 0.11 sums terms
+    up to ~1e10, E_{0.3}(-5) terms up to ~1e90).  A point z > 0 is never
+    refused.  Its terms are positive once alpha*j + beta > 0, so its absolute
+    error stays a few ulps of the largest term; with beta <= 0 that is a
+    large relative error only near a zero of E.
     """
     ctl = control if control is not None else _DEFAULT_CONTROL
     if not (alpha > 0.0 and math.isfinite(alpha) and math.isfinite(beta)):
@@ -219,7 +219,9 @@ def mittag_leffler(
                 done = np.abs(term) <= ctl.tol * np.maximum(1.0, np.abs(total))
                 if not done.any():
                     continue
-                lossy = err2[done] > (_CANCELLATION_LIMIT / _EPS * total[done]) ** 2
+                lossy = (x[done] < 0.0) & (
+                    err2[done] > (_CANCELLATION_LIMIT / _EPS * total[done]) ** 2
+                )
                 if lossy.any():
                     raise NonConvergenceError(
                         f"Mittag-Leffler series loses more than {_CANCELLATION_LIMIT:g} relative "

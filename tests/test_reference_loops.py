@@ -391,7 +391,7 @@ class TestCsvReader:
         ],
     )
     def test_values_only_float_accepts_match_line_loop(self, tmp_path, content):
-        # numpy's reader refuses some strings float() parses; those files
+        # Strings that float() parses but stricter number readers refuse
         # must still read as they did.
         p = tmp_path / "g.csv"
         p.write_text(content, encoding="utf-8")

@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fraccalc import catalog
 from fraccalc import (
     InvalidParameterError,
     NonConvergenceError,
@@ -175,18 +176,27 @@ class TestMittagLefflerCancellation:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0, 1.6, 2.0])
     def test_catalog_arguments_never_raise(self, alpha):
-        # ml_exp evaluates at z = (t - t0)**alpha in [0, 1], with beta > 0
-        # for integrals and for derivatives of order below 1 + alpha.
+        # ml_exp evaluates at z = (t - t0)**alpha in [0, 1]; beta = 1 + alpha -
+        # order drops to 0 and below for derivatives of order >= 1 + alpha.
         z = np.linspace(0.0, 1.0, 1025) ** alpha
-        for beta in (0.2, 0.5, 1.0, 1.3, 1.7, 2.5):
+        for beta in (-1.4, -0.35, 0.0, 0.2, 0.5, 1.0, 1.3, 1.7, 2.5):
             assert np.all(np.isfinite(mittag_leffler(alpha, beta, z)))
 
-    def test_near_a_zero_is_refused(self):
-        # Higher derivative orders give beta <= 0, where E can cross zero on
-        # [0, 1]: E_{0.4,-0.35} is about -5.1e-6 here, summed from terms of
-        # order 1, so 1e-10 relative cannot be certified.
-        with pytest.raises(NonConvergenceError, match="cancellation"):
-            mittag_leffler(0.4, -0.35, 0.4311655192066296)
+    @pytest.mark.parametrize("alpha, order", [(0.4, 1.75), (0.3, 2.4), (0.9, 2.15)])
+    def test_catalog_closed_forms_past_order_one_plus_alpha(self, alpha, order):
+        f = catalog.builtin("ml_exp", {"alpha": alpha})
+        t = np.linspace(0.0, 1.0, 257)[1:]
+        for closed_form in (f.rl_derivative, f.caputo_derivative, f.rl_integral):
+            assert np.all(np.isfinite(closed_form(order, t)))
+
+    def test_near_a_zero_for_positive_z_is_returned(self):
+        # With beta <= 0 the series for z > 0 has a zero: E_{0.4,-0.35} is
+        # about -5.1e-6 here, summed from terms of order 1.  Nothing cancels
+        # beyond the first terms, so the value is exact to a few ulps of them.
+        z = 0.4311655192066296
+        with mpmath.workdps(150):
+            exact = float(_ml_mpmath(0.4, -0.35, z, []))
+        assert abs(mittag_leffler(0.4, -0.35, z) - exact) <= 1e-15
 
 
 class TestWeierstrass:
