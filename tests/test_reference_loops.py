@@ -1,18 +1,25 @@
-"""The array Weierstrass and Mittag-Leffler sums, the block Hölder scan and
-the list-based CSV reader and writer against the per-point, per-row and
-per-line loops they replaced.  The old loops are copied here verbatim as
-references, so the comparison does not depend on any earlier version of the
-package."""
+"""The array Weierstrass and Mittag-Leffler sums, the block Hölder scan, the
+pruned exact Hölder scan, the list-based CSV reader and writer and the
+one-sampling Weierstrass check against the per-point, per-row and per-line
+loops and the three-sampling check they replaced.  The old code is copied
+here verbatim as references, so the comparison does not depend on any
+earlier version of the package."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fraccalc as fc
-from fraccalc import cli
-from fraccalc.spaces import HolderEstimate, holder_seminorm
+import fraccalc.harness as hz
+from fraccalc import catalog, cli
+from fraccalc.harness import check_weierstrass_nonmembership
+from fraccalc.operators import marchaud_derivative
+from fraccalc.spaces import HolderEstimate, holder_exponent, holder_seminorm
 from fraccalc.special import _lgamma_pos, mittag_leffler, rgamma, weierstrass
 
 
@@ -452,3 +459,112 @@ def test_repeated_main_calls_are_independent(tmp_path):
     assert cli.main(["transform", "--fn", "power:p=1.5", "--op", "cD", "--alpha", "0.5",
                      "--n", "65", "--taylor", "0", "--output", str(again)]) == 0
     assert again.read_bytes() == first.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Hölder scan: the exact path evaluates only block pairs that can still win
+# ---------------------------------------------------------------------------
+
+
+def _rows_reference(g, gamma):
+    # When every quotient is 0 the row scan names the degenerate pair (0, 0);
+    # the block scans name (0, 1), the first real pair (see
+    # test_constant_data_names_a_real_pair).
+    ref = _holder_seminorm_rows(g, gamma)
+    return replace(ref, argmax_pair=(0, 1)) if ref.value == 0.0 else ref
+
+
+def _pruning_data(kind: str, n: int, t0: float, length: float, scale: float) -> fc.GridFunction:
+    x = np.linspace(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    if kind == "constant":
+        v = np.full(n, -0.75)
+    elif kind == "two_valued":
+        v = rng.integers(0, 2, n) * 2.0 - 1.0
+    elif kind == "random":
+        v = rng.standard_normal(n)
+    elif kind == "sqrt":
+        v = np.sqrt(x)
+    else:  # embedding: J^0.5 of rough piecewise-linear data, as the suite scans
+        knots = np.linspace(0.0, 1.0, 16)
+        h = fc.GridFunction(0.0, 1.0, np.interp(x, knots, rng.uniform(-1.0, 1.0, knots.size)))
+        v = fc.frac_integral(h, 0.5).values
+    return fc.GridFunction(t0, t0 + length, scale * v)
+
+
+class TestPrunedHolderScan:
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    @pytest.mark.parametrize("t0, length", [(0.0, 1.0), (1e6, 1e-3)])
+    @pytest.mark.parametrize("kind", ["constant", "two_valued", "random", "sqrt", "embedding"])
+    @pytest.mark.parametrize("n", [31, 32, 33, 65, 1025])
+    def test_matches_full_rows(self, n, kind, t0, length, scale):
+        g = _pruning_data(kind, n, t0, length, scale)
+        for gamma in (1e-3, 0.5, 1.0):
+            # Dataclass equality: value, argmax_pair, pairs_examined, exact.
+            assert holder_seminorm(g, gamma) == _rows_reference(g, gamma), (gamma,)
+
+    def test_overflowing_bounds_are_silent(self):
+        # Quotients of about 1e307, so the diagonal block bounds, about 31
+        # times larger, overflow to inf; that must raise no RuntimeWarning.
+        g = fc.GridFunction(0.0, 1e-7, np.linspace(0.0, 1e300, 1025))
+        assert holder_seminorm(g, 1.0) == _rows_reference(g, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400), gamma=st.floats(1e-3, 1.0),
+           step=st.booleans(), t0=st.floats(-1e6, 1e6), length=st.floats(1e-3, 1e3))
+    def test_matches_full_rows_on_random_data(self, seed, n, gamma, step, t0, length):
+        rng = np.random.default_rng(seed)
+        knots = int(rng.integers(1, 13))
+        x = np.linspace(0.0, 1.0, n)
+        if step:
+            # Few integer levels, so many pairs tie for the maximum.
+            levels = rng.integers(-2, 3, knots).astype(float)
+            v = levels[np.minimum((x * knots).astype(int), knots - 1)]
+        else:
+            v = np.interp(x, np.linspace(0.0, 1.0, max(knots, 2)), rng.uniform(-1.0, 1.0, max(knots, 2)))
+        g = fc.GridFunction(t0, t0 + length, v)
+        assert holder_seminorm(g, gamma) == _rows_reference(g, gamma)
+
+
+# ---------------------------------------------------------------------------
+# Weierstrass non-membership: one sampling serves all three levels
+# ---------------------------------------------------------------------------
+
+
+def _weierstrass_nonmembership_three_samplings(alpha, sigma, n):
+    entry = catalog.builtin("weierstrass_shifted", {"alpha": alpha, "sigma": sigma})
+    sizes = [n, 2 * n - 1, 4 * n - 3]
+    samples = [catalog.sample(entry, 0.0, 1.0, m) for m in sizes]
+    derivs = [marchaud_derivative(s, alpha).values for s in samples]
+    d0, d1, d2 = derivs
+    dev1 = hz._sup(d0[hz._PROTOCOL_WINDOW:] - d1[2 * hz._PROTOCOL_WINDOW :: 2])
+    dev2 = hz._sup(d1[2 * hz._PROTOCOL_WINDOW :: 2] - d2[4 * hz._PROTOCOL_WINDOW :: 4])
+    expo = holder_exponent(samples[-1])
+    if dev2 <= 1e-12:
+        r_conv = hz._FAIL
+    else:
+        r_conv = dev1 / (1.5 * dev2)
+    ratios = [abs(expo - alpha) / 0.1, r_conv]
+    return hz._report(
+        "weierstrass_nonmembership",
+        r"does not admit a fractional derivative of order $\alpha$ at any point",
+        n,
+        max(ratios),
+        1.0,
+        {
+            "holder_exponent": expo,
+            "deviation_1": dev1,
+            "deviation_2": dev2,
+            "sigma": sigma,
+        },
+    )
+
+
+@pytest.mark.parametrize("alpha, sigma", [(0.5, 2.0), (0.3, 3.0)])
+@pytest.mark.parametrize("n", [65, 1025])
+def test_weierstrass_check_matches_three_samplings(n, alpha, sigma):
+    got = check_weierstrass_nonmembership(alpha, sigma, n)
+    want = _weierstrass_nonmembership_three_samplings(alpha, sigma, n)
+    assert got.max_error == want.max_error
+    assert dict(got.details) == dict(want.details)
+    assert got == want
