@@ -6,12 +6,7 @@ diagnostics for fractional regularity classes, and a verification suite that
 checks the implemented operators against their known identities.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("fraccalc")
-except PackageNotFoundError:  # running from a source tree
-    __version__ = "0.0.0"
+__version__ = "0.1.0"  # pyproject.toml reads the package version from here
 
 from .catalog import AnalyticFunction, builtin, builtin_names, sample
 from .errors import (

@@ -42,6 +42,7 @@ def as_order(order: FracOrder | float) -> FracOrder:
 class GridFunction:
     """Values of a function at ``n`` uniform nodes on ``[t0, t1]``.
 
+    The step (t1-t0)/(n-1) must be finite and above the float spacing at t0 and t1.
     ``values[1:]`` must be finite.  If ``singular_start`` is set, ``values[0]``
     is normalized to NaN and means "unbounded as t -> t0"; otherwise
     ``values[0]`` must be finite as well.
@@ -55,11 +56,12 @@ class GridFunction:
     def __post_init__(self) -> None:
         t0 = float(self.t0)
         t1 = float(self.t1)
-        if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
-            raise DataError(f"need finite t1 > t0, got [{self.t0}, {self.t1}]")
         vals = np.array(self.values, dtype=float, copy=True)
         if vals.ndim != 1 or vals.size < 2:
             raise DataError(f"values must be a 1-D array with at least 2 nodes, got shape {vals.shape}")
+        h = (t1 - t0) / (vals.size - 1)
+        if not (math.isfinite(h) and h > math.ulp(max(abs(t0), abs(t1)))):
+            raise DataError(f"need finite t1 > t0 and a step above float spacing, got {vals.size} nodes on [{self.t0}, {self.t1}]")
         if not np.all(np.isfinite(vals[1:])):
             raise DataError("values must be finite at every node past index 0")
         if self.singular_start:

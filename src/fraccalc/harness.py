@@ -27,9 +27,7 @@ from . import catalog
 from .errors import InvalidParameterError, UnknownNameError
 from .grid import GridFunction
 from .operators import (
-    DerivativeMethod,
     _diff_once,
-    caputo_derivative,
     frac_integral,
     leibniz_caputo,
     leibniz_rl,

@@ -111,11 +111,12 @@ def _integral_kernel(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     # With phi0 = int tau^(a-1), phi1 = int tau^a over [m-1, m]:
     #   A(m) = m*phi0 - phi1   weights the node at tau = m-1,
     #   B(m) = phi1 - (m-1)*phi0 weights the node at tau = m.
-    m = np.arange(1, n + 1, dtype=float)
-    phi0 = (m**a - (m - 1.0) ** a) / a
-    phi1 = (m ** (a + 1.0) - (m - 1.0) ** (a + 1.0)) / (a + 1.0)
-    A = m * phi0 - phi1
-    B = phi1 - (m - 1.0) * phi0
+    m = np.arange(n + 1, dtype=float)
+    pa, pa1 = m**a, m ** (a + 1.0)
+    phi0 = (pa[1:] - pa[:-1]) / a
+    phi1 = (pa1[1:] - pa1[:-1]) / (a + 1.0)
+    A = m[1:] * phi0 - phi1
+    B = phi1 - m[:-1] * phi0
     kernel = np.empty(n)
     kernel[0] = A[0]
     kernel[1:] = A[1:] + B[:-1]
@@ -131,8 +132,7 @@ def _frac_integral_values(g: np.ndarray, h: float, a: float) -> np.ndarray:
     conv = _causal_convolve(g, kernel)
     # The full convolution pretends the data extends past node 0; remove the
     # phantom left-neighbour contribution A(k+1) * g[0] from each row.
-    k = np.arange(1, n)
-    out[1:] = (conv[1:] - g[0] * A[k]) * h**a * rgamma(a)
+    out[1:] = (conv[1:] - g[0] * A[1:]) * h**a * rgamma(a)
     return out
 
 
@@ -264,10 +264,10 @@ def _marchaud_values(g: np.ndarray, h: float, a: float) -> np.ndarray:
         T = s1 + s2 + (1.0 - k ** (-a)) / a
         sums[3:] = (
             conv[3:]
-            + wL[k - 1] * g[2]
-            + (e1[k - 1] - wR[k - 1]) * g[1]
-            + (e0[k - 1] - wM[k - 1] - wR[k]) * g[0]
-            - T * g[k]
+            + wL[2 : n - 1] * g[2]
+            + (e1[2 : n - 1] - wR[2 : n - 1]) * g[1]
+            + (e0[2 : n - 1] - wM[2 : n - 1] - wR[3:n]) * g[0]
+            - T * g[3:]
         )
     out[1:] = pref * h**-a * sums[1:] + tpow * g[1:]
     return out

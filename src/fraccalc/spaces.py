@@ -41,9 +41,8 @@ _BLOCK_PAIRS = 1 << 14
 # Nodes per block of the exact Hölder scan's block bounds.
 _SCAN_BLOCK = 32
 
-# Relative margin on a block bound.  Subtraction and division are correctly
-# rounded and never decrease when an operand grows, so only ``pow``, which
-# may be off by an ulp or so, needs it.
+# Relative margin on block bounds; _exact_scan says what it covers in the slope bound.  The rise
+# bound needs it only for ``pow``: subtraction and division round monotonically.
 _BOUND_MARGIN = 1.0 + 64 * np.finfo(float).eps
 
 
@@ -81,6 +80,8 @@ def _budget_blocks(n: int, pair_budget: int) -> list[tuple[np.ndarray, np.ndarra
     ]
 
 
+# An overflow to inf is still a valid bound or quotient; masked pairs j <= i give 0/0 or NaN.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _exact_scan(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tuple[int, int]]:
     # The exact path of holder_seminorm (its docstring describes the pruning):
     # the largest quotient over all pairs i < j and the first pair attaining it.
@@ -93,10 +94,23 @@ def _exact_scan(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tupl
     live = (p < q) | (last[p] > starts[p])  # a one-node block holds no pair
     p, q = p[live], q[live]
     rise = np.maximum(vmax[q] - vmin[p], vmax[p] - vmin[q])
-    gap = np.where(p < q, t[starts[q]] - t[last[p]], np.min(np.diff(t)))
-    # A bound may overflow to inf where no quotient does; it stays an upper bound.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound = np.where(rise > 0.0, rise / gap**gamma * _BOUND_MARGIN, 0.0)
+    h_min = np.min(np.diff(t))
+    gap = np.where(p < q, t[starts[q]] - t[last[p]], h_min)
+    # |v[k+1] - v[k]|, 0 past the last node; inner[b] leaves out the step from block b to b + 1.
+    steps = np.abs(np.diff(v, append=v[-1]))
+    inner = np.maximum.reduceat(np.where(np.arange(n) % _SCAN_BLOCK == _SCAN_BLOCK - 1, 0.0, steps), starts)
+    # reach[p, q]: the largest step from the first node of block p to the first of block q.
+    owned = np.concatenate(([0.0], np.maximum(inner, steps[last])[:-1]))
+    reach = np.maximum.accumulate(np.triu(np.broadcast_to(owned, (starts.size,) * 2), 1), axis=1)
+    # Slope bound: pairs of P x Q are j - i <= L = last(Q) - first(P) nodes apart, no step between
+    # them exceeds D and no grid step is below h_min, so a quotient is at most D (j - i) / ((j - i)
+    # h_min)**gamma <= D L**(1 - gamma) / h_min**gamma.  Rounding the steps, differences, quotients,
+    # 1 - gamma and pow moves the sides under 20 ulps apart; the margin, applied before the product
+    # with D so that a subnormal product keeps it, covers that.
+    D = np.maximum(reach[p, q], inner[q])
+    L = (last[q] - starts[p]).astype(float)
+    slope = D * (L ** (1.0 - gamma) / h_min**gamma * _BOUND_MARGIN)
+    bound = np.where(rise > 0.0, np.minimum(rise / gap**gamma * _BOUND_MARGIN, slope), 0.0)
     # Each block pair's first node pair, keyed i * n + j so keys sort in (i, j) order.
     first = starts[p] * n + np.where(p < q, starts[q], starts[p] + 1)
     order = np.argsort(-bound, kind="stable")
@@ -121,10 +135,8 @@ def _exact_scan(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tupl
         j = sq[:, None, None] + offsets
         keep = (j > i) & (j < n)
         i, j = np.minimum(i, n - 1), np.minimum(j, n - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(keep, np.abs(v[j] - v[i]) / (t[j] - t[i]) ** gamma, -1.0)
-        # nanmax: a zero-width pair on a grid finer than its float spacing gives 0/0.
-        top_r = float(np.nanmax(r))
+        r = np.where(keep, np.abs(v[j] - v[i]) / (t[j] - t[i]) ** gamma, -1.0)
+        top_r = float(np.max(r))
         # The chunk matters only if it beats the best quotient or ties it at an earlier pair.
         if top_r < max(best, 0.0) or (top_r == best and first[take].min() > best_key):
             continue
@@ -147,18 +159,21 @@ def holder_seminorm(
     i < j, and ``argmax_pair`` is the first pair in (i, j) order attaining it.
     The scan bounds every pair and evaluates only the pairs that can still
     win.  It splits the nodes into blocks of 32 and bounds each block pair
-    P <= Q by the largest value difference between the two blocks over the
-    smallest time gap between them (the smallest grid step when P = Q), with
-    a relative margin of 64 ulps for ``pow``.  It then evaluates block pairs in
-    order of descending bound, each quotient computed exactly as a full scan
-    would, and stops when no bound left reaches the best quotient found; a
-    block pair whose bound only ties it is skipped when all its pairs come
-    after the best pair.  Every skipped pair is certified not to change the
-    result, so ``pairs_examined`` reports all n(n-1)/2 pairs, the pairs the
-    value is exact over, although only a fraction of them are evaluated
-    (about 12% for the suite's embedding check at n = 1025).  Data of
-    constant slope at gamma = 1 prunes nothing: every block bound exceeds
-    the slope, so every pair is evaluated.
+    P <= Q by the smaller of the largest value difference between the blocks
+    over the smallest time gap between them (the smallest grid step when
+    P = Q), and the largest step |f(t_k+1)-f(t_k)| from the first node of P
+    to the last of Q times L**(1-gamma) / h_min**gamma, for the L steps
+    spanned and the smallest grid step h_min, with a margin of 64 ulps.  It
+    then evaluates block pairs in order of descending bound, each quotient
+    computed exactly as a full scan would, and stops when no bound left
+    reaches the best quotient found; a block pair whose bound only ties it is
+    skipped when all its pairs come after the best pair.  Every skipped pair
+    is certified not to change the result, so ``pairs_examined`` reports all
+    n(n-1)/2 pairs, the pairs the value is exact over, although only a
+    fraction of them are evaluated (about 5% for the suite's embedding check
+    at n = 1025).  Data of constant slope at gamma = 1 prunes nothing: every
+    block bound exceeds the slope, so every pair is evaluated.  Values more
+    than the float range apart give ``value`` = inf, without a warning.
 
     When the grid has more pairs than ``pair_budget``, the scan drops to a
     strided subsample plus every pair touching the first or last 32 nodes

@@ -2,6 +2,9 @@
 and the verification subcommand's JSON document."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,3 +244,16 @@ class TestVerifyCommand:
             assert run_cli("verify", "--suite", "semigroup", "leibniz_rl",
                            "--n", "257", "--json", str(p)) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_import_loads_no_package_metadata():
+    # __version__ is a literal, so importing the package reads no
+    # distribution metadata; importlib.metadata alone costs tens of ms.
+    src = str(Path(fc.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import numpy; "
+        "before = set(sys.modules); import fraccalc; "
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('importlib.metadata')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -60,6 +60,16 @@ class TestGridFunction:
             GridFunction(0.0, 1.0, np.array([math.nan, 1.0]))
         GridFunction(0.0, 1.0, np.array([math.nan, 1.0]), singular_start=True)
 
+    def test_step_must_exceed_float_spacing(self):
+        # 1e-9 / 1024 is below the spacing of floats near 1e6 (1.2e-10), so
+        # the nodes would repeat; an overflowing step is refused too.
+        with pytest.raises(DataError):
+            GridFunction(1e6, 1e6 + 1e-9, np.zeros(1025))
+        with pytest.raises(DataError):
+            GridFunction(-1e308, 1e308, np.zeros(3))
+        g = GridFunction(1e6, 1e6 + 1e-3, np.zeros(1025))
+        assert np.all(np.diff(g.times()) > 0.0)
+
     def test_with_values(self):
         g = GridFunction(0.0, 1.0, np.zeros(5))
         g2 = g.with_values(np.ones(5))

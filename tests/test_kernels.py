@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import fraccalc as fc
-from fraccalc.operators import _FFT_MIN_NODES, _causal_convolve, _cell_moments, _product_correction
+from fraccalc.operators import (
+    _FFT_MIN_NODES,
+    _causal_convolve,
+    _cell_moments,
+    _integral_kernel,
+    _product_correction,
+)
 
 
 def _product_correction_loop(u: np.ndarray, v: np.ndarray, a: float) -> np.ndarray:
@@ -29,6 +35,21 @@ def _product_correction_loop(u: np.ndarray, v: np.ndarray, a: float) -> np.ndarr
             np.dot(ur * vr, mu0[:k]) + np.dot(ur * dv + vr * du, mu1[:k]) + np.dot(du * dv, mu2[:k])
         )
     return out
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.95, 1.7, 2.2])
+@pytest.mark.parametrize("n", [2, 3, 64, 513, 8193])
+def test_integral_kernel_matches_four_pow_formula(n, a):
+    # The kernel takes its powers from one table over m = 0..n; that must give
+    # the same floats as the four powers per cell it replaced.
+    m = np.arange(1, n + 1, dtype=float)
+    phi0 = (m**a - (m - 1.0) ** a) / a
+    phi1 = (m ** (a + 1.0) - (m - 1.0) ** (a + 1.0)) / (a + 1.0)
+    A = m * phi0 - phi1
+    B = phi1 - (m - 1.0) * phi0
+    kernel, got_A = _integral_kernel(n, a)
+    assert np.array_equal(got_A, A)
+    assert np.array_equal(kernel, np.concatenate(([A[0]], A[1:] + B[:-1])))
 
 
 class TestCausalConvolve:

@@ -485,6 +485,15 @@ def _pruning_data(kind: str, n: int, t0: float, length: float, scale: float) -> 
         v = rng.standard_normal(n)
     elif kind == "sqrt":
         v = np.sqrt(x)
+    elif kind == "linear":  # every step equal, so slope bounds are tight
+        v = x
+    elif kind == "monotone":
+        v = np.cumsum(rng.uniform(0.0, 1.0, n)) / n
+    elif kind == "huge_step":  # one step a million times the others
+        v = rng.uniform(-1e-6, 1e-6, n) + (x >= 0.4)
+    elif kind == "zigzag":  # runs of 31 unit steps: tied best pairs span whole blocks
+        k = np.arange(n)
+        v = np.where(k // 31 % 2 == 0, k % 31, 31 - k % 31).astype(float)
     else:  # embedding: J^0.5 of rough piecewise-linear data, as the suite scans
         knots = np.linspace(0.0, 1.0, 16)
         h = fc.GridFunction(0.0, 1.0, np.interp(x, knots, rng.uniform(-1.0, 1.0, knots.size)))
@@ -495,7 +504,10 @@ def _pruning_data(kind: str, n: int, t0: float, length: float, scale: float) -> 
 class TestPrunedHolderScan:
     @pytest.mark.parametrize("scale", [1.0, 1e300])
     @pytest.mark.parametrize("t0, length", [(0.0, 1.0), (1e6, 1e-3)])
-    @pytest.mark.parametrize("kind", ["constant", "two_valued", "random", "sqrt", "embedding"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["constant", "two_valued", "random", "sqrt", "linear", "monotone", "huge_step", "zigzag", "embedding"],
+    )
     @pytest.mark.parametrize("n", [31, 32, 33, 65, 1025])
     def test_matches_full_rows(self, n, kind, t0, length, scale):
         g = _pruning_data(kind, n, t0, length, scale)
@@ -508,6 +520,20 @@ class TestPrunedHolderScan:
         # times larger, overflow to inf; that must raise no RuntimeWarning.
         g = fc.GridFunction(0.0, 1e-7, np.linspace(0.0, 1e300, 1025))
         assert holder_seminorm(g, 1.0) == _rows_reference(g, 1.0)
+
+    def test_linear_data_at_gamma_one(self):
+        # Every quotient is 3 up to rounding, so the pairs tie within a few
+        # ulps and the slope bound, 3 in exact arithmetic, is tight.
+        for n in range(200, 400):
+            g = fc.GridFunction(0.0, 0.3, 3.0 * np.linspace(0.0, 0.3, n))
+            assert holder_seminorm(g, 1.0) == _rows_reference(g, 1.0), (n,)
+
+    def test_values_beyond_float_range_give_inf(self):
+        # Neighbours 2e308 apart: the steps and quotients overflow, silently.
+        g = fc.GridFunction(0.0, 1.0, np.where(np.arange(65) % 2, 1e308, -1e308))
+        est = holder_seminorm(g, 0.5)
+        assert est.value == math.inf
+        assert est.argmax_pair == (0, 1) and est.exact
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400), gamma=st.floats(1e-3, 1.0),
