@@ -172,8 +172,7 @@ def holder_seminorm(
     n(n-1)/2 pairs, the pairs the value is exact over, although only a
     fraction of them are evaluated (about 5% for the suite's embedding check
     at n = 1025).  Data of constant slope at gamma = 1 prunes nothing: every
-    block bound exceeds the slope, so every pair is evaluated.  Values more
-    than the float range apart give ``value`` = inf, without a warning.
+    block bound exceeds the slope, so every pair is evaluated.
 
     When the grid has more pairs than ``pair_budget``, the scan drops to a
     strided subsample plus every pair touching the first or last 32 nodes
@@ -184,6 +183,9 @@ def holder_seminorm(
     what the budget has left after them sizes the subsample (stride n//2 once
     nothing is left).  So ``pairs_examined`` can exceed ``pair_budget``:
     63,520 pairs at n = 1025 with a budget of 10,000.
+
+    On both paths, values more than the float range apart give ``value`` =
+    inf, without a warning.
     """
     if not 0.0 < gamma <= 1.0:
         raise InvalidParameterError(f"need 0 < gamma <= 1, got {gamma}")
@@ -211,7 +213,7 @@ def holder_seminorm(
             if j.size == 0:
                 continue
             keep = j > i
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 r = np.where(keep, np.abs(v[j] - v[i]) / (t[j] - t[i]) ** gamma, -1.0)
             examined += int(np.count_nonzero(keep))
             row, col = divmod(int(np.argmax(r)), j.size)
@@ -226,7 +228,8 @@ def holder_exponent(g: GridFunction) -> float:
 
     Fits the log-log slope of the modulus of continuity over dyadic lags
     h, 2h, 4h, ... up to a quarter of the interval.  Constant data has no
-    exponent and raises :class:`ConstantInputError`.
+    exponent and raises :class:`ConstantInputError`; a modulus that overflows
+    the float range raises :class:`PreconditionError`.
     """
     if g.singular_start:
         raise PreconditionError("exponent fit needs finite data; index 0 is marked singular")
@@ -243,7 +246,10 @@ def holder_exponent(g: GridFunction) -> float:
     scales = []
     moduli = []
     for lag in lags:
-        w = float(np.max(np.abs(v[lag:] - v[:-lag])))
+        with np.errstate(over="ignore"):
+            w = float(np.max(np.abs(v[lag:] - v[:-lag])))
+        if not np.isfinite(w):
+            raise PreconditionError(f"values {lag} nodes apart differ by more than the float range")
         if w > 0.0:
             scales.append(lag * g.h)
             moduli.append(w)

@@ -11,6 +11,7 @@ from fraccalc.operators import (
     _causal_convolve,
     _cell_moments,
     _integral_kernel,
+    _marchaud_values,
     _product_correction,
 )
 
@@ -54,18 +55,44 @@ def test_integral_kernel_matches_four_pow_formula(n, a):
 
 class TestCausalConvolve:
     @pytest.mark.parametrize(
-        "n", [1, 2, 3, _FFT_MIN_NODES - 1, _FFT_MIN_NODES, _FFT_MIN_NODES + 1, 4097]
+        "n", [1, 2, 3, _FFT_MIN_NODES - 1, _FFT_MIN_NODES, _FFT_MIN_NODES + 1, 1025, 4097, 8193]
     )
-    def test_matches_direct_convolution(self, n):
+    @pytest.mark.parametrize("k", ["1", "2", "n//2", "n"])
+    def test_matches_direct_convolution(self, n, k):
+        # The FFT length must cover n outputs and every wrapped term but the
+        # last; k = 1 at n = 1025 asks for n + k - 2 = 1024 < n.
+        size = {"1": 1, "2": 2, "n//2": max(n // 2, 1), "n": n}[k]
+        rng = np.random.default_rng(n + size)
+        kernel = rng.standard_normal(size)
+        rows = rng.standard_normal((3, n))
+        for g in (rows[0], rows):
+            got = _causal_convolve(g, kernel)
+            assert got.shape == g.shape
+            ref = np.array([np.convolve(row, kernel)[:n] for row in np.atleast_2d(g)]).reshape(g.shape)
+            if n < _FFT_MIN_NODES:
+                assert np.array_equal(got, ref)
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+                # The one wrapped term lands on index 0, which is set exactly.
+                assert np.array_equal(got[..., 0], g[..., 0] * kernel[0])
+
+    @pytest.mark.parametrize("n", [64, 1025, 4097])
+    def test_sums_match_summed_convolutions(self, n):
+        # Rows are taken in order: result row s sums the next len(sums[s])
+        # rows, each convolved with the kernel it names.
         rng = np.random.default_rng(n)
-        g, kernel = rng.standard_normal((2, n))
-        ref = np.convolve(g, kernel)[:n]
-        got = _causal_convolve(g, kernel)
-        assert got.shape == (n,)
-        if n < _FFT_MIN_NODES:
-            assert np.array_equal(got, ref)
-        else:
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        rows = rng.standard_normal((6, n))
+        kernels = rng.standard_normal((3, n))
+        sums = [[0, 1], [2], [0, 1, 2]]
+        got = _causal_convolve(rows, kernels, sums)
+        assert got.shape == (3, n)
+        ref = [
+            np.convolve(rows[0], kernels[0])[:n] + np.convolve(rows[1], kernels[1])[:n],
+            np.convolve(rows[2], kernels[2])[:n],
+            sum(np.convolve(rows[3 + j], kernels[j])[:n] for j in range(3)),
+        ]
+        for got_row, ref_row in zip(got, ref):
+            assert np.max(np.abs(got_row - ref_row)) <= 1e-13 * np.max(np.abs(ref_row))
 
 
 def _factor_pairs(n):
@@ -79,7 +106,7 @@ def _factor_pairs(n):
 
 
 class TestProductCorrection:
-    @pytest.mark.parametrize("n", [2, 3, 5, 64, 600])
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 600, 1025])
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.9])
     @pytest.mark.parametrize("data", ["random", "smooth", "offset"])
     def test_matches_row_loop(self, n, a, data):
@@ -100,6 +127,18 @@ class TestProductCorrection:
     def test_symmetric_bit_for_bit(self, n):
         u, v = _factor_pairs(n)["random"]
         assert np.array_equal(_product_correction(u, v, 0.4), _product_correction(v, u, 0.4))
+
+
+@pytest.mark.parametrize("n", [257, 1025, 4097])
+@pytest.mark.parametrize("a", [0.3, 0.9])
+def test_stacked_marchaud_matches_per_factor_calls(n, a):
+    # The RL product formula takes both factor derivatives from one stacked
+    # call that shares the moments, kernel and kernel spectrum.
+    u, v = _factor_pairs(n)["smooth"]
+    h = 1.0 / (n - 1)
+    both = _marchaud_values(np.stack((u, v)), h, a, _cell_moments(n + 1, a))
+    assert np.array_equal(both[0], _marchaud_values(u, h, a))
+    assert np.array_equal(both[1], _marchaud_values(v, h, a))
 
 
 # Sup error past node 8 against the closed form, computed with the O(n^2)

@@ -54,6 +54,14 @@ class TestHolderSeminorm:
         assert est.value == 1.0
         assert est.pairs_examined < 1025 * 1024 // 2
 
+    def test_budgeted_values_beyond_float_range_give_inf(self):
+        # Neighbours 2e308 apart overflow their difference; the budgeted scan
+        # returns inf like the exact one, and raises no RuntimeWarning.
+        g = fc.GridFunction(0.0, 1.0, np.where(np.arange(65) % 2, 1e308, -1e308))
+        est = holder_seminorm(g, 0.5, pair_budget=100)
+        assert not est.exact
+        assert est.value == math.inf
+
     def test_validation(self):
         g = _sqrt_grid(65)
         for gamma in (0.0, 1.2, -0.5):
@@ -91,6 +99,17 @@ class TestHolderExponent:
         g = fc.GridFunction(0.0, 1.0, np.ones(65))
         with pytest.raises(fc.ConstantInputError):
             holder_exponent(g)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.where(np.arange(65) % 2, 1e308, -1e308), np.where(np.arange(65) < 32, -1e308, 1e308)],
+        ids=["alternating", "step"],
+    )
+    def test_modulus_beyond_float_range_raises(self, values):
+        # The moduli overflow to inf; the fit refuses them instead of
+        # warning and returning nan or calling the data constant.
+        with pytest.raises(fc.PreconditionError, match="float range"):
+            holder_exponent(fc.GridFunction(0.0, 1.0, values))
 
     def test_needs_enough_nodes(self):
         g = fc.GridFunction(0.0, 1.0, np.linspace(0.0, 1.0, 5))
