@@ -35,24 +35,29 @@ EXCLUDED_START_NODES = 8
 # The classifier examines this many consecutive values after the window.
 _CLASSIFY_COUNT = 16
 
-# Node pairs the Hölder scan evaluates per vectorized block.
+# Node pairs the Hölder scan evaluates per vectorized chunk, when its blocks are small enough.
 _BLOCK_PAIRS = 1 << 14
 
-# Nodes per block of the exact Hölder scan's block bounds.
-_SCAN_BLOCK = 32
+# Largest number of blocks the Hölder scan splits the nodes into; its block-pair tables grow with
+# the square of this.
+_SCAN_BLOCKS = 512
 
-# Relative margin on block bounds; _exact_scan says what it covers in the slope bound.  The rise
+# Relative margin on block bounds; _block_scan says what it covers in the slope bound.  The rise
 # bound needs it only for ``pow``: subtraction and division round monotonically.
 _BOUND_MARGIN = 1.0 + 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class HolderEstimate:
-    """Lower bound for a Hölder seminorm from examined node pairs.
+    """A grid Hölder seminorm, or a certified bracket around it.
 
-    ``value`` is sup over examined pairs of |f(t)-f(s)| / |t-s|**gamma; it is
-    the exact grid seminorm when ``exact`` is True, otherwise a lower bound.
-    ``argmax_pair`` holds the node indices attaining it.
+    ``value`` is the largest |f(t)-f(s)| / |t-s|**gamma over the evaluated
+    node pairs, attained at the node indices ``argmax_pair``.  ``upper`` is
+    the largest block bound left unevaluated, or ``value`` itself when the
+    scan finished, so the grid seminorm lies in [value, upper].  ``exact`` is
+    ``upper <= value``: ``value`` is then the grid seminorm, and
+    ``pairs_examined`` is n(n-1)/2, the pairs it is exact over.  Otherwise
+    ``pairs_examined`` counts the evaluated pairs.
     """
 
     gamma: float
@@ -60,34 +65,22 @@ class HolderEstimate:
     argmax_pair: tuple[int, int]
     pairs_examined: int
     exact: bool
-
-
-def _budget_blocks(n: int, pair_budget: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # Every pair touching the first or last ``edge`` nodes, plus every pair of
-    # a strided subsample, as (anchors, partners) sets that name each pair once.
-    edge = min(32, n // 2)
-    # Subsample stride chosen so the internal pair count fits the budget left
-    # after the edge rows; endpoints are always part of the subsample.
-    remaining = max(pair_budget - 2 * edge * (n - 1), 0)
-    m = max(int((2.0 * remaining) ** 0.5), 2)
-    stride = max(n // m, 1)
-    sub = np.unique(np.concatenate([np.arange(0, n, stride), [n - 1]]))
-    inner = sub[(sub >= edge) & (sub < n - edge)]
-    return [
-        (np.arange(edge), np.arange(n)),
-        (np.arange(edge, n - 1), np.arange(n - edge, n)),
-        (inner, inner),
-    ]
+    upper: float
 
 
 # An overflow to inf is still a valid bound or quotient; masked pairs j <= i give 0/0 or NaN.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _exact_scan(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tuple[int, int]]:
-    # The exact path of holder_seminorm (its docstring describes the pruning):
-    # the largest quotient over all pairs i < j and the first pair attaining it.
+def _block_scan(
+    v: np.ndarray, t: np.ndarray, gamma: float, pair_budget: int
+) -> tuple[float, tuple[int, int], int, float]:
+    # The scan of holder_seminorm (its docstring describes the pruning): the largest quotient over
+    # the evaluated pairs i < j, the first pair attaining it, the pairs examined and ``upper``.
     n = v.size
-    starts = np.arange(0, n, _SCAN_BLOCK)
-    last = np.minimum(starts + _SCAN_BLOCK, n) - 1
+    size = 32
+    while -(-n // size) > _SCAN_BLOCKS:
+        size *= 2
+    starts = np.arange(0, n, size)
+    last = np.minimum(starts + size, n) - 1
     vmin = np.minimum.reduceat(v, starts)
     vmax = np.maximum.reduceat(v, starts)
     p, q = np.triu_indices(starts.size)
@@ -98,7 +91,7 @@ def _exact_scan(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tupl
     gap = np.where(p < q, t[starts[q]] - t[last[p]], h_min)
     # |v[k+1] - v[k]|, 0 past the last node; inner[b] leaves out the step from block b to b + 1.
     steps = np.abs(np.diff(v, append=v[-1]))
-    inner = np.maximum.reduceat(np.where(np.arange(n) % _SCAN_BLOCK == _SCAN_BLOCK - 1, 0.0, steps), starts)
+    inner = np.maximum.reduceat(np.where(np.arange(n) % size == size - 1, 0.0, steps), starts)
     # reach[p, q]: the largest step from the first node of block p to the first of block q.
     owned = np.concatenate(([0.0], np.maximum(inner, steps[last])[:-1]))
     reach = np.maximum.accumulate(np.triu(np.broadcast_to(owned, (starts.size,) * 2), 1), axis=1)
@@ -114,11 +107,12 @@ def _exact_scan(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tupl
     # Each block pair's first node pair, keyed i * n + j so keys sort in (i, j) order.
     first = starts[p] * n + np.where(p < q, starts[q], starts[p] + 1)
     order = np.argsort(-bound, kind="stable")
-    offsets = np.arange(_SCAN_BLOCK)
-    per_chunk = _BLOCK_PAIRS // _SCAN_BLOCK**2
+    offsets = np.arange(size)
+    per_chunk = max(_BLOCK_PAIRS // size**2, 1)
 
     best = -1.0
     best_key = 1  # the pair (0, 1)
+    evaluated = 0
     while order.size:
         top = bound[order[0]]
         if top < best:
@@ -129,11 +123,14 @@ def _exact_scan(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tupl
             order = order[(bound[order] == best) & (first[order] < best_key)]
             if not order.size:
                 break
+        elif evaluated >= pair_budget:
+            return best, divmod(best_key, n), evaluated, float(top)
         take, order = order[:per_chunk], order[per_chunk:]
         sp, sq = starts[p[take]], starts[q[take]]
         i = sp[:, None, None] + offsets[:, None]
         j = sq[:, None, None] + offsets
         keep = (j > i) & (j < n)
+        evaluated += int(np.count_nonzero(keep))
         i, j = np.minimum(i, n - 1), np.minimum(j, n - 1)
         r = np.where(keep, np.abs(v[j] - v[i]) / (t[j] - t[i]) ** gamma, -1.0)
         top_r = float(np.max(r))
@@ -144,7 +141,7 @@ def _exact_scan(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tupl
         key = int(np.min((sp[k] + a) * n + sq[k] + c))
         if top_r > best or key < best_key:
             best, best_key = top_r, key
-    return best, divmod(best_key, n)
+    return best, divmod(best_key, n), n * (n - 1) // 2, best
 
 
 def holder_seminorm(
@@ -154,38 +151,37 @@ def holder_seminorm(
 ) -> HolderEstimate:
     """Grid Hölder seminorm of exponent ``gamma`` in (0, 1].
 
-    When the grid has at most ``pair_budget`` node pairs, the result is exact:
-    the largest |f(t_j)-f(t_i)| / (t_j-t_i)**gamma over all n(n-1)/2 pairs
-    i < j, and ``argmax_pair`` is the first pair in (i, j) order attaining it.
-    The scan bounds every pair and evaluates only the pairs that can still
-    win.  It splits the nodes into blocks of 32 and bounds each block pair
-    P <= Q by the smaller of the largest value difference between the blocks
-    over the smallest time gap between them (the smallest grid step when
-    P = Q), and the largest step |f(t_k+1)-f(t_k)| from the first node of P
-    to the last of Q times L**(1-gamma) / h_min**gamma, for the L steps
-    spanned and the smallest grid step h_min, with a margin of 64 ulps.  It
-    then evaluates block pairs in order of descending bound, each quotient
-    computed exactly as a full scan would, and stops when no bound left
-    reaches the best quotient found; a block pair whose bound only ties it is
-    skipped when all its pairs come after the best pair.  Every skipped pair
-    is certified not to change the result, so ``pairs_examined`` reports all
-    n(n-1)/2 pairs, the pairs the value is exact over, although only a
+    The seminorm is the largest |f(t_j)-f(t_i)| / (t_j-t_i)**gamma over all
+    n(n-1)/2 node pairs i < j.  The scan bounds every pair and evaluates only
+    the pairs that can still win.  It splits the nodes into blocks of 32, or
+    of the smallest larger power of two that leaves at most 512 blocks (64
+    nodes from n = 16385 on), and bounds each block pair P <= Q by the
+    smaller of the largest value difference between the blocks over the
+    smallest time gap between them (the smallest grid step when P = Q), and
+    the largest step |f(t_k+1)-f(t_k)| from the first node of P to the last
+    of Q times L**(1-gamma) / h_min**gamma, for the L steps spanned and the
+    smallest grid step h_min, with a margin of 64 ulps.  It then evaluates
+    block pairs in order of descending bound, in chunks of 16,384 pairs (one
+    block pair once blocks hold 128 nodes or more), each quotient computed
+    exactly as a full scan would.  It stops when no bound left reaches the
+    best quotient found; a block pair whose bound only ties it is skipped
+    when all its pairs come after the best pair.
+
+    A finished scan is exact: ``value`` is the grid seminorm, ``upper``
+    equals it, ``argmax_pair`` is the first pair in (i, j) order attaining
+    it, and ``pairs_examined`` reports all n(n-1)/2 pairs, although only a
     fraction of them are evaluated (about 5% for the suite's embedding check
     at n = 1025).  Data of constant slope at gamma = 1 prunes nothing: every
     block bound exceeds the slope, so every pair is evaluated.
 
-    When the grid has more pairs than ``pair_budget``, the scan drops to a
-    strided subsample plus every pair touching the first or last 32 nodes
-    (endpoint pairs dominate seminorms of power-type data, so they are always
-    kept), evaluates each of those pairs once, and returns a certified lower
-    bound rather than the exact grid value.  The budget bounds only the
-    strided subsample: the edge rows always cost about 2·32·(n−1) pairs, and
-    what the budget has left after them sizes the subsample (stride n//2 once
-    nothing is left).  So ``pairs_examined`` can exceed ``pair_budget``:
-    63,520 pairs at n = 1025 with a budget of 10,000.
+    The scan also stops before the next chunk once ``pair_budget`` pairs have
+    been evaluated while a bound above the best quotient is left.  It then
+    returns ``exact`` False, ``value`` a certified lower bound, ``upper`` the
+    largest bound left, a certified upper bound, and ``pairs_examined`` the
+    evaluated pairs, which exceed the budget by less than one chunk.
 
-    On both paths, values more than the float range apart give ``value`` =
-    inf, without a warning.
+    Values more than the float range apart give ``value`` = inf, without a
+    warning.
     """
     if not 0.0 < gamma <= 1.0:
         raise InvalidParameterError(f"need 0 < gamma <= 1, got {gamma}")
@@ -193,34 +189,8 @@ def holder_seminorm(
         raise InvalidParameterError(f"need a positive pair budget, got {pair_budget}")
     if g.singular_start:
         raise PreconditionError("seminorm needs finite data; index 0 is marked singular")
-    v = g.values
-    t = g.times()
-    n = v.size
-    if n * (n - 1) // 2 <= pair_budget:
-        best, best_pair = _exact_scan(v, t, gamma)
-        return HolderEstimate(gamma, best, best_pair, n * (n - 1) // 2, True)
-
-    best = -1.0
-    best_pair = (0, 1)
-    examined = 0
-    for anchors, partners in _budget_blocks(n, pair_budget):
-        # Blocks of anchor rows against the partners past the block's first
-        # anchor; pairs with j <= i inside a block are masked out.
-        step = max(_BLOCK_PAIRS // max(partners.size, 1), 1)
-        for lo in range(0, anchors.size, step):
-            i = anchors[lo : lo + step, None]
-            j = partners[partners > i[0, 0]]
-            if j.size == 0:
-                continue
-            keep = j > i
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                r = np.where(keep, np.abs(v[j] - v[i]) / (t[j] - t[i]) ** gamma, -1.0)
-            examined += int(np.count_nonzero(keep))
-            row, col = divmod(int(np.argmax(r)), j.size)
-            if r[row, col] > best:
-                best = float(r[row, col])
-                best_pair = (int(i[row, 0]), int(j[col]))
-    return HolderEstimate(gamma, best, best_pair, examined, False)
+    value, pair, examined, upper = _block_scan(g.values, g.times(), gamma, pair_budget)
+    return HolderEstimate(gamma, value, pair, examined, upper <= value, upper)
 
 
 def holder_exponent(g: GridFunction) -> float:
@@ -298,11 +268,22 @@ def continuous_at_start(
     return True
 
 
-def _norm_order(order: FracOrder | float) -> FracOrder:
+def _space_norm(g: GridFunction, order: FracOrder | float, name: str, derivative) -> float:
+    # The checks and sup formula of rl_norm and c_norm; ``derivative(o)`` is called only once the
+    # order and the data have passed theirs.
     o = as_order(order)
     if not 0.0 < o.alpha < 1.0:
         raise InvalidParameterError(f"space norms are defined here for 0 < order < 1, got {o.alpha}")
-    return o
+    if g.singular_start:
+        raise MembershipError("data marked singular at the start has no finite norm")
+    d = derivative(o)
+    if d.singular_start:
+        raise MembershipError(f"{name} of order {o.alpha} diverges at the start; not a member")
+    if not continuous_at_start(d):
+        raise MembershipError(
+            f"{name} of order {o.alpha} fails the continuity-at-start test; not a member"
+        )
+    return float(np.max(np.abs(g.values)) + np.max(np.abs(d.values[EXCLUDED_START_NODES:])))
 
 
 def rl_norm(g: GridFunction, order: FracOrder | float) -> float:
@@ -312,19 +293,9 @@ def rl_norm(g: GridFunction, order: FracOrder | float) -> float:
     the start or fails the continuity classifier — the function is then not a
     member of the order-``order`` space, and it has no finite norm.
     """
-    o = _norm_order(order)
-    if g.singular_start:
-        raise MembershipError("data marked singular at the start has no finite norm")
-    d = rl_derivative(g, o, DerivativeMethod.MARCHAUD)
-    if d.singular_start:
-        raise MembershipError(
-            f"derivative of order {o.alpha} diverges at the start; not a member"
-        )
-    if not continuous_at_start(d):
-        raise MembershipError(
-            f"derivative of order {o.alpha} fails the continuity-at-start test; not a member"
-        )
-    return float(np.max(np.abs(g.values)) + np.max(np.abs(d.values[EXCLUDED_START_NODES:])))
+    return _space_norm(
+        g, order, "derivative", lambda o: rl_derivative(g, o, DerivativeMethod.MARCHAUD)
+    )
 
 
 def c_norm(g: GridFunction, order: FracOrder | float, taylor) -> float:
@@ -333,16 +304,6 @@ def c_norm(g: GridFunction, order: FracOrder | float, taylor) -> float:
     Same membership rules as :func:`rl_norm`, with the Caputo derivative built
     from the supplied Taylor data.
     """
-    o = _norm_order(order)
-    if g.singular_start:
-        raise MembershipError("data marked singular at the start has no finite norm")
-    d = caputo_derivative(g, o, taylor, DerivativeMethod.MARCHAUD)
-    if d.singular_start:
-        raise MembershipError(
-            f"Caputo derivative of order {o.alpha} diverges at the start; not a member"
-        )
-    if not continuous_at_start(d):
-        raise MembershipError(
-            f"Caputo derivative of order {o.alpha} fails the continuity-at-start test; not a member"
-        )
-    return float(np.max(np.abs(g.values)) + np.max(np.abs(d.values[EXCLUDED_START_NODES:])))
+    return _space_norm(
+        g, order, "Caputo derivative", lambda o: caputo_derivative(g, o, taylor, DerivativeMethod.MARCHAUD)
+    )

@@ -6,6 +6,7 @@ here verbatim as references, so the comparison does not depend on any
 earlier version of the package."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import fraccalc as fc
 import fraccalc.harness as hz
-from fraccalc import catalog, cli
+from fraccalc import catalog, cli, spaces
 from fraccalc.harness import check_weierstrass_nonmembership
 from fraccalc.operators import marchaud_derivative
 from fraccalc.spaces import HolderEstimate, holder_exponent, holder_seminorm
@@ -56,45 +57,18 @@ def _row_max(v, t, gamma, i):
     return float(r[j]), j
 
 
-def _holder_seminorm_rows(g, gamma, pair_budget=2_000_000):
+def _holder_seminorm_rows(g, gamma):
     v = g.values
     t = g.times()
     n = v.size
-    total_pairs = n * (n - 1) // 2
-
     best = -1.0
     best_pair = (0, 1)
-    examined = 0
-
-    def scan(indices):
-        nonlocal best, best_pair, examined
-        for i in indices:
-            val, j = _row_max(v, t, gamma, int(i))
-            examined += n - 1
-            if val > best:
-                best = val
-                best_pair = (min(int(i), j), max(int(i), j))
-
-    if total_pairs <= pair_budget:
-        scan(np.arange(n - 1))
-        return HolderEstimate(gamma, best, best_pair, total_pairs, exact=True)
-
-    edge = min(32, n // 2)
-    edge_rows = np.concatenate([np.arange(edge), np.arange(n - edge, n)])
-    scan(edge_rows)
-    remaining = max(pair_budget - examined, 0)
-    m = max(int((2.0 * remaining) ** 0.5), 2)
-    stride = max(n // m, 1)
-    sub = np.unique(np.concatenate([np.arange(0, n, stride), [n - 1]]))
-    for a_pos, i in enumerate(sub[:-1]):
-        js = sub[a_pos + 1 :]
-        r = np.abs(v[js] - v[i]) / (t[js] - t[i]) ** gamma
-        examined += js.size
-        jloc = int(np.argmax(r))
-        if float(r[jloc]) > best:
-            best = float(r[jloc])
-            best_pair = (int(i), int(js[jloc]))
-    return HolderEstimate(gamma, best, best_pair, examined, exact=False)
+    for i in range(n - 1):
+        val, j = _row_max(v, t, gamma, i)
+        if val > best:
+            best = val
+            best_pair = (min(i, j), max(i, j))
+    return HolderEstimate(gamma, best, best_pair, n * (n - 1) // 2, exact=True, upper=best)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +144,7 @@ _GAMMAS = [0.3, 0.5, 0.77, 1.0]
 
 class TestHolderScan:
     @pytest.mark.parametrize("kind", _KINDS)
-    @pytest.mark.parametrize("n", [2, 3, 65, 1025, 1500])
+    @pytest.mark.parametrize("n", [2, 3, 65, 1025, 1500, 3001])
     def test_exact_scan_matches_full_rows(self, n, kind):
         g = _data(kind, n)
         for gamma in _GAMMAS:
@@ -188,31 +162,42 @@ class TestHolderScan:
 
     @pytest.mark.parametrize("kind", _KINDS)
     @pytest.mark.parametrize("n", [1025, 3001])
-    def test_budgeted_value_unchanged(self, n, kind):
+    def test_budget_brackets_the_seminorm(self, n, kind):
         g = _data(kind, n)
         for gamma in _GAMMAS:
-            est = holder_seminorm(g, gamma, pair_budget=10_000)
-            ref = _holder_seminorm_rows(g, gamma, pair_budget=10_000)
-            assert not est.exact and not ref.exact
-            assert est.value == ref.value, (n, kind, gamma)
-            # The block scan counts each examined pair once; the row scan
-            # counted pairs between two edge rows, and subsample pairs that
-            # touch an edge, twice.
-            assert est.pairs_examined < ref.pairs_examined
+            ref = _holder_seminorm_rows(g, gamma)
+            for budget in (1, 10_000, 100_000):
+                est = holder_seminorm(g, gamma, pair_budget=budget)
+                assert est.value <= ref.value <= est.upper, (n, kind, gamma, budget)
+                assert est.exact == (est.upper <= est.value)
+                if est.exact:
+                    assert est == ref, (n, kind, gamma, budget)
+                else:
+                    # The budget is checked before each chunk of block pairs.
+                    assert est.pairs_examined < budget + spaces._BLOCK_PAIRS
 
-    def test_budgeted_pairs_are_distinct(self):
-        # n = 200 under a budget of 15,000: the 32 + 32 edge nodes and a
-        # stride-2 subsample.
-        n, budget = 200, 15_000
-        est = holder_seminorm(_data("random", n), 0.5, pair_budget=budget)
-        edge = 32
-        pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if i < edge or j >= n - edge}
-        remaining = max(budget - 2 * edge * (n - 1), 0)
-        stride = max(n // max(int((2.0 * remaining) ** 0.5), 2), 1)
-        assert stride == 2
-        sub = sorted(set(range(0, n, stride)) | {n - 1})
-        pairs |= {(i, j) for i in sub for j in sub if i < j}
-        assert est.pairs_examined == len(pairs)
+    @pytest.mark.parametrize("blocks", [2, 8])
+    @pytest.mark.parametrize("n", [65, 1025, 1500])
+    def test_large_blocks_match_full_rows(self, n, blocks, monkeypatch):
+        # Blocks of 32 to 1024 nodes, and one block pair per chunk from 128.
+        monkeypatch.setattr(spaces, "_SCAN_BLOCKS", blocks)
+        for kind in _KINDS:
+            g = _data(kind, n)
+            for gamma in _GAMMAS:
+                assert holder_seminorm(g, gamma) == _holder_seminorm_rows(g, gamma), (kind, gamma)
+
+    @pytest.mark.parametrize("kind", ["random", "sqrt"])
+    def test_block_tables_stay_small(self, kind):
+        # 257 blocks of 512 nodes at n = 131073; with 32-node blocks the bound
+        # tables alone would take about 900 MiB.
+        g = _data(kind, 131073)
+        tracemalloc.start()
+        try:
+            holder_seminorm(g, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
