@@ -9,7 +9,7 @@ checked against exact answers.  Closed forms are anchored to the base point
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,18 +163,11 @@ def _make_power(params: dict | None) -> AnalyticFunction:
     if expo < 0.0:
         raise InvalidParameterError(f"power: need exponent p >= 0, got {expo}")
     if expo == 0.0:
-        f = _make_constant({"c": 1.0, "t0": t0})
-        return AnalyticFunction(
+        return replace(
+            _make_constant({"c": 1.0, "t0": t0}),
             name="power",
             label=_label("power", p),
             params=p,
-            base_point=t0,
-            eval=f.eval,
-            taylor=f.taylor,
-            rl_integral=f.rl_integral,
-            rl_derivative=f.rl_derivative,
-            caputo_derivative=f.caputo_derivative,
-            anchors=f.anchors,
             summary="(t - t0)^0, i.e. the constant 1",
         )
 

@@ -103,13 +103,14 @@ def _causal_convolve(g: np.ndarray, kernel: np.ndarray, sums: Sequence[Sequence[
     groups = sums or [[0]] * len(rows)
     which = [j for js in groups for j in js]
     if n < _FFT_MIN_NODES:
-        out = _sum_groups(np.array([np.convolve(row, kernels[j])[:n] for row, j in zip(rows, which)]), groups)
+        terms = [np.convolve(row, kernels[j])[:n] for row, j in zip(rows, which, strict=True)]
+        out = _sum_groups(np.array(terms), groups)
     else:
         # Length >= n + k - 2 wraps only the last linear term, onto index 0 (set below); >= n keeps all.
         size = _fft_size(max(n, n + kernels.shape[1] - 2))
         spec = np.fft.rfft(rows, size)
         ks = np.fft.rfft(kernels, size)
-        for row, j in zip(spec, which):
+        for row, j in zip(spec, which, strict=True):
             row *= ks[j]
         del ks  # its memory then serves the inverse transform
         out = np.fft.irfft(_sum_groups(spec, groups), size)[:, :n]

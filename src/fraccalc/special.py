@@ -1,12 +1,12 @@
 """Special functions: gamma, Mittag-Leffler, and a Weierstrass-type sum.
 
-Gamma takes scalar arguments; Mittag-Leffler and the Weierstrass-type sum
-take a scalar or an array of points.  Everything here is elementary
-floating-point arithmetic with explicit error control, so the rest of the
-package has no hidden dependency on third-party special-function libraries.
-The gamma implementation uses a 15-term Lanczos approximation (g = 607/128)
-with the reflection formula below 1/2; the series evaluators use compensated
-(Kahan) summation with documented stopping rules.
+Gamma and its reciprocal take scalar arguments and wrap :func:`math.gamma`,
+which is good to about 1e-15 relative.  The wrappers raise the package's
+errors at the poles and at -inf, and return signed infinities where a value
+overflows.  Mittag-Leffler and the Weierstrass-type sum take a scalar or an
+array of points.  They are summed here with compensated (Kahan) summation,
+documented stopping rules and explicit error control, so the package needs
+no special-function library beyond the standard one.
 """
 
 from __future__ import annotations
@@ -50,93 +50,37 @@ _EPS = 2.0**-52
 # Largest relative rounding error a Mittag-Leffler value may carry.
 _CANCELLATION_LIMIT = 1e-10
 
-# Lanczos coefficients for g = 607/128, n = 15 (Godfrey's set).  Relative
-# error of the rational part is below 1e-15 on the right half-line.
-_LANCZOS_G = 4.7421875
-_LANCZOS = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_SQRT_TWO_PI = 2.5066282746310005024
-
-
-def _sinpi(x: float) -> float:
-    # sin(pi*x) with the argument reduced exactly: x - round(x) is exact in
-    # floating point (Sterbenz), so the result stays accurate near integers
-    # where sin(pi*x) itself would cancel catastrophically.
-    n = round(x)
-    r = x - n
-    s = math.sin(math.pi * r)
-    return -s if n % 2 else s
-
-
-def _lanczos_series(z: float) -> float:
-    ser = _LANCZOS[0]
-    for j in range(1, 15):
-        ser += _LANCZOS[j] / (z + j)
-    return ser
-
 
 def gamma(x: float) -> float:
-    """Gamma function for real ``x``.
+    """Gamma function for real ``x``, from :func:`math.gamma`.
 
-    Raises :class:`PoleError` at non-positive integers.  Relative accuracy is
-    better than 1e-12 on [-170, 170] away from the poles; arguments beyond the
-    overflow threshold (~171.6) return ``inf``.
+    Raises :class:`PoleError` at non-positive integers and
+    :class:`InvalidParameterError` at -inf.  Where the value overflows (past
+    ~171.6, and for |x| below ~5.6e-309, where gamma ~ 1/x) the result is an
+    infinity of the sign of x; ``nan`` passes through.
     """
     x = float(x)
-    if math.isnan(x):
-        return x
-    if x <= 0.0 and x == math.floor(x):
+    if x <= 0.0 and x.is_integer():
         raise PoleError(f"gamma pole at non-positive integer x={x}")
-    if x >= 1.0 and x <= 170.0 and x == math.floor(x):
-        return float(math.factorial(int(x) - 1))
-    if x < 0.5:
-        # Reflection: gamma(x) = pi / (sin(pi x) * gamma(1 - x)).
-        return math.pi / (_sinpi(x) * gamma(1.0 - x))
-    z = x - 1.0
-    ser = _lanczos_series(z)
-    t = z + _LANCZOS_G + 0.5
-    # Evaluate as a square so t**(z+0.5) cannot overflow prematurely: the
-    # half-exponent root stays finite up to the true overflow threshold.
+    if x == -math.inf:
+        raise InvalidParameterError("gamma is undefined at x=-inf")
     try:
-        root = t ** ((z + 0.5) / 2.0) * math.exp(-t / 2.0) * math.sqrt(_SQRT_TWO_PI * ser)
-        return root * root
+        return math.gamma(x)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, x)
 
 
 def rgamma(x: float) -> float:
-    """Reciprocal gamma, 1/gamma(x), with the poles mapped to 0."""
+    """Reciprocal gamma, 1/gamma(x), with the poles mapped to 0.
+
+    Where gamma overflows the result is a zero of its sign; where 1/gamma
+    overflows (x below about -171) it is an infinity of its sign.
+    """
     x = float(x)
-    if x <= 0.0 and x == math.floor(x):
+    if x <= 0.0 and x.is_integer():
         return 0.0
     g = gamma(x)
-    if math.isinf(g):
-        return 0.0
-    return 1.0 / g
-
-
-def _lgamma_pos(x: float) -> float:
-    # log(gamma(x)) for x > 0, from the same Lanczos data.
-    if x < 0.5:
-        return math.log(math.pi / _sinpi(x)) - _lgamma_pos(1.0 - x)
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return (z + 0.5) * math.log(t) - t + math.log(_SQRT_TWO_PI * _lanczos_series(z))
+    return math.copysign(math.inf, g) if g == 0.0 else 1.0 / g
 
 
 def mittag_leffler(
@@ -198,7 +142,7 @@ def mittag_leffler(
                 # Log-space evaluation keeps z**j from overflowing before the
                 # 1/gamma decay takes over (matters near the |z|=5, alpha=0.3
                 # corner of the box, where intermediate terms reach ~1e90).
-                lg = _lgamma_pos(den)
+                lg = math.lgamma(den)
                 term = np.exp(j * log_abs_x - lg)
                 if j % 2:
                     term = np.copysign(term, x)
@@ -208,8 +152,9 @@ def mittag_leffler(
             s = total + y
             comp = (s - total) - y
             total = s
-            # A term's relative error is a few ulps of the logarithms it is
-            # built from, plus the Lanczos error (~1e-15) of its gamma factor.
+            # A term's relative error is the absolute error of its exponent:
+            # a few ulps of j*log|x|, plus that of math.lgamma(den), which
+            # against mpmath stays within 1.27*(|lg| + 8) eps on (0, 2000].
             # The errors of different terms are independent and add in
             # quadrature; adding their magnitudes would refuse E_1(-5), whose
             # actual error is 1e-11.

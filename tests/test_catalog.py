@@ -99,6 +99,21 @@ class TestPower:
         assert np.all(e(np.array([0.0, 0.5])) == 1.0)
         assert np.all(e.caputo_derivative(0.5, np.array([0.5, 1.0])) == 0.0)
 
+    def test_p_zero_describes_itself_as_power(self):
+        e = catalog.builtin("power", {"p": 0.0, "t0": 0.5})
+        assert (e.name, e.base_point, e.params) == ("power", 0.5, {"p": 0.0, "t0": 0.5})
+        assert e.describe() == "\n".join(
+            [
+                "power(p=0, t0=0.5)",
+                "  (t - t0)^0, i.e. the constant 1",
+                "  parameters: p=0, t0=0.5",
+                "  taylor at start: [1.0, 0.0, 0.0, 0.0]",
+                "  closed fractional integral: available",
+                r"  closed fractional derivative: D^\alpha_{t_0,t}c=\dfrac{(t-t_0)^{-\alpha}c}{\Gamma(1-\alpha)}",
+                r"  closed Caputo derivative: cD^\alpha_{t_0,t}c=0",
+            ]
+        )
+
 
 class TestMittagLefflerExponential:
     def test_value_at_base_point(self):

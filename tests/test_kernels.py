@@ -94,6 +94,13 @@ class TestCausalConvolve:
         for got_row, ref_row in zip(got, ref):
             assert np.max(np.abs(got_row - ref_row)) <= 1e-13 * np.max(np.abs(ref_row))
 
+    @pytest.mark.parametrize("n", [64, 1025])
+    def test_sums_refuse_unconsumed_rows(self, n):
+        # Both the direct and the FFT path refuse a row that sums leave over.
+        rng = np.random.default_rng(n)
+        with pytest.raises(ValueError):
+            _causal_convolve(rng.standard_normal((7, n)), rng.standard_normal((3, n)), [[0, 1], [2], [0, 1, 2]])
+
 
 def _factor_pairs(n):
     t = np.linspace(0.0, 1.0, n)

@@ -21,7 +21,7 @@ from fraccalc import catalog, cli, spaces
 from fraccalc.harness import check_weierstrass_nonmembership
 from fraccalc.operators import marchaud_derivative
 from fraccalc.spaces import HolderEstimate, holder_exponent, holder_seminorm
-from fraccalc.special import _lgamma_pos, mittag_leffler, rgamma, weierstrass
+from fraccalc.special import mittag_leffler, rgamma, weierstrass
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def _mittag_leffler_scalar(alpha, beta, z, tol=1e-14, max_terms=2000):
         if j == 0:
             term = rgamma(beta)
         elif den > 0.0:
-            mag = j * log_abs_z - _lgamma_pos(den)
+            mag = j * log_abs_z - math.lgamma(den)
             term = math.exp(mag) if mag > -745.0 else 0.0
             if z < 0.0 and j % 2:
                 term = -term

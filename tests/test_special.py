@@ -38,15 +38,26 @@ class TestGamma:
         for k in range(1, 15):
             assert gamma(float(k)) == float(math.factorial(k - 1))
 
-    def test_agrees_with_libm(self):
-        # math.gamma is an independent C implementation.
+    def test_agrees_with_mpmath(self):
         rng = np.random.default_rng(7)
-        for x in rng.uniform(0.05, 10.0, 400):
-            assert gamma(float(x)) == pytest.approx(math.gamma(x), rel=1e-13)
-        for x in rng.uniform(-5.45, -0.55, 200):
-            if abs(x - round(x)) < 0.05:
-                continue
-            assert gamma(float(x)) == pytest.approx(math.gamma(x), rel=1e-12)
+        with mpmath.workdps(40):
+            for x in rng.uniform(0.05, 10.0, 400):
+                assert gamma(float(x)) == pytest.approx(float(mpmath.gamma(x)), rel=1e-15)
+            for x in rng.uniform(-5.45, -0.55, 200):
+                if abs(x - round(x)) < 0.05:
+                    continue
+                assert gamma(float(x)) == pytest.approx(float(mpmath.gamma(x)), rel=2e-15)
+
+    @pytest.mark.parametrize(
+        "lo, hi, rel", [(0.01, 30.0, 1e-15), (30.0, 171.0, 1e-15), (-30.0, 0.0, 2e-15)]
+    )
+    def test_accuracy_bands_against_mpmath(self, lo, hi, rel):
+        # Negative arguments stay at least 1e-3 from a pole.
+        xs = np.random.default_rng(11).uniform(lo, hi, 1000)
+        xs = xs[np.abs(xs - np.round(xs)) >= 1e-3]
+        with mpmath.workdps(40):
+            worst = max(abs(gamma(x) / float(mpmath.gamma(x)) - 1.0) for x in xs)
+        assert worst <= rel
 
     def test_overflow_saturates_to_inf(self):
         assert math.isfinite(gamma(170.0))
@@ -61,6 +72,18 @@ class TestGamma:
     def test_nan_passthrough(self):
         assert math.isnan(gamma(math.nan))
 
+    def test_minus_inf_is_invalid(self):
+        for f in (gamma, rgamma):
+            with pytest.raises(InvalidParameterError):
+                f(-math.inf)
+
+    @pytest.mark.parametrize("x", [-1e-320, 1e-320])
+    def test_overflow_near_zero_keeps_the_sign(self, x):
+        # gamma(x) ~ 1/x overflows for |x| below ~5.6e-309.
+        with mpmath.workdps(40):
+            exact = mpmath.gamma(x)
+        assert gamma(x) == math.copysign(math.inf, exact)
+
 
 class TestReciprocalGamma:
     def test_zero_at_poles(self):
@@ -73,6 +96,17 @@ class TestReciprocalGamma:
     def test_inverse_of_gamma(self):
         for x in (0.3, 1.5, 4.2, -0.7, 10.0):
             assert rgamma(x) * gamma(x) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [-200.5, -201.5, -175.5])
+    def test_infinite_where_gamma_underflows(self, x):
+        # gamma is 0.0, -0.0 or subnormal there; 1/gamma overflows.
+        with mpmath.workdps(40):
+            exact = mpmath.rgamma(x)
+        assert abs(exact) > 1e308
+        assert rgamma(x) == math.copysign(math.inf, exact)
+
+    def test_zero_at_inf(self):
+        assert rgamma(math.inf) == 0.0
 
 
 class TestMittagLeffler:
