@@ -223,24 +223,28 @@ def frac_integral(g: GridFunction, order: FracOrder | float) -> GridFunction:
 
 
 def _cell_moments(nmax: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # mu_j(m) = int_{m-1}^{m} (tau - (m-1))**j * tau**(-a-1) dtau, j = 0,1,2.
-    # Written with expm1/log1p so the large-m cancellation (the moments decay
-    # like m**(-a-1)) costs no relative accuracy.
-    m = np.arange(1, nmax + 1, dtype=float)
-    mu0 = np.empty(nmax)
-    mu1 = np.empty(nmax)
-    mu2 = np.empty(nmax)
-    mu0[0] = np.inf  # divergent on the first cell; only used where its weight is 0
-    mu1[0] = 1.0 / (1.0 - a)
-    mu2[0] = 1.0 / (2.0 - a)
-    mm = m[1:]
-    lg = np.log1p(-1.0 / mm)
-    p0 = mm**-a * np.expm1(-a * lg) / a
-    p1 = -(mm ** (1.0 - a)) * np.expm1((1.0 - a) * lg) / (1.0 - a)
-    p2 = -(mm ** (2.0 - a)) * np.expm1((2.0 - a) * lg) / (2.0 - a)
-    mu0[1:] = p0
-    mu1[1:] = p1 - (mm - 1.0) * p0
-    mu2[1:] = p2 - 2.0 * (mm - 1.0) * p1 + (mm - 1.0) ** 2 * p0
+    # mu_j(m) = int_{m-1}^{m} (tau - (m-1))**j * tau**(-a-1) dtau, j = 0,1,2, from
+    # p_j = int_{m-1}^{m} tau**(j-a-1) dtau = -m**(j-a) expm1((j-a) log1p(-1/m)) / (j-a)
+    # and one power table m**-a.  mu0 keeps a few ulps, but mu1 and mu2 cancel
+    # terms m and m**2 times their size: their relative error reaches 6 m eps
+    # and 15 m**2 eps (m <= 32770, a in {0.1, 0.5, 0.9}, against 40 digits).
+    mu0, mu1, mu2 = mu = np.empty((3, nmax))
+    mu[:, 0] = np.inf, 1.0 / (1.0 - a), 1.0 / (2.0 - a)  # mu0 only meets a zero weight there
+    m = np.arange(2, nmax + 1, dtype=float)
+    lg = np.log1p(-1.0 / m)
+    pw = m**-a
+    for j, p in enumerate(mu[:, 1:]):
+        if j:
+            pw *= m
+        np.expm1(np.multiply(lg, j - a, out=p), out=p)
+        p *= pw
+        p /= a - j
+    # mu1 = p1 - (m-1) p0 and mu2 = p2 - (m-1) (2 p1 - (m-1) p0).
+    p0, p1, p2 = mu[:, 1:]
+    m -= 1.0
+    mp0 = np.multiply(m, p0, out=pw)
+    p2 -= m * (2.0 * p1 - mp0)
+    p1 -= mp0
     return mu0, mu1, mu2
 
 
@@ -255,47 +259,46 @@ def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None
     [0,1] uses the parabola through G(0)=0, G(1), G(2) (so the kernel's
     non-integrable end multiplies an exactly-vanishing factor), interior cells
     the parabola through their three surrounding nodes, and the cell touching
-    tau = k the one through G(k-2), G(k-1), G(k).  Everything reduces to one
-    translation-invariant convolution kernel plus O(1) per-row edge
-    corrections; the kernel-moment sum telescopes to (1 - k**-a)/a.  Stacked
-    rows of ``g`` share the kernel; ``moments`` is ``_cell_moments(n + 1, a)``.
+    tau = k the one through G(k-2), G(k-1), G(k).  From node 3 on everything
+    reduces to one translation-invariant convolution kernel plus two per-row
+    edge terms; the kernel-moment sum telescopes to s1 + s2 + (1 - k**-a)/a,
+    and the (t-t0)^(-a) term cancels its k**-a part.  Stacked rows of ``g``
+    share the kernel; ``moments`` is ``_cell_moments(n + 1, a)``.
     """
     n = g.shape[-1]
-    out = np.zeros(g.shape)
-    pref = -a * rgamma(1.0 - a)
-    tpow = (np.arange(1, n) * h) ** -a * rgamma(1.0 - a)
     mu0, mu1, mu2 = _cell_moments(n + 1, a) if moments is None else moments
+    r = rgamma(1.0 - a)
     # First-cell weights for the anchored parabola through (0,0), (1,G1), (2,G2).
     s1 = 2.0 * mu1[0] - mu2[0]
     s2 = (mu2[0] - mu1[0]) / 2.0
-    # Interior-cell Lagrange weights on the nodes right/middle/left of cell m
-    # (tau = m-1, m, m+1), and the origin-cell corrections (tau = k-1, k-2).
-    wR = (mu2 - 3.0 * mu1 + 2.0 * mu0) / 2.0
-    wM = 2.0 * mu1 - mu2
-    wL = (mu2 - mu1) / 2.0
-    e1 = mu0 - mu2
-    e0 = (mu2 + mu1) / 2.0
-
-    sums = np.zeros(g.shape)
-    sums[..., 1] = (g[..., 0] - g[..., 1]) * mu1[0]
-    if n > 2:
-        sums[..., 2] = (s1 + e1[1]) * (g[..., 1] - g[..., 2]) + (s2 + e0[1]) * (g[..., 0] - g[..., 2])
     if n > 3:
+        # Cell [i, i+1] (table index i) takes the parabola through tau = i,
+        # i+1, i+2, with weights wR, wM, wL; they add up to mu0.
+        wL = (mu2[:n] - mu1[:n]) / 2.0
+        wM = 2.0 * mu1[:n] - mu2[:n]
+        wR = mu0[:n] - mu1[:n] + wL
         c = np.zeros(n)
         c[1] = s1 + wR[1]
         c[2] = s2 + wM[1] + wR[2]
         c[3:] = wL[1 : n - 2] + wM[2 : n - 1] + wR[3:n]
-        conv = _causal_convolve(g, c)
-        k = np.arange(3, n)
-        T = s1 + s2 + (1.0 - k ** (-a)) / a
-        sums[..., 3:] = (
-            conv[..., 3:]
-            + wL[2 : n - 1] * g[..., 2, None]
-            + (e1[2 : n - 1] - wR[2 : n - 1]) * g[..., 1, None]
-            + (e0[2 : n - 1] - wM[2 : n - 1] - wR[3:n]) * g[..., 0, None]
-            - T * g[..., 3:]
-        )
-    out[..., 1:] = pref * h**-a * sums[..., 1:] + tpow * g[..., 1:]
+        out = _causal_convolve(g, c)
+        # On row k the cell [k-1, k] takes the parabola through tau = k-2,
+        # k-1, k (tau = k+1 is past t0) and the kernel's cell [k, k+1] drops
+        # out: wL(k-1) (g[2] - 3 g[1] + 3 g[0]) - wR(k) g[0].  The weight sum
+        # less the (t-t0)^(-a) term leaves (s1 + s2 + 1/a) g[k].
+        body = out[..., 3:]
+        body -= (s1 + s2 + 1.0 / a) * g[..., 3:]
+        body += wL[2 : n - 1] * (g[..., 2, None] - 3.0 * (g[..., 1, None] - g[..., 0, None]))
+        body -= wR[3:n] * g[..., 0, None]
+    else:
+        out = np.zeros(g.shape)
+    out[..., 0] = 0.0
+    out[..., 1] = (g[..., 0] - g[..., 1]) * mu1[0]
+    if n > 2:
+        e1, e0 = mu0[1] - mu2[1], (mu2[1] + mu1[1]) / 2.0  # the cell [1, 2] on row 2
+        out[..., 2] = (s1 + e1) * (g[..., 1] - g[..., 2]) + (s2 + e0) * (g[..., 0] - g[..., 2])
+    out[..., 1:] *= -a * r * h**-a
+    out[..., 1:3] += (np.arange(1, min(n, 3)) * h) ** -a * r * g[..., 1:3]
     return out
 
 

@@ -73,13 +73,17 @@ def gamma(x: float) -> float:
 def rgamma(x: float) -> float:
     """Reciprocal gamma, 1/gamma(x), with the poles mapped to 0.
 
-    Where gamma overflows the result is a zero of its sign; where 1/gamma
-    overflows (x below about -171) it is an infinity of its sign.
+    Where gamma overflows for x > 0 the result is exp(-lgamma(x)), a
+    subnormal past x ~ 171.6 that underflows to 0 only past x ~ 178.  For
+    x < 0 an overflowing gamma gives a zero of its sign; where 1/gamma
+    overflows (x below about -171) the result is an infinity of its sign.
     """
     x = float(x)
     if x <= 0.0 and x.is_integer():
         return 0.0
     g = gamma(x)
+    if g == math.inf and x > 0.0:
+        return math.exp(-math.lgamma(x))
     return math.copysign(math.inf, g) if g == 0.0 else 1.0 / g
 
 

@@ -1,7 +1,9 @@
 """Oracle tests for the convolution kernels under the grid operators: the
-direct/FFT causal convolution, the convolution form of the Leibniz
-correction, and the Leibniz error against closed forms."""
+moment and kernel tables against 60-digit closed forms, the direct/FFT causal
+convolution, the convolution form of the Leibniz correction, and the Leibniz
+error against closed forms."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -51,6 +53,53 @@ def test_integral_kernel_matches_four_pow_formula(n, a):
     kernel, got_A = _integral_kernel(n, a)
     assert np.array_equal(got_A, A)
     assert np.array_equal(kernel, np.concatenate(([A[0]], A[1:] + B[:-1])))
+
+
+_EPS = 2.0**-52
+
+
+def _moments_mp(m, a):
+    # mu_j(m) = int_{m-1}^{m} (tau - l)**j tau**(-a-1) dtau with l = m - 1,
+    # from the antiderivatives of the expanded integrands.
+    l = mpmath.mpf(m - 1)
+    antiderivatives = (
+        lambda t: -(t**-a) / a,
+        lambda t: t ** (1 - a) / (1 - a) + l * t**-a / a,
+        lambda t: t ** (2 - a) / (2 - a) - 2 * l * t ** (1 - a) / (1 - a) - l**2 * t**-a / a,
+    )
+    return [F(mpmath.mpf(m)) - F(l) for F in antiderivatives]
+
+
+def _integral_kernel_mp(k, a):
+    # Weight of the node at tau = k: the falling hat on [k, k+1] and the
+    # rising hat on [k-1, k], integrated against tau**(a-1).
+    k = mpmath.mpf(k)
+    phi0 = [((k + i) ** a - (k + i - 1) ** a) / a for i in (0, 1)]
+    phi1 = [((k + i) ** (a + 1) - (k + i - 1) ** (a + 1)) / (a + 1) for i in (0, 1)]
+    falling = (k + 1) * phi0[1] - phi1[1]
+    rising = phi1[0] - (k - 1) * phi0[0]
+    return falling + rising
+
+
+_TABLE_MS = [2, 3, 10, 100, 1000, 10000, 32768]
+
+
+@pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_tables_against_closed_forms(a):
+    # The float tables cancel terms m and m**2 times their value, so their
+    # relative error grows like eps, m eps, m**2 eps (mu0, mu1, mu2) and
+    # m**2 eps (J kernel).  Past mu0 (1.1 eps here) the bounds are twice the
+    # three-power tables' worst case here: 5.3 m, 18 m**2 and 9.4 m**2 eps.
+    mu = _cell_moments(max(_TABLE_MS), a)
+    kernel, _ = _integral_kernel(max(_TABLE_MS) + 1, a)
+    with mpmath.workdps(60):
+        am = mpmath.mpf(a)
+        for m in _TABLE_MS:
+            for j, (table, exact, bound) in enumerate(zip(mu, _moments_mp(m, am), (12.0, 11.0, 36.0))):
+                rel = abs((table[m - 1] - exact) / exact)
+                assert rel <= bound * m**j * _EPS, (j, m)
+            exact = _integral_kernel_mp(m, am)
+            assert abs((kernel[m] - exact) / exact) <= 19.0 * m**2 * _EPS, m
 
 
 class TestCausalConvolve:

@@ -1,7 +1,8 @@
 """The array Weierstrass and Mittag-Leffler sums, the block Hölder scan, the
-pruned exact Hölder scan, the list-based CSV reader and writer and the
-one-sampling Weierstrass check against the per-point, per-row and per-line
-loops and the three-sampling check they replaced.  The old code is copied
+pruned exact Hölder scan, the list-based CSV reader and writer, the
+one-sampling Weierstrass check and the one-power Marchaud weights against the
+per-point, per-row and per-line loops, the three-sampling check and the
+three-power weight tables they replaced.  The old code is copied
 here verbatim as references, so the comparison does not depend on any
 earlier version of the package."""
 
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 
 import fraccalc as fc
 import fraccalc.harness as hz
-from fraccalc import catalog, cli, spaces
+from fraccalc import catalog, cli, operators, spaces
 from fraccalc.harness import check_weierstrass_nonmembership
-from fraccalc.operators import marchaud_derivative
+from fraccalc.operators import _causal_convolve, _marchaud_values, marchaud_derivative
 from fraccalc.spaces import HolderEstimate, holder_exponent, holder_seminorm
 from fraccalc.special import mittag_leffler, rgamma, weierstrass
 
@@ -579,3 +580,138 @@ def test_weierstrass_check_matches_three_samplings(n, alpha, sigma):
     assert got.max_error == want.max_error
     assert dict(got.details) == dict(want.details)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Marchaud derivative: three pow passes and full-length weight tables
+# ---------------------------------------------------------------------------
+
+
+def _cell_moments_three_pows(nmax, a):
+    m = np.arange(1, nmax + 1, dtype=float)
+    mu0 = np.empty(nmax)
+    mu1 = np.empty(nmax)
+    mu2 = np.empty(nmax)
+    mu0[0] = np.inf
+    mu1[0] = 1.0 / (1.0 - a)
+    mu2[0] = 1.0 / (2.0 - a)
+    mm = m[1:]
+    lg = np.log1p(-1.0 / mm)
+    p0 = mm**-a * np.expm1(-a * lg) / a
+    p1 = -(mm ** (1.0 - a)) * np.expm1((1.0 - a) * lg) / (1.0 - a)
+    p2 = -(mm ** (2.0 - a)) * np.expm1((2.0 - a) * lg) / (2.0 - a)
+    mu0[1:] = p0
+    mu1[1:] = p1 - (mm - 1.0) * p0
+    mu2[1:] = p2 - 2.0 * (mm - 1.0) * p1 + (mm - 1.0) ** 2 * p0
+    return mu0, mu1, mu2
+
+
+def _marchaud_values_weight_tables(g, h, a, moments=None):
+    n = g.shape[-1]
+    out = np.zeros(g.shape)
+    pref = -a * rgamma(1.0 - a)
+    tpow = (np.arange(1, n) * h) ** -a * rgamma(1.0 - a)
+    mu0, mu1, mu2 = _cell_moments_three_pows(n + 1, a) if moments is None else moments
+    s1 = 2.0 * mu1[0] - mu2[0]
+    s2 = (mu2[0] - mu1[0]) / 2.0
+    wR = (mu2 - 3.0 * mu1 + 2.0 * mu0) / 2.0
+    wM = 2.0 * mu1 - mu2
+    wL = (mu2 - mu1) / 2.0
+    e1 = mu0 - mu2
+    e0 = (mu2 + mu1) / 2.0
+
+    sums = np.zeros(g.shape)
+    sums[..., 1] = (g[..., 0] - g[..., 1]) * mu1[0]
+    if n > 2:
+        sums[..., 2] = (s1 + e1[1]) * (g[..., 1] - g[..., 2]) + (s2 + e0[1]) * (g[..., 0] - g[..., 2])
+    if n > 3:
+        c = np.zeros(n)
+        c[1] = s1 + wR[1]
+        c[2] = s2 + wM[1] + wR[2]
+        c[3:] = wL[1 : n - 2] + wM[2 : n - 1] + wR[3:n]
+        conv = _causal_convolve(g, c)
+        k = np.arange(3, n)
+        T = s1 + s2 + (1.0 - k ** (-a)) / a
+        sums[..., 3:] = (
+            conv[..., 3:]
+            + wL[2 : n - 1] * g[..., 2, None]
+            + (e1[2 : n - 1] - wR[2 : n - 1]) * g[..., 1, None]
+            + (e0[2 : n - 1] - wM[2 : n - 1] - wR[3:n]) * g[..., 0, None]
+            - T * g[..., 3:]
+        )
+    out[..., 1:] = pref * h**-a * sums[..., 1:] + tpow * g[..., 1:]
+    return out
+
+
+def _marchaud_rows(kind, n):
+    t = np.linspace(0.0, 1.0, n)
+    if kind == "single":
+        return np.sqrt(t) + t
+    return np.stack((1.0 + t**0.6, 2.0 + t**0.8, np.cos(3.0 * t)))
+
+
+class TestMarchaudWeights:
+    @pytest.mark.parametrize("kind", ["single", "stacked"])
+    @pytest.mark.parametrize("n", [13, 64, 511, 512, 2049, 32769])
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_matches_weight_tables(self, a, n, kind):
+        # The reference rounds its moment tables differently and forms the
+        # k**-a terms that cancel in closed form; near a = 1 the conv - T g
+        # cancellation amplifies both differences.
+        g = _marchaud_rows(kind, n)
+        h = 1.0 / (n - 1)
+        ref = _marchaud_values_weight_tables(g, h, a)
+        got = _marchaud_values(g, h, a)
+        assert got.shape == ref.shape
+        assert np.all(got[..., 0] == 0.0)
+        sup = np.max(np.abs(ref[..., 8:]), axis=-1)
+        move = np.max(np.abs(got - ref), axis=-1) / sup
+        assert np.all(move <= (1e-11 if a > 0.7 else 2e-12))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 13, 511, 512, 4097])
+    @pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+    def test_same_tables_give_the_reference_on_rough_data(self, a, n):
+        # On rough data the two moment tables' rounding (~m**2 eps in mu2)
+        # moves the output by up to ~3e-11 of its sup at n = 32769, a = 0.1;
+        # from one table the weights, edge terms and the folded k**-a terms
+        # must agree to rounding.
+        g = np.random.default_rng(n).standard_normal((2, n))
+        h = 1.0 / (n - 1)
+        table = _cell_moments_three_pows(n + 1, a)
+        ref = _marchaud_values_weight_tables(g, h, a, table)
+        got = _marchaud_values(g, h, a, table)
+        sup = np.max(np.abs(ref[..., 1:]), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-14 * sup)
+
+
+def _probe_inputs():
+    # The D and cD inputs of tests/test_probe.py, on fixed grids and orders.
+    cases = []
+    for n in (13, 14, 20, 30, 1000, 1024, 1025, 1026, 1027):
+        for name, params in (("constant", {"c": 1.0}), ("ml_exp", {"alpha": 0.7})):
+            g = fc.sample(fc.builtin(name, params), 0.0, 1.0, n)
+            cases += [(g, 0.5, None), (g, 0.5, (1.0,))]
+    for n in (13, 100, 4097):
+        t = np.linspace(0.0, 1.0, n)
+        for alpha in np.linspace(0.05, 0.95, 19):
+            for p in (0.0, 0.5, 1.0, 1.5, 2.0):
+                for c in (0.1, -10.0):
+                    cases.append((fc.GridFunction(0.0, 1.0, c * t**p), alpha, None))
+                cases.append((fc.GridFunction(0.0, 1.0, 1.0 + t**p), alpha, (1.0,)))
+    t = np.linspace(0.0, 1.0, 2049)
+    cases.append((fc.GridFunction(0.0, 1.0, np.exp(-t) + t**0.3), 0.5, None))
+    return cases
+
+
+def test_singular_start_unchanged_on_probe_inputs(monkeypatch):
+    def markers():
+        return [
+            (fc.rl_derivative(g, alpha) if taylor is None else fc.caputo_derivative(g, alpha, taylor)).singular_start
+            for g, alpha, taylor in _probe_inputs()
+        ]
+
+    got = markers()
+    monkeypatch.setattr(operators, "_marchaud_values", _marchaud_values_weight_tables)
+    want = markers()
+    assert got == want
+    assert any(got) and not all(got)

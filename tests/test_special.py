@@ -108,6 +108,28 @@ class TestReciprocalGamma:
     def test_zero_at_inf(self):
         assert rgamma(math.inf) == 0.0
 
+    @pytest.mark.parametrize("x", [171.5, 172.0, 175.0, 177.5, 178.5, 180.0])
+    def test_subnormal_past_gamma_overflow(self, x):
+        # gamma overflows past ~171.6, but 1/gamma stays a subnormal up to
+        # about x = 178; lgamma ~ 710 there carries ~1e-13 relative.
+        exact = float(mpmath.rgamma(x))
+        assert abs(rgamma(x) - exact) <= 1e-12 * exact + math.ulp(0.0)
+        if x <= 175.0:
+            assert rgamma(x) > 0.0
+
+    @pytest.mark.parametrize("x", [1e-320, 1e-310])
+    def test_tiny_positive_argument(self, x):
+        # gamma ~ 1/x overflows there; 1/gamma ~ x does not.
+        assert rgamma(x) == pytest.approx(float(mpmath.rgamma(x)), rel=1e-12, abs=math.ulp(0.0))
+
+    def test_unchanged_where_gamma_is_finite_or_x_negative(self):
+        negative = -(np.arange(200.0)[:, None] + [0.01, 0.5, 0.93]).ravel()
+        xs = np.concatenate((np.linspace(0.01, 171.6, 997), negative))
+        for x in xs:
+            g = math.gamma(x)
+            expected = math.copysign(math.inf, g) if g == 0.0 else 1.0 / g
+            assert rgamma(x) == expected
+
 
 class TestMittagLeffler:
     def test_frozen_spot_values(self):
