@@ -442,10 +442,12 @@ def _product_correction(u: np.ndarray, v: np.ndarray, a: float, moments: _Moment
     # products integrate against the mu moments.  The mu0 weight on the first
     # cell multiplies UR * VR = 0, hence mu0' = 0 there.  Expanding UR and VR
     # turns every term into a causal convolution over i, weighted by 1, u[k],
-    # v[k] or u[k] v[k]; sum(mu0'[:k]) telescopes to (1 - k**-a)/a.  The
-    # expanded terms scale with the data's values but their sum only with its
-    # increments, so the data are first shifted to start at 0, which changes
-    # no increment (without the shift an offset of 100 costs ~4 digits).
+    # v[k] or u[k] v[k]; sum(mu0'[:k]) telescopes to (1 - k**-a)/a.  Only the
+    # 1/a is added, so the result is I[k] + U V k**-a / a with U = u[k] - u[0]
+    # and V = v[k] - v[0]; the Caputo formula's last term cancels that part.
+    # The expanded terms scale with the data's values but their sum only with
+    # its increments, so the data are first shifted to start at 0, which
+    # changes no increment (without the shift an offset of 100 costs ~4 digits).
     # Each sum pairs the u and v terms as (A_u + A_v), so swapping u and v
     # gives the same result bit for bit.  ``moments`` needs >= n - 1 entries.
     n = u.size
@@ -461,35 +463,27 @@ def _product_correction(u: np.ndarray, v: np.ndarray, a: float, moments: _Moment
         np.stack((np.concatenate(([0.0], mu0[1:])), mu1, mu2)),
         [[0, 1], [0, 1], [0, 1, 2]],
     )
-    out[1:] = conv + ur * vr * (1.0 - np.arange(1, n) ** (-a)) / a - (ur * from_v + vr * from_u)
+    out[1:] = conv + ur * vr / a - (ur * from_v + vr * from_u)
     return out
 
 
 def _leibniz(u: GridFunction, v: GridFunction, alpha: float, caputo: bool) -> GridFunction:
+    # The Caputo formula, with factor derivatives taken as Marchaud values of
+    # the start-shifted factors; its last term cancels the correction's
+    # k**-a part.  The Riemann-Liouville output adds u0 v0 (t-t0)^(-a) / Gamma(1-a).
     a = as_order(alpha).alpha
     if not 0.0 < a < 1.0:
         raise PreconditionError(f"the product formula requires 0 < order < 1, got {a}")
     _require_same_grid(u, v)
-    h = u.h
-    uu, vv = u.values, v.values
+    h, uu, vv = u.h, u.values, v.values
+    u0, v0 = uu[0], vv[0]
     moments = _cell_moments(u.n + 1, a)
-    if caputo:
-        u0, v0 = uu[0], vv[0]
-        du = caputo_derivative(u, a, (float(u0),)).values
-        dv = caputo_derivative(v, a, (float(v0),)).values
-    else:
-        u0 = v0 = 0.0
-        du, dv = _marchaud_values(np.stack((uu, vv)), h, a, moments)
-    corr = _product_correction(uu, vv, a, moments)
-    out = np.zeros(u.n)
-    k = np.arange(1, u.n, dtype=float)
-    gam = rgamma(1.0 - a)
-    out[1:] = (
-        uu[1:] * dv[1:]
-        + vv[1:] * du[1:]
-        - a * gam * h**-a * corr[1:]
-        - (uu[1:] - u0) * (vv[1:] - v0) * gam * (k * h) ** -a
-    )
+    du, dv = _marchaud_values(np.stack((uu - u0, vv - v0)), h, a, moments)
+    r = rgamma(1.0 - a)
+    out = uu * dv + vv * du - a * r * h**-a * _product_correction(uu, vv, a, moments)
+    out[0] = 0.0  # not -0.0 when both factors start negative
+    if not caputo:
+        out[1:] += u0 * v0 * r * (np.arange(1, u.n) * h) ** -a
     return GridFunction(u.t0, u.t1, out)
 
 
@@ -512,6 +506,8 @@ def leibniz_caputo(u: GridFunction, v: GridFunction, alpha: float) -> GridFuncti
              - [u - u(t0)] [v - v(t0)] (t-t0)^(-alpha) / Gamma(1-alpha)
 
     The increment-product kernel integral K is the same one as in the
-    Riemann-Liouville formula.  Output index 0 is zero.
+    Riemann-Liouville formula, and the two results differ by one start term:
+    cD(uv) = D(uv) - u(t0) v(t0) (t-t0)^(-alpha) / Gamma(1-alpha).
+    Output index 0 is zero.
     """
     return _leibniz(u, v, alpha, caputo=True)

@@ -254,3 +254,10 @@ class TestIndividualChecks:
         assert rl.check_id == "leibniz_rl" and cap.check_id == "leibniz_caputo"
         assert rl.tolerance == cap.tolerance
         assert rl.passed and cap.passed
+
+    @pytest.mark.parametrize("caputo", [False, True])
+    def test_leibniz_grid_derivative_gap_falls_with_h(self, caputo):
+        # The formula and the grid derivative of uv are two discretizations of
+        # one derivative, so their gap shrinks with h (about 3.5x per 4x here).
+        gaps = [check_leibniz(0.5, n, caputo).details["grid_derivative_gap"] for n in (257, 1025, 4097)]
+        assert gaps[0] > 3.0 * gaps[1] > 9.0 * gaps[2] > 0.0

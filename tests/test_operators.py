@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fraccalc as fc
+from fraccalc import operators
 from fraccalc.operators import _diff_once, _frac_integral_values
 from fraccalc.special import rgamma
 
@@ -261,12 +262,42 @@ class TestLeibniz:
         closed = fc.builtin("power", {"p": 1.4}).rl_derivative(0.5, u.times())
         assert np.max(np.abs(got.values[8:] - closed[8:])) <= 2e-5
 
-    def test_symmetry_is_exact(self):
+    @pytest.mark.parametrize("n", [129, 1025, 8193])
+    @pytest.mark.parametrize("formula", [fc.leibniz_rl, fc.leibniz_caputo])
+    @pytest.mark.parametrize("offsets", [(0.0, 0.0), (1.5, -2.0)])
+    def test_symmetry_is_exact(self, offsets, formula, n):
         rng = np.random.default_rng(9)
-        base = np.linspace(0.0, 1.0, 129)
-        u = _grid(base**0.7 + 0.1 * rng.standard_normal(129) * base)
-        v = _grid(base**0.9)
-        assert np.array_equal(fc.leibniz_rl(u, v, 0.5).values, fc.leibniz_rl(v, u, 0.5).values)
+        base = np.linspace(0.0, 1.0, n)
+        u = _grid(offsets[0] + base**0.7 + 0.1 * rng.standard_normal(n) * base)
+        v = _grid(offsets[1] + base**0.9)
+        assert np.array_equal(formula(u, v, 0.5).values, formula(v, u, 0.5).values)
+
+    def test_caputo_does_the_work_of_rl(self, monkeypatch):
+        # Both formulas take their factor derivatives from one stacked
+        # Marchaud call on the start-shifted factors: the Caputo one makes
+        # the same transforms, builds its moment tables once and runs no
+        # singular-start probe.
+        counts = {"transforms": 0, "_cell_moments": 0, "_probe_singular_start": 0}
+
+        def counting(name, fn, rows=lambda *args: 1):
+            def wrapper(*args, **kwargs):
+                counts[name] += rows(*args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        per_row = lambda x, *rest: int(np.prod(np.shape(x)[:-1]))  # noqa: E731
+        for fft in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, fft, counting("transforms", getattr(np.fft, fft), per_row))
+        for name in ("_cell_moments", "_probe_singular_start"):
+            monkeypatch.setattr(operators, name, counting(name, getattr(operators, name)))
+        t = np.linspace(0.0, 1.0, 2049)
+        u, v = _grid(1.0 + t**0.6), _grid(2.0 + t**0.8)
+        seen = []
+        for formula in (fc.leibniz_rl, fc.leibniz_caputo):
+            counts.update(dict.fromkeys(counts, 0))
+            formula(u, v, 0.5)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1] == {"transforms": 18, "_cell_moments": 1, "_probe_singular_start": 0}
 
     def test_grid_mismatch_rejected(self):
         u = _grid(np.ones(65))

@@ -4,7 +4,9 @@ one-sampling Weierstrass check and the one-power Marchaud weights against the
 per-point, per-row and per-line loops, the three-sampling check and the
 three-power weight tables they replaced.  The old code is copied
 here verbatim as references, so the comparison does not depend on any
-earlier version of the package."""
+earlier version of the package.  The one-body product formulas are checked
+against the two-branch formulas they replaced, ported to long double with
+direct sums."""
 
 import math
 import tracemalloc
@@ -715,3 +717,116 @@ def test_singular_start_unchanged_on_probe_inputs(monkeypatch):
     want = markers()
     assert got == want
     assert any(got) and not all(got)
+
+
+# ---------------------------------------------------------------------------
+# the two-branch product formulas, in long double with direct sums
+# ---------------------------------------------------------------------------
+
+_LD = np.longdouble
+
+
+def _cell_moments_ld(nmax, a):
+    mu = np.empty((3, nmax), dtype=_LD)
+    mu[:, 0] = np.inf, 1 / (1 - a), 1 / (2 - a)
+    m = np.arange(2, nmax + 1, dtype=_LD)
+    lg = np.log1p(-1 / m)
+    p0, p1, p2 = (m ** (j - a) * -np.expm1((j - a) * lg) / (j - a) for j in range(3))
+    mu[0, 1:] = p0
+    mu[1, 1:] = p1 - (m - 1) * p0
+    mu[2, 1:] = p2 - (m - 1) * (2 * p1 - (m - 1) * p0)
+    return mu
+
+
+def _marchaud_ld(g, h, a, mu):
+    # The Marchaud rows of the quadratic increment rule: first-cell weights
+    # s1, s2, one convolution kernel from node 3 on, and the edge terms.
+    mu0, mu1, mu2 = mu
+    n = g.size
+    r = 1 / _LD(math.gamma(1.0 - a))
+    s1, s2 = 2 * mu1[0] - mu2[0], (mu2[0] - mu1[0]) / 2
+    out = np.zeros(n, dtype=_LD)
+    if n > 3:
+        wL, wM = (mu2[:n] - mu1[:n]) / 2, 2 * mu1[:n] - mu2[:n]
+        wR = mu0[:n] - mu1[:n] + wL
+        c = np.zeros(n, dtype=_LD)
+        c[1], c[2] = s1 + wR[1], s2 + wM[1] + wR[2]
+        c[3:] = wL[1 : n - 2] + wM[2 : n - 1] + wR[3:n]
+        k = np.arange(3, n, dtype=_LD)
+        out[3:] = (
+            np.convolve(g, c)[3:n]
+            - (s1 + s2 + (1 - k**-a) / a) * g[3:]
+            + wL[2 : n - 1] * (g[2] - 3 * (g[1] - g[0]))
+            - wR[3:n] * g[0]
+        )
+    out[1] = (g[0] - g[1]) * mu1[0]
+    if n > 2:
+        e1, e0 = mu0[1] - mu2[1], (mu2[1] + mu1[1]) / 2
+        out[2] = (s1 + e1) * (g[1] - g[2]) + (s2 + e0) * (g[0] - g[2])
+    out[1:] *= -a * r * h**-a
+    out[1:] += (np.arange(1, n, dtype=_LD) * h) ** -a * r * g[1:]
+    return out
+
+
+def _correction_ld(u, v, a, mu):
+    # The increment-product integral I[k] as seven direct convolutions.
+    n = u.size
+    u, v = u - u[0], v - v[0]
+    mu0, mu1, mu2 = (m[: n - 1] for m in mu)
+    mu0 = np.concatenate(([_LD(0)], mu0[1:]))
+    ur, vr = u[1:], v[1:]
+    du, dv = u[:-1] - ur, v[:-1] - vr
+    conv = lambda x, m: np.convolve(x, m)[: n - 1]  # noqa: E731
+    from_u = conv(ur, mu0) + conv(du, mu1)
+    from_v = conv(vr, mu0) + conv(dv, mu1)
+    pair = conv(ur * vr, mu0) + conv(ur * dv + vr * du, mu1) + conv(du * dv, mu2)
+    k = np.arange(1, n, dtype=_LD)
+    out = np.zeros(n, dtype=_LD)
+    out[1:] = pair + ur * vr * (1 - k**-a) / a - (ur * from_v + vr * from_u)
+    return out
+
+
+def _leibniz_two_branches_ld(u, v, a, caputo):
+    # Caputo: the factor derivatives are those of u - u0 and v - v0, and the
+    # last term takes the start-shifted product; RL: neither is shifted.
+    n = u.size
+    h = _LD(1.0 / (n - 1))
+    mu = _cell_moments_ld(n + 1, a)
+    u0, v0 = (u[0], v[0]) if caputo else (_LD(0), _LD(0))
+    du, dv = _marchaud_ld(u - u0, h, a, mu), _marchaud_ld(v - v0, h, a, mu)
+    r = 1 / _LD(math.gamma(1.0 - a))
+    k = np.arange(1, n, dtype=_LD)
+    out = np.zeros(n, dtype=_LD)
+    out[1:] = (
+        u[1:] * dv[1:]
+        + v[1:] * du[1:]
+        - a * r * h**-a * _correction_ld(u, v, a, mu)[1:]
+        - (u[1:] - u0) * (v[1:] - v0) * r * (k * h) ** -a
+    )
+    return out
+
+
+def _leibniz_factors(kind, n):
+    t = np.linspace(0.0, 1.0, n)
+    return {
+        "powers": (t**0.6, t**0.8),
+        "offset": (1.0 + t**0.6, 2.0 + t**0.8),
+        "cos": (100.0 + t**0.7, np.cos(3.0 * t)),
+        "random": tuple(np.random.default_rng(n).standard_normal((2, n))),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["powers", "offset", "cos", "random"])
+@pytest.mark.parametrize("n", [257, 2049])
+@pytest.mark.parametrize("a", [0.5, 0.9])
+def test_leibniz_matches_long_double_two_branch_formulas(a, n, kind):
+    # One body, Caputo terms plus the RL start term, against both formulas
+    # as two branches evaluated in long double with direct sums.
+    u, v = _leibniz_factors(kind, n)
+    U, V = fc.GridFunction(0.0, 1.0, u), fc.GridFunction(0.0, 1.0, v)
+    for formula, caputo in ((fc.leibniz_rl, False), (fc.leibniz_caputo, True)):
+        ref = _leibniz_two_branches_ld(u.astype(_LD), v.astype(_LD), a, caputo)
+        got = formula(U, V, a).values
+        assert got[0] == 0.0
+        move = np.max(np.abs(got[8:] - ref[8:])) / np.max(np.abs(ref[8:]))
+        assert move <= (2e-12 if a > 0.7 else 2e-13), (formula.__name__, float(move))
