@@ -77,13 +77,18 @@ def _as_method(method: DerivativeMethod | str | None, order: FracOrder) -> Deriv
             if order.alpha < 1.0
             else DerivativeMethod.INTEGRAL_THEN_DIFFERENCE
         )
-    if isinstance(method, DerivativeMethod):
-        return method
     try:
-        return DerivativeMethod(str(method))
+        return DerivativeMethod(method)
     except ValueError:
         choices = ", ".join(m.value for m in DerivativeMethod)
         raise InvalidParameterError(f"unknown derivative method {method!r}; known: {choices}") from None
+
+
+def _result(g: GridFunction, vals: np.ndarray, singular_start: bool = False) -> GridFunction:
+    # Finite data whose computation overflows fail a precondition; the callers run under np.errstate.
+    if not np.all(np.isfinite(vals[1 if singular_start else 0 :])):
+        raise PreconditionError("the computation overflows the float range")
+    return g.with_values(vals, singular_start)
 
 
 def _fft_size(m: int) -> int:
@@ -92,42 +97,19 @@ def _fft_size(m: int) -> int:
     return min(c << (-(-m // c) - 1).bit_length() for c in (1, 3, 5, 9))
 
 
-def _causal_convolve(g: np.ndarray, kernel: np.ndarray, sums: Sequence[Sequence[int]] = ()) -> np.ndarray:
-    """First n terms of the linear convolutions of the rows of ``g`` (shape
-    (..., n)) with ``kernel``.  With ``sums``, ``kernel`` is a stack of kernels
-    and result row s adds up the convolutions of the next len(sums[s]) rows of
-    ``g`` with the kernels ``sums[s]`` names, before the inverse transform."""
+def _causal_convolve(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """First n terms of the linear convolutions of the rows of ``g`` (shape (..., n)) with ``kernel``."""
     n = g.shape[-1]
-    rows = g.reshape(-1, n)
-    kernels = np.atleast_2d(kernel)[:, :n]
-    groups = sums or [[0]] * len(rows)
-    which = [j for js in groups for j in js]
+    kernel = kernel[:n]
     if n < _FFT_MIN_NODES:
-        terms = [np.convolve(row, kernels[j])[:n] for row, j in zip(rows, which, strict=True)]
-        out = _sum_groups(np.array(terms), groups)
-    else:
-        # Length >= n + k - 2 wraps only the last linear term, onto index 0 (set below); >= n keeps all.
-        size = _fft_size(max(n, n + kernels.shape[1] - 2))
-        spec = np.fft.rfft(rows, size)
-        ks = np.fft.rfft(kernels, size)
-        for row, j in zip(spec, which, strict=True):
-            row *= ks[j]
-        del ks  # its memory then serves the inverse transform
-        out = np.fft.irfft(_sum_groups(spec, groups), size)[:, :n]
-        out[:, 0] = _sum_groups(rows[:, 0] * kernels[which, 0], groups)
-    return out if sums else out.reshape(g.shape)
-
-
-def _sum_groups(terms: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
-    # Row s of the result adds up the next len(groups[s]) rows, left to right, in place.
-    if len(groups) == len(terms):
-        return terms
-    heads = [0]
-    for js in groups:
-        for r in range(heads[-1] + 1, heads[-1] + len(js)):
-            terms[heads[-1]] += terms[r]
-        heads.append(heads[-1] + len(js))
-    return terms[heads[:-1]]
+        return np.array([np.convolve(row, kernel)[:n] for row in g.reshape(-1, n)]).reshape(g.shape)
+    # Length >= n + k - 2 wraps only the last linear term, onto index 0 (set below); >= n keeps all.
+    size = _fft_size(max(n, n + kernel.size - 2))
+    spec = np.fft.rfft(g, size)
+    spec *= np.fft.rfft(kernel, size)
+    out = np.fft.irfft(spec, size)[..., :n]
+    out[..., 0] = g[..., 0] * kernel[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +182,7 @@ def _frac_integral_singular(g: GridFunction, a: float) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def frac_integral(g: GridFunction, order: FracOrder | float) -> GridFunction:
     """Fractional integral of ``g`` of the given order (order 0 is identity).
 
@@ -214,7 +197,7 @@ def frac_integral(g: GridFunction, order: FracOrder | float) -> GridFunction:
         vals = _frac_integral_singular(g, o.alpha)
     else:
         vals = _frac_integral_values(g.values, g.h, o.alpha)
-    return GridFunction(g.t0, g.t1, vals)
+    return _result(g, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +324,7 @@ def _probe_singular_start(v: np.ndarray, h: float, a: float, method: DerivativeM
     return e2 / e4 >= _PROBE_GROWTH and e1 / e2 >= _PROBE_GROWTH
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def marchaud_derivative(g: GridFunction, alpha: float) -> GridFunction:
     """Marchaud-form derivative for 0 < alpha < 1; output index 0 is zero.
 
@@ -352,9 +336,10 @@ def marchaud_derivative(g: GridFunction, alpha: float) -> GridFunction:
         raise PreconditionError(f"the Marchaud form requires 0 < order < 1, got {a}")
     if g.singular_start:
         raise PreconditionError("cannot differentiate data marked singular at the start")
-    return GridFunction(g.t0, g.t1, _marchaud_values(g.values, g.h, a))
+    return _result(g, _marchaud_values(g.values, g.h, a))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rl_derivative(
     g: GridFunction,
     order: FracOrder | float,
@@ -383,9 +368,10 @@ def rl_derivative(
     marked = _probe_singular_start(g.values, g.h, o.alpha, meth)
     if meth is DerivativeMethod.MARCHAUD and not marked:
         vals[0] = 0.0
-    return GridFunction(g.t0, g.t1, vals, singular_start=marked)
+    return _result(g, vals, marked)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def caputo_derivative(
     g: GridFunction,
     order: FracOrder | float,
@@ -418,8 +404,7 @@ def caputo_derivative(
     poly = np.zeros(g.n)
     for j, c in enumerate(coeffs):
         poly += (c / math.factorial(j)) * t_rel**j
-    reduced = g.with_values(g.values - poly)
-    return rl_derivative(reduced, o, method)
+    return rl_derivative(_result(g, g.values - poly), o, method)
 
 
 # ---------------------------------------------------------------------------
@@ -435,38 +420,37 @@ def _require_same_grid(u: GridFunction, v: GridFunction) -> None:
 
 
 def _product_correction(u: np.ndarray, v: np.ndarray, a: float, moments: _Moments | None = None) -> np.ndarray:
-    # I[k] ~ int_0^k tau**(-a-1) [u(t-tau h) - u(t)] [v(t-tau h) - v(t)] dtau
-    # with both increments piecewise linear per cell.  On cell m (left node
-    # i = k-m) the increment U(xi) = UR + du xi (xi = tau - (m-1)) has
-    # UR = u[i+1] - u[k] and du = u[i] - u[i+1], which does not depend on k;
-    # products integrate against the mu moments.  The mu0 weight on the first
-    # cell multiplies UR * VR = 0, hence mu0' = 0 there.  Expanding UR and VR
-    # turns every term into a causal convolution over i, weighted by 1, u[k],
-    # v[k] or u[k] v[k]; sum(mu0'[:k]) telescopes to (1 - k**-a)/a.  Only the
-    # 1/a is added, so the result is I[k] + U V k**-a / a with U = u[k] - u[0]
-    # and V = v[k] - v[0]; the Caputo formula's last term cancels that part.
-    # The expanded terms scale with the data's values but their sum only with
-    # its increments, so the data are first shifted to start at 0, which
-    # changes no increment (without the shift an offset of 100 costs ~4 digits).
-    # Each sum pairs the u and v terms as (A_u + A_v), so swapping u and v
-    # gives the same result bit for bit.  ``moments`` needs >= n - 1 entries.
+    # I[k] ~ int_0^k tau**(-a-1) [u(t-tau h) - u(t)] [v(t-tau h) - v(t)] dtau with
+    # both increments piecewise linear per cell.  On cell m (left node i = k-m)
+    # the increment U(xi) = UR + du xi (xi = tau - (m-1)) has UR = u[i+1] - u[k]
+    # and du = u[i] - u[i+1], which does not depend on k; products integrate
+    # against the mu moments, mu0 from the second cell on (UR = VR = 0 on the
+    # first).  With the data shifted to start at 0 (no increment changes),
+    # ur = u[1:] = -cumsum(du) and ur vr = -cumsum(ur dv + vr du + du dv), so
+    # summing by parts moves every mu0 term onto these increment rows with the
+    # kernel -cumsum(mu0[1:]) = T - 1/a, T[j] = (j+1)**-a / a being the mu0 mass
+    # past cell j+1.  Expanding UR and VR, the 1/a parts cancel, one coming from
+    # u[k] v[k] sum(mu0[1:k]) = u[k] v[k] (1 - k**-a)/a, and every convolution
+    # takes increments and one decaying kernel, mu1 + T or mu2 + T.  The result
+    # is I[k] + U V k**-a / a (U = u[k] - u[0], V = v[k] - v[0]); the Caputo
+    # formula's last term cancels that part.  Pairing the u and v terms as
+    # (A_u + A_v) makes a u, v swap bit-identical.  ``moments`` needs >= n - 1 entries.
     n = u.size
     out = np.zeros(n)
     u = u - u[0]
     v = v - v[0]
-    mu0, mu1, mu2 = (m[: n - 1] for m in (moments or _cell_moments(n - 1, a)))
+    _, mu1, mu2 = (m[: n - 1] for m in (moments or _cell_moments(n - 1, a)))
+    T = np.arange(1, n) ** -a / a
     ur, vr = u[1:], v[1:]
     du = u[:-1] - ur
     dv = v[:-1] - vr
-    from_u, from_v, conv = _causal_convolve(
-        np.stack((ur, du, vr, dv, ur * vr, ur * dv + vr * du, du * dv)),
-        np.stack((np.concatenate(([0.0], mu0[1:])), mu1, mu2)),
-        [[0, 1], [0, 1], [0, 1, 2]],
-    )
-    out[1:] = conv + ur * vr / a - (ur * from_v + vr * from_u)
+    from_u, from_v, cross = _causal_convolve(np.stack((du, dv, ur * dv + vr * du)), mu1 + T)
+    pair = _causal_convolve(du * dv, mu2 + T)
+    out[1:] = cross + pair - (ur * from_v + vr * from_u)
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _leibniz(u: GridFunction, v: GridFunction, alpha: float, caputo: bool) -> GridFunction:
     # The Caputo formula, with factor derivatives taken as Marchaud values of
     # the start-shifted factors; its last term cancels the correction's
@@ -484,7 +468,7 @@ def _leibniz(u: GridFunction, v: GridFunction, alpha: float, caputo: bool) -> Gr
     out[0] = 0.0  # not -0.0 when both factors start negative
     if not caputo:
         out[1:] += u0 * v0 * r * (np.arange(1, u.n) * h) ** -a
-    return GridFunction(u.t0, u.t1, out)
+    return _result(u, out)
 
 
 def leibniz_rl(u: GridFunction, v: GridFunction, alpha: float) -> GridFunction:

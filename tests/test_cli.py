@@ -211,6 +211,16 @@ class TestTransformCommand:
         assert run_cli("transform", "--input", str(marked), "--op", "cD", "--alpha", "0.5",
                        "--output", str(tmp_path / "o.csv")) == 4
 
+    def test_overflowing_result_exits_4(self, tmp_path, capsys):
+        # Data inside the float range whose derivative is not: a precondition
+        # error, not malformed input (exit 3), and no numpy warning first.
+        src = tmp_path / "big.csv"
+        write_grid_csv(str(src), fc.GridFunction(0.0, 1.0, np.where(np.arange(65) % 2, 1e308, -1e308)))
+        assert run_cli("transform", "--input", str(src), "--op", "D", "--alpha", "0.5",
+                       "--output", str(tmp_path / "o.csv")) == 4
+        assert "overflows the float range" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestVerifyCommand:
     def test_single_check_with_prefix(self, capsys):

@@ -113,42 +113,17 @@ class TestCausalConvolve:
         size = {"1": 1, "2": 2, "n//2": max(n // 2, 1), "n": n}[k]
         rng = np.random.default_rng(n + size)
         kernel = rng.standard_normal(size)
-        rows = rng.standard_normal((3, n))
-        for g in (rows[0], rows):
+        rows = rng.standard_normal((2, 3, n))
+        for g in (rows[0, 0], rows[0], rows):
             got = _causal_convolve(g, kernel)
             assert got.shape == g.shape
-            ref = np.array([np.convolve(row, kernel)[:n] for row in np.atleast_2d(g)]).reshape(g.shape)
+            ref = np.array([np.convolve(row, kernel)[:n] for row in g.reshape(-1, n)]).reshape(g.shape)
             if n < _FFT_MIN_NODES:
                 assert np.array_equal(got, ref)
             else:
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
                 # The one wrapped term lands on index 0, which is set exactly.
                 assert np.array_equal(got[..., 0], g[..., 0] * kernel[0])
-
-    @pytest.mark.parametrize("n", [64, 1025, 4097])
-    def test_sums_match_summed_convolutions(self, n):
-        # Rows are taken in order: result row s sums the next len(sums[s])
-        # rows, each convolved with the kernel it names.
-        rng = np.random.default_rng(n)
-        rows = rng.standard_normal((6, n))
-        kernels = rng.standard_normal((3, n))
-        sums = [[0, 1], [2], [0, 1, 2]]
-        got = _causal_convolve(rows, kernels, sums)
-        assert got.shape == (3, n)
-        ref = [
-            np.convolve(rows[0], kernels[0])[:n] + np.convolve(rows[1], kernels[1])[:n],
-            np.convolve(rows[2], kernels[2])[:n],
-            sum(np.convolve(rows[3 + j], kernels[j])[:n] for j in range(3)),
-        ]
-        for got_row, ref_row in zip(got, ref):
-            assert np.max(np.abs(got_row - ref_row)) <= 1e-13 * np.max(np.abs(ref_row))
-
-    @pytest.mark.parametrize("n", [64, 1025])
-    def test_sums_refuse_unconsumed_rows(self, n):
-        # Both the direct and the FFT path refuse a row that sums leave over.
-        rng = np.random.default_rng(n)
-        with pytest.raises(ValueError):
-            _causal_convolve(rng.standard_normal((7, n)), rng.standard_normal((3, n)), [[0, 1], [2], [0, 1, 2]])
 
 
 def _factor_pairs(n):

@@ -22,7 +22,7 @@ import fraccalc as fc
 import fraccalc.harness as hz
 from fraccalc import catalog, cli, operators, spaces
 from fraccalc.harness import check_weierstrass_nonmembership
-from fraccalc.operators import _causal_convolve, _marchaud_values, marchaud_derivative
+from fraccalc.operators import _causal_convolve, _marchaud_values, _product_correction, marchaud_derivative
 from fraccalc.spaces import HolderEstimate, holder_exponent, holder_seminorm
 from fraccalc.special import mittag_leffler, rgamma, weierstrass
 
@@ -830,3 +830,20 @@ def test_leibniz_matches_long_double_two_branch_formulas(a, n, kind):
         assert got[0] == 0.0
         move = np.max(np.abs(got[8:] - ref[8:])) / np.max(np.abs(ref[8:]))
         assert move <= (2e-12 if a > 0.7 else 2e-13), (formula.__name__, float(move))
+
+
+@pytest.mark.parametrize("kind", ["powers", "offset", "cos"])
+@pytest.mark.parametrize("n", [2049, 4097])
+@pytest.mark.parametrize("a", [0.5, 0.9])
+def test_product_correction_matches_long_double(a, n, kind):
+    # Summed by parts, every convolution of the correction takes increments
+    # and a decaying kernel, so its FFT rounding scales with the result, not
+    # with mu0 sums of the data's values that cancel down to it.
+    u, v = _leibniz_factors(kind, n)
+    k = np.maximum(np.arange(n), 1.0)
+    # The correction leaves the (u - u0)(v - v0) k**-a / a part to its caller.
+    ref = _correction_ld(u.astype(_LD), v.astype(_LD), a, _cell_moments_ld(n + 1, a))
+    ref += (u - u[0]) * (v - v[0]) * k.astype(_LD) ** -a / a
+    got = _product_correction(u, v, a)
+    move = np.max(np.abs(got[8:] - ref[8:])) / np.max(np.abs(ref[8:]))
+    assert move <= 2e-14, float(move)
