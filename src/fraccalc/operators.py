@@ -139,6 +139,9 @@ def _frac_integral_values(g: np.ndarray, h: float, a: float) -> np.ndarray:
     out = np.zeros(n)
     kernel, A = _integral_kernel(n, a)
     conv = _causal_convolve(g, kernel)
+    # Data near the float range overflow the convolution first: rescale them exactly, by a power of two.
+    if not np.isfinite(conv).all() and (e := math.frexp(np.max(np.abs(g)))[1]) > 0:
+        return np.ldexp(_frac_integral_values(np.ldexp(g, -e), h, a), e)
     # The full convolution pretends the data extends past node 0; remove the
     # phantom left-neighbour contribution A(k+1) * g[0] from each row.
     out[1:] = (conv[1:] - g[0] * A[1:]) * h**a * rgamma(a)

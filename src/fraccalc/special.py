@@ -49,6 +49,9 @@ _DEFAULT_CONTROL = SeriesControl()
 _EPS = 2.0**-52
 # Largest relative rounding error a Mittag-Leffler value may carry.
 _CANCELLATION_LIMIT = 1e-10
+# 1/(2*pi) as limbs, each the double nearest to the rest, so limb k leaves <= ulp(limb k)/2.
+_INV_2PI = (0.15915494309189535, -9.839338337591243e-18, -5.360718141446502e-34, 4.026781963297056e-50)
+_FRACTION_T_MAX = 2.0**20  # |t| bound of the Weierstrass fraction path
 
 
 def gamma(x: float) -> float:
@@ -188,6 +191,13 @@ def mittag_leffler(
     return float(out) if out.ndim == 0 else out
 
 
+def _two_product(a: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    # p + e == a * b exactly: Dekker's product of Veltkamp's 26-bit halves (2**27 + 1 splits).
+    ah, bh = (s - (s - x) for x, s in ((a, 134217729.0 * a), (b, 134217729.0 * b)))
+    al, bl, p = a - ah, b - bh, a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def weierstrass(
     alpha: float,
     sigma: float,
@@ -201,9 +211,13 @@ def weierstrass(
     bound w_N / (1 - sigma**(-alpha)) <= tol where w_N = sigma**(-N*alpha), so
     the term count depends on (alpha, sigma) only, never on ``t``.  Requires
     sigma > 1 and 0 < alpha <= 1.
-    Note the reduced arguments sigma**j * t grow exponentially, so individual
-    cosines carry an argument-reduction noise floor of order |t|*sigma**N*eps;
-    for the defaults this is ~1e-8 absolute and perfectly reproducible.
+    For sigma a power of two the arguments sigma**j * t are exact.  There, if
+    all |t| <= 2**20, terms of weight <= 2**-12 take the fraction path: cos of
+    2*pi*frac(sigma**j * t / (2*pi)) in [-pi, pi], the fraction kept exactly
+    from t*sigma**j0 times at most 4 limbs of 1/(2*pi), which move the sum by
+    < 2**-60.  Other sigma and parameters needing more limbs (sigma = 2, alpha
+    < ~0.28) take cos(sigma**j * t); other sigma round it, a reproducible noise
+    ~|t|*sigma**N*eps.  While all |t| <= 2**20 no entry depends on the others.
     """
     ctl = control if control is not None else _DEFAULT_CONTROL
     if not (sigma > 1.0 and math.isfinite(sigma)):
@@ -216,16 +230,34 @@ def weierstrass(
 
     q = sigma**-alpha
     tail_scale = 1.0 / (1.0 - q)
+    # Limbs of 1/(2*pi) for the fraction path, 0 for the direct path.  What they leave, with the last
+    # product's error, is < 2*ulp(last limb) and moves the sum by < 2*pi*|t|*N*(sigma*q)**(N-1) times that.
+    terms = min(ctl.max_terms, max(1, math.ceil(math.log(ctl.tol / tail_scale, q)) + 1))
+    bits = math.log2(4.0 * math.pi * _FRACTION_T_MAX * terms) + (terms - 1) * math.log2(sigma * q) + 60.0
+    fits = math.frexp(sigma)[0] == 0.5 and np.max(np.abs(arg), initial=0.0) <= _FRACTION_T_MAX
+    limbs = next((k + 1 for k, limb in enumerate(_INV_2PI) if fits and math.ulp(limb) < 2.0**-bits), 0)
     total = np.zeros_like(arg)
     comp = np.zeros_like(arg)
+    frac = None  # the fraction path's limb products, scaled and reduced modulo 1
     w = 1.0
     for _ in range(ctl.max_terms):
-        y = w * np.cos(arg) - comp
+        if frac is None and limbs and w <= 2.0**-12:
+            frac = np.stack([part for limb in _INV_2PI[:limbs] for part in _two_product(arg, limb)][:-1])
+        if frac is None:
+            c = np.cos(arg)
+            arg = arg * sigma
+        else:
+            frac -= np.rint(frac)
+            f = frac[0] + frac[1]  # row by row for any shape (np.sum adds a lone entry's rows pairwise)
+            for row in frac[2:]:
+                f += row
+            c = np.cos(2.0 * math.pi * (f - np.rint(f)))
+            frac *= sigma
+        y = w * c - comp
         s = total + y
         comp = (s - total) - y
         total = s
         w *= q
-        arg = arg * sigma
         if w * tail_scale <= ctl.tol:
             return float(total) if np.ndim(total) == 0 else total
     raise NonConvergenceError(

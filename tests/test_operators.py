@@ -342,6 +342,14 @@ class TestOverflow:
         with pytest.raises(fc.PreconditionError, match="overflows"):
             fc.frac_integral(_grid(np.full(65, 1e308), t1=4.0), 0.5)
 
+    @pytest.mark.parametrize("n", [65, 2049])  # direct and FFT convolution
+    def test_integral_of_largest_constant_fits(self, n):
+        # J^0.5 of 1e308 on [0, 1] is at most 1.13e308, although summing the
+        # raw data in the convolution would overflow.
+        t = np.linspace(0.0, 1.0, n)
+        got = fc.frac_integral(_grid(np.full(n, 1e308)), 0.5).values
+        assert got == pytest.approx(1e308 * np.sqrt(t) / math.gamma(1.5), rel=1e-13, abs=0.0)
+
     def test_product_of_large_constants(self):
         u = _grid(np.full(65, 1e200))
         with pytest.raises(fc.PreconditionError, match="overflows"):

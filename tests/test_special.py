@@ -281,3 +281,74 @@ class TestWeierstrass:
             weierstrass(1.5, 2.0, 0.0)  # order must lie in (0, 1]
         with pytest.raises(InvalidParameterError):
             weierstrass(0.5, 2.0, math.inf)
+
+
+def _term_count(alpha, sigma, tol=1e-14):
+    # The number of terms weierstrass sums: its own loop, without the cosines.
+    q = sigma**-alpha
+    tail_scale = 1.0 / (1.0 - q)
+    w, count = 1.0, 0
+    while True:
+        count += 1
+        w *= q
+        if w * tail_scale <= tol:
+            return count
+
+
+SUITE_GRID = np.linspace(0.0, 1.0, 4097)  # the Weierstrass check's fine grid at n = 1025
+
+
+class TestWeierstrassFractionPath:
+    # For sigma a power of two, the terms past weight 2**-12 take the cosine
+    # of an exactly reduced fraction of a turn instead of the huge argument.
+    grid = SUITE_GRID
+    points = [-5.5, -0.3, 1.7, 37.0, 1000.25] + [float(SUITE_GRID[i]) for i in (1, 1234, 2048, 3071, 4095)]
+
+    @pytest.mark.parametrize("sigma", [2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+    def test_against_mpmath_over_its_own_terms(self, alpha, sigma):
+        got = weierstrass(alpha, sigma, np.array(self.points))
+        terms = _term_count(alpha, sigma)
+        ulp = math.ulp(1.0 / (1.0 - sigma**-alpha))  # of the largest value the sum can take
+        with mpmath.workdps(40):
+            a, s = mpmath.mpf(alpha), mpmath.mpf(sigma)
+            for x, value in zip(self.points, got):
+                exact = mpmath.fsum(s ** (-j * a) * mpmath.cos(mpmath.mpf(x) * s**j) for j in range(terms))
+                assert abs(value - float(exact)) <= 4 * ulp, x
+
+    def test_other_sigma_matches_scalar_loop(self):
+        from test_reference_loops import _weierstrass_scalar
+
+        got = weierstrass(0.5, 3.0, np.array(self.points))
+        want = np.array([_weierstrass_scalar(0.5, 3.0, x) for x in self.points])
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_no_large_cosine_argument_past_the_switch(self, monkeypatch):
+        # Past the first term of weight <= 2**-12 no cosine argument leaves
+        # libm's fast reduction range; the direct sum passes up to 2**96 there.
+        import fraccalc.special as special
+
+        seen = []
+
+        class CosRecorder:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def cos(self, x, *args, **kwargs):
+                seen.append(float(np.max(np.abs(x))))
+                return np.cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(special, "np", CosRecorder())
+        special.weierstrass(0.5, 2.0, self.grid)
+        q, w, j0 = 2.0**-0.5, 1.0, 0
+        while w > 2.0**-12:
+            w *= q
+            j0 += 1
+        assert len(seen) == _term_count(0.5, 2.0)
+        assert max(seen[j0:]) <= 2.0**26
+
+    @pytest.mark.parametrize("alpha, sigma", [(0.5, 2.0), (0.3, 2.0), (0.9, 8.0), (0.5, 3.0)])
+    def test_entry_independent_of_companions(self, alpha, sigma):
+        alone = weierstrass(alpha, sigma, 0.3)
+        among = weierstrass(alpha, sigma, np.array([0.3, 0.0, 1.0, 37.0, -5.5]))
+        assert alone == among[0]
