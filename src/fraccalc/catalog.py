@@ -94,8 +94,8 @@ def _coerce_params(name: str, params: dict | None, allowed: dict[str, float | No
     return out
 
 
-def _label(name: str, params: dict[str, float], skip_default_t0: bool = True) -> str:
-    shown = {k: v for k, v in params.items() if not (skip_default_t0 and k == "t0" and v == 0.0)}
+def _label(name: str, params: dict[str, float]) -> str:
+    shown = {k: v for k, v in params.items() if not (k == "t0" and v == 0.0)}
     if not shown:
         return name
     return name + "(" + ", ".join(f"{k}={v:g}" for k, v in sorted(shown.items())) + ")"

@@ -172,9 +172,7 @@ def check_integral_shift(alpha: float, m: int, n: int) -> CheckReport:
     g = catalog.sample(f, 0.0, 1.0, n)
     t = g.times()
     lhs = frac_integral(g, alpha).values
-    deriv = _power(1.0, n, scale=2.0) if m == 1 else catalog.sample(
-        catalog.builtin("constant", {"c": 2.0}), 0.0, 1.0, n
-    )
+    deriv = _power(2.0 - m, n, scale=2.0)
     rhs = frac_integral(deriv, alpha + m).values.copy()
     for j in range(m):
         cj = f.taylor[j]
@@ -204,9 +202,7 @@ def check_derivative_commute(alpha: float, m: int, n: int) -> CheckReport:
     lhs = frac_integral(g, alpha).values
     for _ in range(m):
         lhs = _diff_once(lhs, g.h)
-    deriv = _power(1.0, n, scale=2.0) if m == 1 else catalog.sample(
-        catalog.builtin("constant", {"c": 2.0}), 0.0, 1.0, n
-    )
+    deriv = _power(2.0 - m, n, scale=2.0)
     rhs = frac_integral(deriv, alpha).values
     # Each difference pass runs a one-sided stencil at the ends; exclude those
     # nodes along with the start window.

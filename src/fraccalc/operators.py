@@ -62,7 +62,7 @@ _PROBE_GROWTH = 1.15
 # is faster.  Measured with numpy 2.4 on one core: 22 us direct against 42 us
 # FFT at n = 256, 51 against 55 at n = 512, 169 against 66 at n = 1024.
 _FFT_MIN_NODES = 512
-_Moments = tuple[np.ndarray, np.ndarray, np.ndarray]  # mu0, mu1, mu2 of _cell_moments
+_Moments = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # mu0, mu1, mu2, tail of _cell_moments
 
 
 class DerivativeMethod(str, enum.Enum):
@@ -208,30 +208,31 @@ def frac_integral(g: GridFunction, order: FracOrder | float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _cell_moments(nmax: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cell_moments(nmax: int, a: float) -> _Moments:
     # mu_j(m) = int_{m-1}^{m} (tau - (m-1))**j * tau**(-a-1) dtau, j = 0,1,2, from
     # p_j = int_{m-1}^{m} tau**(j-a-1) dtau = -m**(j-a) expm1((j-a) log1p(-1/m)) / (j-a)
-    # and one power table m**-a.  mu0 keeps a few ulps, but mu1 and mu2 cancel
-    # terms m and m**2 times their size: their relative error reaches 6 m eps
-    # and 15 m**2 eps (m <= 32770, a in {0.1, 0.5, 0.9}, against 40 digits).
-    mu0, mu1, mu2 = mu = np.empty((3, nmax))
-    mu[:, 0] = np.inf, 1.0 / (1.0 - a), 1.0 / (2.0 - a)  # mu0 only meets a zero weight there
+    # and one power table m**-a, also kept as tail[m-1] = m**-a / a.  mu0 keeps a few ulps,
+    # but mu1 and mu2 cancel terms m and m**2 times their size: their relative error
+    # reaches 6 m eps and 15 m**2 eps (m <= 32770, a in {0.1, 0.5, 0.9}, against 40 digits).
+    mu0, mu1, mu2, tail = table = np.empty((4, nmax))
+    table[:, 0] = np.inf, 1.0 / (1.0 - a), 1.0 / (2.0 - a), 1.0 / a  # mu0 only meets a zero weight there
     m = np.arange(2, nmax + 1, dtype=float)
     lg = np.log1p(-1.0 / m)
     pw = m**-a
-    for j, p in enumerate(mu[:, 1:]):
+    np.divide(pw, a, out=tail[1:])
+    for j, p in enumerate(table[:3, 1:]):
         if j:
             pw *= m
         np.expm1(np.multiply(lg, j - a, out=p), out=p)
         p *= pw
         p /= a - j
-    # mu1 = p1 - (m-1) p0 and mu2 = p2 - (m-1) (2 p1 - (m-1) p0).
-    p0, p1, p2 = mu[:, 1:]
+    # mu1 = p1 - (m-1) p0 and mu2 = p2 - (m-1) (2 p1 - (m-1) p0), in the spent pw and lg.
+    p0, p1, p2 = table[:3, 1:]
     m -= 1.0
     mp0 = np.multiply(m, p0, out=pw)
-    p2 -= m * (2.0 * p1 - mp0)
+    p2 -= np.multiply(m, np.subtract(np.multiply(p1, 2.0, out=lg), mp0, out=lg), out=lg)
     p1 -= mp0
-    return mu0, mu1, mu2
+    return mu0, mu1, mu2, tail
 
 
 def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None = None) -> np.ndarray:
@@ -245,41 +246,41 @@ def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None
     [0,1] uses the parabola through G(0)=0, G(1), G(2) (so the kernel's
     non-integrable end multiplies an exactly-vanishing factor), interior cells
     the parabola through their three surrounding nodes, and the cell touching
-    tau = k the one through G(k-2), G(k-1), G(k).  From node 3 on everything
-    reduces to one translation-invariant convolution kernel plus two per-row
-    edge terms; the kernel-moment sum telescopes to s1 + s2 + (1 - k**-a)/a,
-    and the (t-t0)^(-a) term cancels its k**-a part.  Stacked rows of ``g``
-    share the kernel; ``moments`` is ``_cell_moments(n + 1, a)``.
+    tau = k the one through G(k-2), G(k-1), G(k).  From node 3 on the rows are
+    summed by parts: the increments d[i] = g[i-1] - g[i] (d[0] = 0) are convolved
+    with the tails T_j of one translation-invariant kernel, so rounding scales
+    with the increments, not the values, and two per-row edge terms remain.
+    Stacked rows of ``g`` share the kernel; ``moments`` is ``_cell_moments(n + 1, a)``.
     """
     n = g.shape[-1]
-    mu0, mu1, mu2 = _cell_moments(n + 1, a) if moments is None else moments
+    mu0, mu1, mu2, tail = _cell_moments(n + 1, a) if moments is None else moments
     r = rgamma(1.0 - a)
     # First-cell weights for the anchored parabola through (0,0), (1,G1), (2,G2).
     s1 = 2.0 * mu1[0] - mu2[0]
     s2 = (mu2[0] - mu1[0]) / 2.0
     if n > 3:
-        # Cell [i, i+1] (table index i) takes the parabola through tau = i,
-        # i+1, i+2, with weights wR, wM, wL; they add up to mu0.
+        # Cell [i, i+1] (table index i) takes the parabola through tau = i, i+1, i+2 with
+        # weights wR, wM, wL adding up to mu0.  The tails are T_0 = s1 + s2 + 1/a and
+        # T_j = j**-a / a + wL(j-1) - wR(j), with the first cell's s2 for wL(0).
         wL = (mu2[:n] - mu1[:n]) / 2.0
-        wM = 2.0 * mu1[:n] - mu2[:n]
-        wR = mu0[:n] - mu1[:n] + wL
-        c = np.zeros(n)
-        c[1] = s1 + wR[1]
-        c[2] = s2 + wM[1] + wR[2]
-        c[3:] = wL[1 : n - 2] + wM[2 : n - 1] + wR[3:n]
-        out = _causal_convolve(g, c)
-        # On row k the cell [k-1, k] takes the parabola through tau = k-2,
-        # k-1, k (tau = k+1 is past t0) and the kernel's cell [k, k+1] drops
-        # out: wL(k-1) (g[2] - 3 g[1] + 3 g[0]) - wR(k) g[0].  The weight sum
-        # less the (t-t0)^(-a) term leaves (s1 + s2 + 1/a) g[k].
+        wL[0] = s2
+        T = np.empty(n)
+        T[0] = s1 + s2 + 1.0 / a
+        tj = np.add(tail[: n - 1], wL[: n - 1], out=T[1:])
+        tj -= wL[1:]  # less wR = mu0 - mu1 + wL
+        tj -= mu0[1:n] - mu1[1:n]
+        d = np.zeros(g.shape)
+        np.subtract(g[..., :-1], g[..., 1:], out=d[..., 1:])
+        out = _causal_convolve(d, T)
+        # On row k the cell [k-1, k] takes the parabola through tau = k-2, k-1, k
+        # (tau = k+1 is past t0).  With the T_k g[0] left by the summation, that
+        # leaves -wL(k-1) (d[2] - 2 d[1]) and the start term -tail[k-1] g[0].
         body = out[..., 3:]
-        body -= (s1 + s2 + 1.0 / a) * g[..., 3:]
-        body += wL[2 : n - 1] * (g[..., 2, None] - 3.0 * (g[..., 1, None] - g[..., 0, None]))
-        body -= wR[3:n] * g[..., 0, None]
+        body -= wL[2 : n - 1] * (d[..., 2, None] - 2.0 * d[..., 1, None])
+        body -= tail[2 : n - 1] * g[..., 0, None]
     else:
         out = np.zeros(g.shape)
-    out[..., 0] = 0.0
-    out[..., 1] = (g[..., 0] - g[..., 1]) * mu1[0]
+    out[..., 1] = (g[..., 0] - g[..., 1]) * mu1[0]  # index 0 stays d[0] T_0 = 0
     if n > 2:
         e1, e0 = mu0[1] - mu2[1], (mu2[1] + mu1[1]) / 2.0  # the cell [1, 2] on row 2
         out[..., 2] = (s1 + e1) * (g[..., 1] - g[..., 2]) + (s2 + e0) * (g[..., 0] - g[..., 2])
@@ -368,10 +369,7 @@ def rl_derivative(
             "use integral_then_difference"
         )
     vals = _rl_values(g.values, g.h, o.alpha, meth)
-    marked = _probe_singular_start(g.values, g.h, o.alpha, meth)
-    if meth is DerivativeMethod.MARCHAUD and not marked:
-        vals[0] = 0.0
-    return _result(g, vals, marked)
+    return _result(g, vals, _probe_singular_start(g.values, g.h, o.alpha, meth))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -431,26 +429,23 @@ def _product_correction(u: np.ndarray, v: np.ndarray, a: float, moments: _Moment
     # first).  With the data shifted to start at 0 (no increment changes),
     # ur = u[1:] = -cumsum(du) and ur vr = -cumsum(ur dv + vr du + du dv), so
     # summing by parts moves every mu0 term onto these increment rows with the
-    # kernel -cumsum(mu0[1:]) = T - 1/a, T[j] = (j+1)**-a / a being the mu0 mass
-    # past cell j+1.  Expanding UR and VR, the 1/a parts cancel, one coming from
+    # kernel -cumsum(mu0[1:]) = T - 1/a, T = tail being the mu0 mass past cell
+    # j+1.  Expanding UR and VR, the 1/a parts cancel, one coming from
     # u[k] v[k] sum(mu0[1:k]) = u[k] v[k] (1 - k**-a)/a, and every convolution
     # takes increments and one decaying kernel, mu1 + T or mu2 + T.  The result
     # is I[k] + U V k**-a / a (U = u[k] - u[0], V = v[k] - v[0]); the Caputo
     # formula's last term cancels that part.  Pairing the u and v terms as
     # (A_u + A_v) makes a u, v swap bit-identical.  ``moments`` needs >= n - 1 entries.
     n = u.size
-    out = np.zeros(n)
     u = u - u[0]
     v = v - v[0]
-    _, mu1, mu2 = (m[: n - 1] for m in (moments or _cell_moments(n - 1, a)))
-    T = np.arange(1, n) ** -a / a
+    _, mu1, mu2, T = (m[: n - 1] for m in (moments or _cell_moments(n - 1, a)))
     ur, vr = u[1:], v[1:]
     du = u[:-1] - ur
     dv = v[:-1] - vr
     from_u, from_v, cross = _causal_convolve(np.stack((du, dv, ur * dv + vr * du)), mu1 + T)
     pair = _causal_convolve(du * dv, mu2 + T)
-    out[1:] = cross + pair - (ur * from_v + vr * from_u)
-    return out
+    return np.concatenate(([0.0], cross + pair - (ur * from_v + vr * from_u)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -466,11 +461,11 @@ def _leibniz(u: GridFunction, v: GridFunction, alpha: float, caputo: bool) -> Gr
     u0, v0 = uu[0], vv[0]
     moments = _cell_moments(u.n + 1, a)
     du, dv = _marchaud_values(np.stack((uu - u0, vv - v0)), h, a, moments)
-    r = rgamma(1.0 - a)
-    out = uu * dv + vv * du - a * r * h**-a * _product_correction(uu, vv, a, moments)
+    q = a * rgamma(1.0 - a) * h**-a
+    out = uu * dv + vv * du - q * _product_correction(uu, vv, a, moments)
     out[0] = 0.0  # not -0.0 when both factors start negative
     if not caputo:
-        out[1:] += u0 * v0 * r * (np.arange(1, u.n) * h) ** -a
+        out[1:] += u0 * v0 * q * moments[3][: u.n - 1]  # (t-t0)**-a = a h**-a tail
     return _result(u, out)
 
 

@@ -206,11 +206,11 @@ def weierstrass(
 ) -> float | np.ndarray:
     """Weierstrass-type lacunary sum  sum_{j>=0} sigma**(-j*alpha) * cos(sigma**j * t).
 
-    ``t`` may be a scalar, which returns a ``float``, or an array, which
-    returns an array of the same shape.  Truncation uses the geometric tail
-    bound w_N / (1 - sigma**(-alpha)) <= tol where w_N = sigma**(-N*alpha), so
-    the term count depends on (alpha, sigma) only, never on ``t``.  Requires
-    sigma > 1 and 0 < alpha <= 1.
+    ``t`` may be a scalar, which returns a ``float``, or an array, which returns an array of
+    the same shape.  Truncation uses the geometric tail bound w_N / (1 - sigma**(-alpha)) <= tol
+    where w_N = sigma**(-N*alpha), so the term count depends on (alpha, sigma) only, never on
+    ``t``.  Requires sigma > 1 and 0 < alpha <= 1; where sigma**-alpha rounds to 1 or
+    max|t| * sigma**(N-1) overflows, :class:`NonConvergenceError` is raised before any cosine.
     For sigma a power of two the arguments sigma**j * t are exact.  There, if
     all |t| <= 2**20, terms of weight <= 2**-12 take the fraction path: cos of
     2*pi*frac(sigma**j * t / (2*pi)) in [-pi, pi], the fraction kept exactly
@@ -229,12 +229,19 @@ def weierstrass(
         raise InvalidParameterError(f"need finite t, got {t}")
 
     q = sigma**-alpha
+    if q == 1.0:
+        raise NonConvergenceError(f"sigma**-alpha rounds to 1: the Weierstrass sum has no tail bound (alpha={alpha})")
     tail_scale = 1.0 / (1.0 - q)
     # Limbs of 1/(2*pi) for the fraction path, 0 for the direct path.  What they leave, with the last
     # product's error, is < 2*ulp(last limb) and moves the sum by < 2*pi*|t|*N*(sigma*q)**(N-1) times that.
     terms = min(ctl.max_terms, max(1, math.ceil(math.log(ctl.tol / tail_scale, q)) + 1))
     bits = math.log2(4.0 * math.pi * _FRACTION_T_MAX * terms) + (terms - 1) * math.log2(sigma * q) + 60.0
-    fits = math.frexp(sigma)[0] == 0.5 and np.max(np.abs(arg), initial=0.0) <= _FRACTION_T_MAX
+    reach = float(np.max(np.abs(arg), initial=0.0))
+    fits = math.frexp(sigma)[0] == 0.5 and reach <= _FRACTION_T_MAX
+    for _ in range(terms - 1):  # the largest argument, formed as the direct path forms it
+        reach *= sigma
+    if not math.isfinite(reach):
+        raise NonConvergenceError(f"sigma**j * t overflows within {terms} terms (alpha={alpha}, sigma={sigma})")
     limbs = next((k + 1 for k, limb in enumerate(_INV_2PI) if fits and math.ulp(limb) < 2.0**-bits), 0)
     total = np.zeros_like(arg)
     comp = np.zeros_like(arg)

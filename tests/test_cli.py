@@ -211,6 +211,15 @@ class TestTransformCommand:
         assert run_cli("transform", "--input", str(marked), "--op", "cD", "--alpha", "0.5",
                        "--output", str(tmp_path / "o.csv")) == 4
 
+    @pytest.mark.parametrize("alpha", ["0.05", "1e-17"])
+    def test_weierstrass_without_tail_bound_exits_4(self, tmp_path, capsys, alpha):
+        # alpha = 0.05 has a term count of 1029, so sigma**j * t overflows on [0, 1];
+        # at 1e-17 sigma**-alpha rounds to 1.  No value is written.
+        assert run_cli("transform", "--fn", f"weierstrass_shifted:alpha={alpha}", "--op", "D",
+                       "--alpha", "0.5", "--output", str(tmp_path / "o.csv")) == 4
+        assert f"(alpha={alpha}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_overflowing_result_exits_4(self, tmp_path, capsys):
         # Data inside the float range whose derivative is not: a precondition
         # error, not malformed input (exit 3), and no numpy warning first.

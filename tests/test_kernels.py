@@ -23,7 +23,7 @@ def _product_correction_loop(u: np.ndarray, v: np.ndarray, a: float) -> np.ndarr
     linear, U(xi) = UR + (UL - UR) xi, and their product is integrated against
     the mu moments; the first cell's mu0 weight multiplies UR * VR = 0."""
     n = u.size
-    mu0, mu1, mu2 = _cell_moments(n, a)
+    mu0, mu1, mu2 = _cell_moments(n, a)[:3]
     mu0 = mu0.copy()
     mu0[0] = 0.0
     out = np.zeros(n)

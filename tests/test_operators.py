@@ -12,6 +12,7 @@ from fraccalc.operators import _diff_once, _frac_integral_values
 from fraccalc.special import rgamma
 
 GAMMA_3_2 = 0.8862269254527580136
+_EPS = 2.0**-52
 
 
 def _grid(values, t1=1.0, **kw):
@@ -143,6 +144,17 @@ class TestMarchaudDerivative:
         di = fc.rl_derivative(g, 0.5, "integral_then_difference").values
         assert np.max(np.abs(dm[8:] - di[8:])) <= tol
 
+    @pytest.mark.parametrize("n", [257, 2049, 32769, 131073])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_exact_to_rounding_on_t_and_t_squared(self, alpha, n):
+        # The quadratic rule reproduces t and t**2, so its error on them is
+        # rounding alone; it must not grow with n or as alpha nears 1.
+        t = np.linspace(0.0, 1.0, n)
+        for p in (1, 2):
+            got = fc.marchaud_derivative(_grid(t**p), alpha).values
+            exact = math.gamma(p + 1) / math.gamma(p + 1 - alpha) * t ** (p - alpha)
+            assert np.max(np.abs(got[8:] - exact[8:])) <= 16 * _EPS * np.max(np.abs(exact[8:])), p
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.2])
     def test_order_range_enforced(self, alpha):
         g = _grid(np.linspace(0.0, 1.0, 65))
@@ -261,6 +273,21 @@ class TestLeibniz:
         # the product coincide.
         closed = fc.builtin("power", {"p": 1.4}).rl_derivative(0.5, u.times())
         assert np.max(np.abs(got.values[8:] - closed[8:])) <= 2e-5
+
+    @pytest.mark.parametrize("n", [257, 2049, 32769])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_exact_to_rounding_on_linear_factors(self, alpha, n):
+        # u = 1 + t and v = 2 + 3t: the factor derivatives and the product of
+        # increments are integrated exactly, so uv = 2 + 5t + 3t**2 comes out
+        # to rounding in both formulas.
+        t = np.linspace(0.0, 1.0, n)
+        u, v = _grid(1.0 + t), _grid(2.0 + 3.0 * t)
+        s = t[8:]
+        caputo = 5.0 * s ** (1 - alpha) / math.gamma(2 - alpha) + 6.0 * s ** (2 - alpha) / math.gamma(3 - alpha)
+        rl = caputo + 2.0 * s**-alpha / math.gamma(1 - alpha)
+        for formula, exact in ((fc.leibniz_rl, rl), (fc.leibniz_caputo, caputo)):
+            got = formula(u, v, alpha).values[8:]
+            assert np.max(np.abs(got - exact)) <= 16 * _EPS * np.max(np.abs(exact)), formula.__name__
 
     @pytest.mark.parametrize("n", [129, 1025, 8193])
     @pytest.mark.parametrize("formula", [fc.leibniz_rl, fc.leibniz_caputo])

@@ -352,3 +352,46 @@ class TestWeierstrassFractionPath:
         alone = weierstrass(alpha, sigma, 0.3)
         among = weierstrass(alpha, sigma, np.array([0.3, 0.0, 1.0, 37.0, -5.5]))
         assert alone == among[0]
+
+
+class TestWeierstrassRefusals:
+    # Where q = sigma**-alpha rounds to 1 the sum has no tail bound, and where
+    # sigma**j * t leaves the float range within the term count the direct sum
+    # would take cos(inf).  Both raise the package error before any cosine.
+    @pytest.mark.parametrize(
+        "alpha, t",
+        [(1e-17, 0.5), (1e-17, 0.0), (1e-6, 0.5), (0.05, 0.5), (0.05, np.array([0.0, 0.5])), (0.0505, 100.0)],
+    )
+    def test_refused_before_any_cosine(self, alpha, t, monkeypatch):
+        import fraccalc.special as special
+
+        class NoCos:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def cos(self, x, *args, **kwargs):
+                raise AssertionError("a cosine was taken")
+
+        monkeypatch.setattr(special, "np", NoCos())
+        with pytest.raises(NonConvergenceError):
+            special.weierstrass(alpha, 2.0, t)
+
+    def test_small_alpha_at_zero_is_the_geometric_sum(self):
+        # At t = 0 every argument stays 0, so alpha = 0.05 still sums its
+        # 1,028 terms; the value is unchanged to the bit.
+        terms = _term_count(0.05, 2.0)
+        with mpmath.workdps(40):
+            q = mpmath.mpf(2) ** mpmath.mpf(-0.05)
+            exact = float((1 - q**terms) / (1 - q))
+        got = weierstrass(0.05, 2.0, 0.0)
+        assert got == 29.3567888732165
+        assert got == pytest.approx(exact, rel=1e-14)
+
+    def test_largest_argument_just_inside_the_float_range(self):
+        # 63 * 2**1018 is finite and is the last argument the sum forms; 100 *
+        # 2**1018 is not (refused above).
+        from test_reference_loops import _weierstrass_scalar
+
+        assert _term_count(0.0505, 2.0) == 1018
+        got = weierstrass(0.0505, 2.0, 63.0)
+        assert got == pytest.approx(_weierstrass_scalar(0.0505, 2.0, 63.0), abs=1e-13)
