@@ -42,7 +42,7 @@ from .spaces import (
     holder_seminorm,
     rl_norm,
 )
-from .special import SeriesControl, gamma, mittag_leffler, rgamma, weierstrass
+from .special import gamma, mittag_leffler, rgamma, weierstrass
 
 __all__ = [
     "AnalyticFunction",
@@ -59,7 +59,6 @@ __all__ = [
     "NonConvergenceError",
     "PoleError",
     "PreconditionError",
-    "SeriesControl",
     "SuiteConfig",
     "TaylorMismatchError",
     "UnintegrableSingularityError",

@@ -124,10 +124,12 @@ def _make_constant(params: dict | None) -> AnalyticFunction:
         return c * rgamma(order + 1.0) * _positive_power(np.asarray(t, float) - t0, order)
 
     def rl_der(order: float, t: np.ndarray) -> np.ndarray:
-        return c * rgamma(1.0 - order) * _positive_power(np.asarray(t, float) - t0, -order)
+        # At integer orders 1/gamma(1 - order) is 0, and so is the derivative, at t0 too.
+        coef = c * rgamma(1.0 - order)
+        return coef * _positive_power(np.asarray(t, float) - t0, -order) if coef else np.zeros_like(t, float)
 
     def cap_der(order: float, t: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(t, dtype=float))
+        return np.full_like(np.asarray(t, dtype=float), c if order == 0.0 else 0.0)
 
     return AnalyticFunction(
         name="constant",
@@ -223,14 +225,16 @@ def _make_ml_exp(params: dict | None) -> AnalyticFunction:
     def rl_int(order: float, t: np.ndarray) -> np.ndarray:
         return _positive_power(np.asarray(t, float) - t0, order) * ml_vec(order, t)
 
-    def cap_der(order: float, t: np.ndarray) -> np.ndarray:
+    def shifted(order: float, t: np.ndarray) -> np.ndarray:
+        # The series less its first term, the value 1 at t0, differentiated termwise.
         return _positive_power(np.asarray(t, float) - t0, a - order) * ml_vec(a - order, t)
 
+    def cap_der(order: float, t: np.ndarray) -> np.ndarray:
+        # Above order 0 the Caputo form drops the Taylor term 1 at t0, the series' first term.
+        return shifted(order, t) if order > 0.0 else ml_vec(0.0, t)
+
     def rl_der(order: float, t: np.ndarray) -> np.ndarray:
-        # RL and Caputo differ by the Taylor boundary term of the value 1 at t0.
-        return cap_der(order, t) + rgamma(1.0 - order) * _positive_power(
-            np.asarray(t, float) - t0, -order
-        )
+        return shifted(order, t) + rgamma(1.0 - order) * _positive_power(np.asarray(t, float) - t0, -order)
 
     return AnalyticFunction(
         name="ml_exp",
@@ -258,7 +262,7 @@ def _make_step(params: dict | None) -> AnalyticFunction:
     def rl_int(order: float, t: np.ndarray) -> np.ndarray:
         tt = np.asarray(t, dtype=float)
         shifted = np.where(tt >= tj, tt - tj, 0.0)
-        return rgamma(order + 1.0) * np.power(shifted, order)
+        return np.where(tt >= tj, rgamma(order + 1.0) * np.power(shifted, order), 0.0)  # 0**0 is 1
 
     return AnalyticFunction(
         name="step",

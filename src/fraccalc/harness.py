@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import catalog
-from .errors import InvalidParameterError, UnknownNameError
+from .errors import FracCalcError, InvalidParameterError, UnknownNameError
 from .grid import GridFunction
 from .operators import (
     _diff_once,
@@ -378,7 +378,7 @@ def check_banach_algebra(alpha: float, n: int) -> CheckReport:
         nu, nv, nw = rl_norm(u, alpha), rl_norm(v, alpha), rl_norm(w, alpha)
         details["product_norm"] = nw
         details["submultiplicative_ratio"] = nw / (nu * nv)
-    except Exception as exc:  # norms are diagnostics; membership is asserted above
+    except FracCalcError as exc:  # norms are diagnostics; membership is asserted above
         details["norm_error"] = f"{type(exc).__name__}: {exc}"
     ratios = [limit_estimate / 1e-2, 0.0 if cont else _FAIL]
     return _report(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConstantInputError, InvalidParameterError, MembershipError, PreconditionError
 from .grid import FracOrder, GridFunction, as_order
-from .operators import DerivativeMethod, caputo_derivative, rl_derivative
+from .operators import caputo_derivative, rl_derivative
 
 __all__ = [
     "EXCLUDED_START_NODES",
@@ -34,6 +34,10 @@ EXCLUDED_START_NODES = 8
 
 # The classifier examines this many consecutive values after the window.
 _CLASSIFY_COUNT = 16
+
+# The classifier's spread threshold: max(_ABS_TOL, _REL_TOL * the sup of the trusted values).
+_ABS_TOL = 1e-7
+_REL_TOL = 0.15
 
 # Node pairs the Hölder scan evaluates per vectorized chunk, when its blocks are small enough.
 _BLOCK_PAIRS = 1 << 14
@@ -229,18 +233,16 @@ def holder_exponent(g: GridFunction) -> float:
     return float(min(max(slope, 1e-6), 1.0))
 
 
-def continuous_at_start(
-    g: GridFunction,
-    abs_tol: float = 1e-7,
-    rel_tol: float = 0.15,
-) -> bool:
+def continuous_at_start(g: GridFunction) -> bool:
     """Decide whether the data tends to a finite limit as t -> t0.
 
-    Looks at the spread (max minus min) of the first ``_CLASSIFY_COUNT``
-    values past the excluded window, on the grid itself and on its stride-2
-    subsample, against a threshold of ``max(abs_tol, rel_tol * scale)`` where
-    ``scale`` is the sup of the trusted values.  Data like (t-t0)^-q keeps a
-    scale-proportional spread at every resolution and fails both looks.
+    Looks at the spread (max minus min) of the first 16 values past the
+    excluded window, on the grid itself and on its stride-2 subsample, against
+    the fixed threshold ``max(1e-7, 0.15 * scale)`` where ``scale`` is the sup
+    of the trusted values.  Grids of 10 to 23 nodes are too short for that;
+    there the last 16 values are looked at, or all from index 1 on.  Data like
+    (t-t0)^-q keeps a scale-proportional spread at every resolution and fails
+    both looks.
     """
     if g.singular_start:
         return False
@@ -259,7 +261,7 @@ def continuous_at_start(
     scale = float(np.max(np.abs(v[min(EXCLUDED_START_NODES, n - 2) :])))
     if scale == 0.0:
         return True
-    threshold = max(abs_tol, rel_tol * scale)
+    threshold = max(_ABS_TOL, _REL_TOL * scale)
     if spread(v) > threshold:
         return False
     if (n - 1) % 2 == 0 and (n - 1) // 2 + 1 >= 10:
@@ -293,9 +295,7 @@ def rl_norm(g: GridFunction, order: FracOrder | float) -> float:
     the start or fails the continuity classifier — the function is then not a
     member of the order-``order`` space, and it has no finite norm.
     """
-    return _space_norm(
-        g, order, "derivative", lambda o: rl_derivative(g, o, DerivativeMethod.MARCHAUD)
-    )
+    return _space_norm(g, order, "derivative", lambda o: rl_derivative(g, o))
 
 
 def c_norm(g: GridFunction, order: FracOrder | float, taylor) -> float:
@@ -304,6 +304,4 @@ def c_norm(g: GridFunction, order: FracOrder | float, taylor) -> float:
     Same membership rules as :func:`rl_norm`, with the Caputo derivative built
     from the supplied Taylor data.
     """
-    return _space_norm(
-        g, order, "Caputo derivative", lambda o: caputo_derivative(g, o, taylor, DerivativeMethod.MARCHAUD)
-    )
+    return _space_norm(g, order, "Caputo derivative", lambda o: caputo_derivative(g, o, taylor))

@@ -4,48 +4,28 @@ Gamma and its reciprocal take scalar arguments and wrap :func:`math.gamma`,
 which is good to about 1e-15 relative.  The wrappers raise the package's
 errors at the poles and at -inf, and return signed infinities where a value
 overflows.  Mittag-Leffler and the Weierstrass-type sum take a scalar or an
-array of points.  They are summed here with compensated (Kahan) summation,
-documented stopping rules and explicit error control, so the package needs
-no special-function library beyond the standard one.
+array of points.  They are summed here with compensated (Kahan) summation to
+a fixed truncation tolerance of 1e-14 within a fixed budget of 2,000 terms,
+so the package needs no special-function library beyond the standard one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, NonConvergenceError, PoleError
 
 __all__ = [
-    "SeriesControl",
     "gamma",
     "rgamma",
     "mittag_leffler",
     "weierstrass",
 ]
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Stopping data for series evaluation.
-
-    ``tol`` is a relative target for the truncation error; ``max_terms`` is a
-    hard budget after which :class:`NonConvergenceError` is raised.
-    """
-
-    tol: float = 1e-14
-    max_terms: int = 2000
-
-    def __post_init__(self) -> None:
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise InvalidParameterError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_terms < 1:
-            raise InvalidParameterError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-_DEFAULT_CONTROL = SeriesControl()
+_TOL = 1e-14  # truncation target of both series, relative to the sum
+_MAX_TERMS = 2000  # term budget past which both series raise NonConvergenceError
 _EPS = 2.0**-52
 # Largest relative rounding error a Mittag-Leffler value may carry.
 _CANCELLATION_LIMIT = 1e-10
@@ -94,7 +74,6 @@ def mittag_leffler(
     alpha: float,
     beta: float,
     z: float | np.ndarray,
-    control: SeriesControl | None = None,
 ) -> float | np.ndarray:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) by direct series.
 
@@ -105,8 +84,8 @@ def mittag_leffler(
     bounded argument box, enforced here as ``|z| <= 5`` and ``alpha >= 0.3``;
     outside it the call raises :class:`InvalidParameterError` rather than
     return garbage.  Summation of a point stops once alpha*j + beta > 2 and
-    its current term is below ``tol`` relative to its running total;
-    exhausting ``max_terms`` raises :class:`NonConvergenceError`.  So does a
+    its current term is below 1e-14 relative to its running total;
+    exhausting the 2,000-term budget raises :class:`NonConvergenceError`.  So does a
     negative z whose estimated rounding error exceeds 1e-10 relative to its
     value: there the alternating terms cancel (E_{0.5}(-5) ~ 0.11 sums terms
     up to ~1e10, E_{0.3}(-5) terms up to ~1e90).  A point z > 0 is never
@@ -114,7 +93,6 @@ def mittag_leffler(
     error stays a few ulps of the largest term; with beta <= 0 that is a
     large relative error only near a zero of E.
     """
-    ctl = control if control is not None else _DEFAULT_CONTROL
     if not (alpha > 0.0 and math.isfinite(alpha) and math.isfinite(beta)):
         raise InvalidParameterError(f"need alpha > 0 and finite beta, got alpha={alpha}, beta={beta}")
     if alpha < 0.3:
@@ -138,7 +116,7 @@ def mittag_leffler(
     err2 = np.zeros_like(x)  # squared rounding-error estimate of total, in units of _EPS
     # Terms and their error estimates may underflow to 0, harmlessly.
     with np.errstate(under="ignore"):
-        for j in range(ctl.max_terms):
+        for j in range(_MAX_TERMS):
             if live.size == 0:
                 break
             den = alpha * j + beta
@@ -168,7 +146,7 @@ def mittag_leffler(
             e = term * (j * abs_log + (abs(lg) + 8.0))
             err2 += e * e
             if den > 2.0:
-                done = np.abs(term) <= ctl.tol * np.maximum(1.0, np.abs(total))
+                done = np.abs(term) <= _TOL * np.maximum(1.0, np.abs(total))
                 if not done.any():
                     continue
                 lossy = (x[done] < 0.0) & (
@@ -185,7 +163,7 @@ def mittag_leffler(
                 total, comp, err2 = total[keep], comp[keep], err2[keep]
     if live.size:
         raise NonConvergenceError(
-            f"Mittag-Leffler series did not converge within {ctl.max_terms} terms "
+            f"Mittag-Leffler series did not converge within {_MAX_TERMS} terms "
             f"(alpha={alpha}, beta={beta}, z={x[0]})"
         )
     return float(out) if out.ndim == 0 else out
@@ -202,15 +180,15 @@ def weierstrass(
     alpha: float,
     sigma: float,
     t: float | np.ndarray,
-    control: SeriesControl | None = None,
 ) -> float | np.ndarray:
     """Weierstrass-type lacunary sum  sum_{j>=0} sigma**(-j*alpha) * cos(sigma**j * t).
 
     ``t`` may be a scalar, which returns a ``float``, or an array, which returns an array of
-    the same shape.  Truncation uses the geometric tail bound w_N / (1 - sigma**(-alpha)) <= tol
-    where w_N = sigma**(-N*alpha), so the term count depends on (alpha, sigma) only, never on
-    ``t``.  Requires sigma > 1 and 0 < alpha <= 1; where sigma**-alpha rounds to 1 or
-    max|t| * sigma**(N-1) overflows, :class:`NonConvergenceError` is raised before any cosine.
+    the same shape.  The sum runs N terms, the fewest with geometric tail bound
+    w_N / (1 - sigma**(-alpha)) <= 1e-14, where w_N = sigma**(-N*alpha) is formed by repeated
+    products, so N depends on (alpha, sigma) only, never on ``t``.  Requires sigma > 1 and
+    0 < alpha <= 1.  Where sigma**-alpha rounds to 1, N exceeds the 2,000-term budget or
+    max|t| * sigma**N overflows, :class:`NonConvergenceError` is raised before any cosine.
     For sigma a power of two the arguments sigma**j * t are exact.  There, if
     all |t| <= 2**20, terms of weight <= 2**-12 take the fraction path: cos of
     2*pi*frac(sigma**j * t / (2*pi)) in [-pi, pi], the fraction kept exactly
@@ -219,7 +197,6 @@ def weierstrass(
     < ~0.28) take cos(sigma**j * t); other sigma round it, a reproducible noise
     ~|t|*sigma**N*eps.  While all |t| <= 2**20 no entry depends on the others.
     """
-    ctl = control if control is not None else _DEFAULT_CONTROL
     if not (sigma > 1.0 and math.isfinite(sigma)):
         raise InvalidParameterError(f"need sigma > 1, got {sigma}")
     if not (0.0 < alpha <= 1.0):
@@ -232,22 +209,29 @@ def weierstrass(
     if q == 1.0:
         raise NonConvergenceError(f"sigma**-alpha rounds to 1: the Weierstrass sum has no tail bound (alpha={alpha})")
     tail_scale = 1.0 / (1.0 - q)
-    # Limbs of 1/(2*pi) for the fraction path, 0 for the direct path.  What they leave, with the last
-    # product's error, is < 2*ulp(last limb) and moves the sum by < 2*pi*|t|*N*(sigma*q)**(N-1) times that.
-    terms = min(ctl.max_terms, max(1, math.ceil(math.log(ctl.tol / tail_scale, q)) + 1))
-    bits = math.log2(4.0 * math.pi * _FRACTION_T_MAX * terms) + (terms - 1) * math.log2(sigma * q) + 60.0
-    reach = float(np.max(np.abs(arg), initial=0.0))
+    # The term count N, with the largest argument max|t| * sigma**N that the direct path forms,
+    # by the same float operations as the sum.
+    w, reach, terms = 1.0, float(np.max(np.abs(arg), initial=0.0)), 0
     fits = math.frexp(sigma)[0] == 0.5 and reach <= _FRACTION_T_MAX
-    for _ in range(terms - 1):  # the largest argument, formed as the direct path forms it
-        reach *= sigma
+    while w * tail_scale > _TOL:
+        if terms == _MAX_TERMS:
+            raise NonConvergenceError(
+                f"Weierstrass sum needs more than {_MAX_TERMS} terms to reach its tail bound "
+                f"(alpha={alpha}, sigma={sigma})"
+            )
+        w, reach, terms = w * q, reach * sigma, terms + 1
     if not math.isfinite(reach):
         raise NonConvergenceError(f"sigma**j * t overflows within {terms} terms (alpha={alpha}, sigma={sigma})")
+    # Limbs of 1/(2*pi) for the fraction path, 0 for the direct path.  What they leave, with the last
+    # product's error, is < 2*ulp(last limb) and moves the sum by < 2*pi*|t|*N*(sigma*q)**(N-1) times
+    # that, bounded here with N + 1 for N.
+    bits = math.log2(4.0 * math.pi * _FRACTION_T_MAX * (terms + 1)) + terms * math.log2(sigma * q) + 60.0
     limbs = next((k + 1 for k, limb in enumerate(_INV_2PI) if fits and math.ulp(limb) < 2.0**-bits), 0)
     total = np.zeros_like(arg)
     comp = np.zeros_like(arg)
     frac = None  # the fraction path's limb products, scaled and reduced modulo 1
     w = 1.0
-    for _ in range(ctl.max_terms):
+    for _ in range(terms):
         if frac is None and limbs and w <= 2.0**-12:
             frac = np.stack([part for limb in _INV_2PI[:limbs] for part in _two_product(arg, limb)][:-1])
         if frac is None:
@@ -265,9 +249,4 @@ def weierstrass(
         comp = (s - total) - y
         total = s
         w *= q
-        if w * tail_scale <= ctl.tol:
-            return float(total) if np.ndim(total) == 0 else total
-    raise NonConvergenceError(
-        f"Weierstrass sum did not reach its tail bound within {ctl.max_terms} terms "
-        f"(alpha={alpha}, sigma={sigma})"
-    )
+    return float(total) if np.ndim(total) == 0 else total

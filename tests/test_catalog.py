@@ -152,6 +152,35 @@ class TestStep:
         assert e.rl_derivative is None and e.caputo_derivative is None
 
 
+class TestIntegerOrders:
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("constant", {"c": 2.0}),
+            ("constant", {"c": -3.0, "t0": 0.5}),
+            ("power", {"p": 0.0}),
+            ("power", {"p": 0.5}),
+            ("power", {"p": 2.0, "t0": -1.0}),
+            ("ml_exp", {"alpha": 0.7}),
+            ("ml_exp", {"alpha": 1.6, "t0": 0.25}),
+            ("step", {"t_jump": 0.5}),
+        ],
+    )
+    def test_order_zero_is_the_function(self, name, params):
+        e = catalog.builtin(name, params)
+        t = np.linspace(e.base_point, e.base_point + 1.0, 33)
+        forms = [f for f in (e.rl_integral, e.rl_derivative, e.caputo_derivative) if f is not None]
+        for closed in forms:
+            np.testing.assert_allclose(closed(0.0, t), e(t), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("order", [1.0, 2.0])
+    @pytest.mark.parametrize("name, params", [("constant", {"c": 2.0}), ("power", {"p": 0.0})])
+    def test_constant_rl_derivative_vanishes_at_every_node(self, name, params, order):
+        # 1/gamma(1 - order) is 0 here; times t^-order at t0 it used to give 0 * inf = NaN.
+        e = catalog.builtin(name, params)
+        assert np.all(e.rl_derivative(order, np.linspace(0.0, 1.0, 9)) == 0.0)
+
+
 class TestWeierstrassShifted:
     def test_vanishes_at_base_point(self):
         e = catalog.builtin("weierstrass_shifted")

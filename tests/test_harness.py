@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fraccalc.harness as hz
-from fraccalc import InvalidParameterError, UnknownNameError
+from fraccalc import InvalidParameterError, MembershipError, UnknownNameError
 from fraccalc.harness import (
     CheckReport,
     SuiteConfig,
@@ -127,6 +127,18 @@ def test_crashed_check_becomes_failed_report(monkeypatch):
     d = r.to_dict()
     assert d["max_error"] is None  # non-finite floats map to null in JSON
     json.dumps(d)
+
+
+@pytest.mark.parametrize("error, recorded", [(MembershipError, True), (TypeError, False)])
+def test_banach_algebra_records_only_package_errors_of_its_norms(monkeypatch, error, recorded):
+    # A norm refused by the package is a diagnostic; a programming error is a crash.
+    def refuse(g, order):
+        raise error("synthetic")
+
+    monkeypatch.setattr(hz, "rl_norm", refuse)
+    (r,) = run_suite(SuiteConfig(checks=("banach_algebra",)))
+    assert r.passed is recorded
+    assert r.details.get("norm_error" if recorded else "error") == f"{error.__name__}: synthetic"
 
 
 _CHECKS_TAKING_N = {

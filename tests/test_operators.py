@@ -212,6 +212,14 @@ class TestSingularStartDetection:
         d = fc.rl_derivative(_grid(v), 0.5)
         assert d.singular_start
 
+    def test_zero_start_on_the_coarse_subgrid_is_unmarked(self):
+        # Nodes 0, 4 and 8, all the stride-4 estimate reads, are 0 while
+        # node 2 is not: the estimate is 0 and the probe gives no verdict.
+        v = np.zeros(13)
+        v[2] = 1.0
+        assert operators._probe_singular_start(v, 1.0 / 12, 0.5, fc.DerivativeMethod.MARCHAUD) is False
+        assert not fc.rl_derivative(_grid(v), 0.5).singular_start
+
     def test_order_zero_identity(self):
         g = _grid(np.cos(np.linspace(0.0, 1.0, 65)))
         assert np.array_equal(fc.rl_derivative(g, 0.0).values, g.values)
@@ -231,6 +239,13 @@ class TestCaputo:
             fc.caputo_derivative(g, 1.3, (0.0,))
         with pytest.raises(fc.TaylorMismatchError):
             fc.caputo_derivative(g, 0.5, (math.nan,))
+
+    def test_order_zero_is_the_identity(self):
+        # Order 0 subtracts no Taylor polynomial, so it takes an empty Taylor vector.
+        g = _grid(np.cos(np.linspace(0.0, 1.0, 65)))
+        assert fc.caputo_derivative(g, 0.0, ()) is g
+        with pytest.raises(fc.TaylorMismatchError):
+            fc.caputo_derivative(g, 0.0, (1.0,))
 
     def test_order_above_one(self):
         g = fc.sample(fc.builtin("power", {"p": 2.0}), 0.0, 1.0, 2049)

@@ -142,6 +142,17 @@ class TestContinuityClassifier:
         with pytest.raises(fc.PreconditionError):
             continuous_at_start(fc.GridFunction(0.0, 1.0, np.ones(9)))
 
+    @pytest.mark.parametrize("n", range(10, 24))
+    def test_short_grids_look_at_the_last_values_from_index_one(self, n):
+        # Below 24 nodes the 16 values past the 8-node window do not exist;
+        # the window is then the last 16 values, or all from index 1 on.
+        first = max(1, n - 16)
+        v = np.ones(n)
+        v[0] = 100.0  # never looked at
+        assert continuous_at_start(fc.GridFunction(0.0, 1.0, v))
+        v[first] = 2.0
+        assert not continuous_at_start(fc.GridFunction(0.0, 1.0, v))
+
 
 class TestMembershipNorms:
     def test_sqrt_is_a_member(self):

@@ -16,7 +16,6 @@ from fraccalc import (
     InvalidParameterError,
     NonConvergenceError,
     PoleError,
-    SeriesControl,
     gamma,
     mittag_leffler,
     rgamma,
@@ -162,11 +161,6 @@ class TestMittagLeffler:
             2.2491502775547119e93, rel=1e-12
         )
 
-    def test_result_independent_of_tolerance_setting(self):
-        tight = mittag_leffler(0.3, 1.0, 5.0, SeriesControl(tol=1e-14))
-        loose = mittag_leffler(0.3, 1.0, 5.0, SeriesControl(tol=1e-10))
-        assert abs(tight - loose) / abs(tight) <= 1e-8
-
     def test_domain_box_is_enforced(self):
         with pytest.raises(InvalidParameterError):
             mittag_leffler(0.25, 1.0, 1.0)
@@ -175,15 +169,12 @@ class TestMittagLeffler:
         with pytest.raises(InvalidParameterError):
             mittag_leffler(-0.5, 1.0, 1.0)
 
-    def test_term_budget_exhaustion_raises(self):
-        with pytest.raises(NonConvergenceError):
-            mittag_leffler(0.3, 1.0, 5.0, SeriesControl(max_terms=5))
+    def test_term_budget_exhaustion_raises(self, monkeypatch):
+        import fraccalc.special as special
 
-    def test_control_validation(self):
-        with pytest.raises(InvalidParameterError):
-            SeriesControl(tol=0.0)
-        with pytest.raises(InvalidParameterError):
-            SeriesControl(max_terms=0)
+        monkeypatch.setattr(special, "_MAX_TERMS", 5)
+        with pytest.raises(NonConvergenceError, match="within 5 terms"):
+            mittag_leffler(0.3, 1.0, 5.0)
 
 
 def _ml_mpmath(alpha, beta, z, rgammas):
@@ -355,14 +346,12 @@ class TestWeierstrassFractionPath:
 
 
 class TestWeierstrassRefusals:
-    # Where q = sigma**-alpha rounds to 1 the sum has no tail bound, and where
+    # Where q = sigma**-alpha rounds to 1 the sum has no tail bound, where the
+    # tail bound needs more than 2,000 terms the budget is spent, and where
     # sigma**j * t leaves the float range within the term count the direct sum
-    # would take cos(inf).  Both raise the package error before any cosine.
-    @pytest.mark.parametrize(
-        "alpha, t",
-        [(1e-17, 0.5), (1e-17, 0.0), (1e-6, 0.5), (0.05, 0.5), (0.05, np.array([0.0, 0.5])), (0.0505, 100.0)],
-    )
-    def test_refused_before_any_cosine(self, alpha, t, monkeypatch):
+    # would take cos(inf).  All raise the package error before any cosine.
+    @pytest.fixture
+    def no_cos(self, monkeypatch):
         import fraccalc.special as special
 
         class NoCos:
@@ -373,8 +362,21 @@ class TestWeierstrassRefusals:
                 raise AssertionError("a cosine was taken")
 
         monkeypatch.setattr(special, "np", NoCos())
+        return special
+
+    @pytest.mark.parametrize(
+        "alpha, t",
+        [(1e-17, 0.5), (1e-17, 0.0), (1e-6, 0.5), (0.05, 0.5), (0.05, np.array([0.0, 0.5])), (0.0505, 100.0)],
+    )
+    def test_refused_before_any_cosine(self, alpha, t, no_cos):
         with pytest.raises(NonConvergenceError):
-            special.weierstrass(alpha, 2.0, t)
+            no_cos.weierstrass(alpha, 2.0, t)
+
+    def test_term_budget_refused_before_any_cosine(self, no_cos):
+        # The tail bound at alpha = 1e-3 needs about 57,000 terms.  As
+        # 1e-300 * 2**2000 is finite, only the budget can refuse here.
+        with pytest.raises(NonConvergenceError, match="more than 2000 terms"):
+            no_cos.weierstrass(1e-3, 2.0, np.linspace(0.0, 1e-300, 4097))
 
     def test_small_alpha_at_zero_is_the_geometric_sum(self):
         # At t = 0 every argument stays 0, so alpha = 0.05 still sums its
