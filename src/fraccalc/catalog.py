@@ -218,33 +218,28 @@ def _make_ml_exp(params: dict | None) -> AnalyticFunction:
     if not (0.3 <= a <= 2.0):
         raise InvalidParameterError(f"ml_exp: alpha must lie in [0.3, 2], got {a}")
 
-    def ml_vec(order_shift: float, t: np.ndarray) -> np.ndarray:
-        # E_{a, 1 + order_shift}((t - t0)^a), elementwise.
-        return mittag_leffler(a, 1.0 + order_shift, (np.asarray(t, dtype=float) - t0) ** a)
-
-    def rl_int(order: float, t: np.ndarray) -> np.ndarray:
-        return _positive_power(np.asarray(t, float) - t0, order) * ml_vec(order, t)
-
-    def shifted(order: float, t: np.ndarray) -> np.ndarray:
-        # The series less its first term, the value 1 at t0, differentiated termwise.
-        return _positive_power(np.asarray(t, float) - t0, a - order) * ml_vec(a - order, t)
+    def series(s: float, t: np.ndarray) -> np.ndarray:
+        # (t - t0)^s E_{a,1+s}((t - t0)^a) = sum_k (t - t0)^(a k + s) / gamma(a k + 1 + s).  While
+        # 1 + s is a pole of gamma the leading term is 0: E_{a,b}(z) = z E_{a,a+b}(z) peels it off,
+        # so the value at t0 is the series' limit there, not 0 * inf.
+        while 1.0 + s <= 0.0 and (1.0 + s).is_integer():
+            s += a
+        x = np.asarray(t, dtype=float) - t0
+        return _positive_power(x, s) * mittag_leffler(a, 1.0 + s, x**a)
 
     def cap_der(order: float, t: np.ndarray) -> np.ndarray:
         # Above order 0 the Caputo form drops the Taylor term 1 at t0, the series' first term.
-        return shifted(order, t) if order > 0.0 else ml_vec(0.0, t)
-
-    def rl_der(order: float, t: np.ndarray) -> np.ndarray:
-        return shifted(order, t) + rgamma(1.0 - order) * _positive_power(np.asarray(t, float) - t0, -order)
+        return series(a - order if order > 0.0 else 0.0, t)
 
     return AnalyticFunction(
         name="ml_exp",
         label=_label("ml_exp", p),
         params=p,
         base_point=t0,
-        eval=lambda t: ml_vec(0.0, t),
+        eval=lambda t: series(0.0, t),
         taylor=(1.0,),
-        rl_integral=rl_int,
-        rl_derivative=rl_der,
+        rl_integral=series,
+        rl_derivative=lambda order, t: series(-order, t),
         caputo_derivative=cap_der,
         anchors={
             "caputo_derivative": r"cD^{\beta}_{t_0,t}E_\alpha\big((t-t_0)^\alpha\big)=(t-t_0)^{\alpha-\beta}E_{\alpha,1+\alpha-\beta}\big((t-t_0)^\alpha\big)",

@@ -22,7 +22,7 @@ from . import __version__, catalog
 from .errors import DataError, FracCalcError, PreconditionError, UsageError
 from .grid import GridFunction
 from .harness import SuiteConfig, resolve_check_ids, run_suite
-from .operators import caputo_derivative, frac_integral, leibniz_rl, rl_derivative
+from .operators import DerivativeMethod, caputo_derivative, frac_integral, leibniz_rl, rl_derivative
 
 _SING = "sing"
 
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--fn2", help="second factor for --op leibniz, same syntax as --fn")
     p_tr.add_argument("--op", required=True, choices=["J", "D", "cD", "leibniz"])
     p_tr.add_argument("--alpha", required=True, type=float)
-    p_tr.add_argument("--method", choices=["marchaud", "integral_then_difference"])
+    p_tr.add_argument("--method", choices=[m.value for m in DerivativeMethod])
     p_tr.add_argument("--n", type=int, help="grid nodes for --fn sampling (default 1025)")
     p_tr.add_argument("--t0", type=float, help="grid start for --fn sampling (default: base point)")
     p_tr.add_argument("--t1", type=float, help="grid end for --fn sampling (default: base point + 1)")
@@ -235,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run verification checks and report")
     p_ver.add_argument("--suite", nargs="+", default=["all"], help="'all' or check ids")
-    p_ver.add_argument("--n", type=int, default=2049)
-    p_ver.add_argument("--seed", type=int, default=7)
+    p_ver.add_argument("--n", type=int, default=SuiteConfig.n)
+    p_ver.add_argument("--seed", type=int, default=SuiteConfig.seed)
     p_ver.add_argument("--json", help="write the JSON report document here")
     return parser
 

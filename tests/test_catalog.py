@@ -2,7 +2,9 @@
 quadrature oracle for every closed fractional integral."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -133,6 +135,51 @@ class TestMittagLefflerExponential:
         gap = e.rl_derivative(0.5, t) - e.caputo_derivative(0.5, t)
         assert gap == pytest.approx(fc.rgamma(0.5) * t**-0.5, rel=1e-13)
 
+    @staticmethod
+    def _forms(alpha):
+        # Each closed form is the series sum_k x**(alpha k + s) / gamma(alpha k + 1 + s), x = t - t0,
+        # for an s set by the order: J adds it, the RL derivative takes it off, and Caputo above
+        # order 0 drops the series' first term, 1 at t0.
+        e = catalog.builtin("ml_exp", {"alpha": alpha})
+        for k in range(31):
+            order = k / 10
+            yield order, "J", e.rl_integral, order
+            yield order, "RL", e.rl_derivative, -order
+            yield order, "Caputo", e.caputo_derivative, alpha - order if order > 0.0 else 0.0
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 2.0])
+    def test_start_value_is_the_series_limit(self, alpha):
+        # As x -> 0+ the first term with a finite gamma decides: +-inf below exponent 0, its
+        # coefficient at 0 and 0 above, never NaN from 1/gamma(0) * inf or inf * 0.
+        for order, form, closed, s in self._forms(alpha):
+            with mpmath.workdps(40):
+                a, k = mpmath.mpf(alpha), 0
+                while (c := mpmath.rgamma(a * k + 1 + s)) == 0:
+                    k += 1
+                expo = a * k + s
+                want = 0.0 if expo > 0 else float(c) if expo == 0 else math.copysign(math.inf, c)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = closed(order, np.array([0.0]))[0]
+            assert got == want, (order, form, got, want)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 2.0])
+    def test_closed_forms_match_the_series(self, alpha):
+        t = np.array([1.0 / 32, 0.37, 1.0])
+        for order, form, closed, s in self._forms(alpha):
+            with mpmath.workdps(40):
+                a, sm = mpmath.mpf(alpha), mpmath.mpf(s)
+                # At x <= 1 the terms are below 1e-43 once gamma's argument passes 38.
+                coef = [mpmath.rgamma(a * k + 1 + sm) for k in range(int(40 / alpha) + 2)]
+                want = [
+                    float(mpmath.fsum(c * mpmath.mpf(x) ** (a * k + sm) for k, c in enumerate(coef)))
+                    for x in t
+                ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = closed(order, t)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"{form} order {order}")
+
 
 class TestStep:
     def test_right_continuous_at_jump(self):
@@ -171,7 +218,7 @@ class TestIntegerOrders:
         t = np.linspace(e.base_point, e.base_point + 1.0, 33)
         forms = [f for f in (e.rl_integral, e.rl_derivative, e.caputo_derivative) if f is not None]
         for closed in forms:
-            np.testing.assert_allclose(closed(0.0, t), e(t), rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(closed(0.0, t), e(t))
 
     @pytest.mark.parametrize("order", [1.0, 2.0])
     @pytest.mark.parametrize("name, params", [("constant", {"c": 2.0}), ("power", {"p": 0.0})])

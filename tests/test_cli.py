@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fraccalc as fc
-from fraccalc.cli import main, read_grid_csv, write_grid_csv
+from fraccalc.cli import build_parser, main, read_grid_csv, write_grid_csv
 
 GAMMA_3_2 = 0.8862269254527580136
 
@@ -171,6 +171,7 @@ class TestTransformCommand:
             # usage errors, exit 2
             ("transform", "--fn", "nosuch", "--op", "J", "--alpha", "0.5"),
             ("transform", "--fn", "power:p", "--op", "J", "--alpha", "0.5"),
+            ("transform", "--fn", "power:p=abc", "--op", "J", "--alpha", "0.5"),
             ("transform", "--fn", "power:p=0.5", "--op", "J", "--alpha", "0.5",
              "--fn2", "power:p=1"),
             ("transform", "--fn", "power:p=0.5", "--op", "leibniz", "--alpha", "0.5"),
@@ -182,6 +183,16 @@ class TestTransformCommand:
     )
     def test_usage_errors(self, tmp_path, args):
         assert run_cli(*args, "--output", str(tmp_path / "o.csv")) == 2
+
+    @pytest.mark.parametrize("method", list(fc.DerivativeMethod))
+    def test_every_derivative_method_is_a_choice(self, tmp_path, method):
+        assert run_cli("transform", "--fn", "power:p=0.5", "--op", "D", "--alpha", "0.5",
+                       "--method", method.value, "--output", str(tmp_path / "o.csv")) == 0
+
+    def test_missing_input_file_exits_3(self, tmp_path, capsys):
+        assert run_cli("transform", "--input", str(tmp_path / "missing.csv"), "--op", "J",
+                       "--alpha", "0.5", "--output", str(tmp_path / "o.csv")) == 3
+        assert "cannot read" in capsys.readouterr().err
 
     def test_sampling_flags_refused_for_csv_input(self, tmp_path):
         src = tmp_path / "in.csv"
@@ -240,6 +251,10 @@ class TestVerifyCommand:
 
     def test_unknown_check_exits_2(self):
         assert run_cli("verify", "--suite", "nope") == 2
+
+    def test_defaults_come_from_the_suite_config(self):
+        args = build_parser().parse_args(["verify"])
+        assert (args.n, args.seed) == (fc.SuiteConfig.n, fc.SuiteConfig.seed)
 
     def test_json_document(self, tmp_path, capsys):
         p = tmp_path / "rep.json"

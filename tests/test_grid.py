@@ -75,3 +75,5 @@ class TestGridFunction:
         g2 = g.with_values(np.ones(5))
         assert g2.t0 == g.t0 and g2.t1 == g.t1
         assert np.all(g2.values == 1.0)
+        with pytest.raises(DataError):
+            g.with_values(np.ones(4))

@@ -237,6 +237,12 @@ class TestIndividualChecks:
         assert rep.passed
         assert rep.details["constant_rejected"]
 
+    def test_vanishing_at_start_skips_non_members(self):
+        # At order 0.8 the power t^0.5 is no member and is left out of the start values.
+        rep = check_vanishing_at_start(0.8)
+        assert rep.passed
+        assert rep.details["constant_rejected"]
+
     def test_hardy_littlewood_strictness_gap(self):
         rep = check_hardy_littlewood(0.3, 0.7, 1025)
         assert rep.passed

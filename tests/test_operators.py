@@ -113,6 +113,21 @@ class TestSingularStartIntegral:
         with pytest.raises(fc.UnintegrableSingularityError):
             fc.frac_integral(_grid(v, singular_start=True), 0.5)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 1.5])
+    @pytest.mark.parametrize("c", [1.0, -2.5])
+    def test_constant_trusted_values_fit_no_decay(self, alpha, c):
+        # Equal first trusted nodes show no decay, so the first cell holds the
+        # constant c: J is c t^alpha / Gamma(alpha+1), exact in the first cell.
+        n = 257
+        j = fc.frac_integral(_grid(np.r_[np.nan, np.full(n - 1, c)], singular_start=True), alpha)
+        closed = c * rgamma(alpha + 1.0) * j.times() ** alpha
+        assert j.values[1] == pytest.approx(closed[1], rel=1e-15)
+        assert np.max(np.abs(j.values[8:] / closed[8:] - 1.0)) <= 1e-4
+
+    def test_two_marked_nodes_are_too_few(self):
+        with pytest.raises(fc.PreconditionError):
+            fc.frac_integral(_grid([np.nan, 1.0], singular_start=True), 0.5)
+
 
 class TestMarchaudDerivative:
     def test_flat_on_sqrt(self):
@@ -186,6 +201,14 @@ class TestIntegralThenDifference:
         with pytest.raises(fc.PreconditionError):
             fc.rl_derivative(g, 1.3, "marchaud")
 
+    def test_unknown_method_is_a_parameter_error(self):
+        with pytest.raises(fc.InvalidParameterError):
+            fc.rl_derivative(_grid(np.linspace(0.0, 1.0, 65)), 0.5, "bogus")
+
+    def test_two_nodes_are_too_few_to_difference(self):
+        with pytest.raises(fc.PreconditionError):
+            fc.rl_derivative(_grid([0.0, 1.0]), 1.5)
+
 
 class TestSingularStartDetection:
     def test_constant_gets_marked(self):
@@ -224,6 +247,11 @@ class TestSingularStartDetection:
         g = _grid(np.cos(np.linspace(0.0, 1.0, 65)))
         assert np.array_equal(fc.rl_derivative(g, 0.0).values, g.values)
 
+    @pytest.mark.parametrize("n, marked", [(12, False), (13, True)])
+    def test_probe_needs_thirteen_nodes(self, n, marked):
+        # The probe runs from 13 nodes on; below that a constant's D^0.5 stays unmarked.
+        assert fc.rl_derivative(_grid(np.ones(n)), 0.5).singular_start is marked
+
 
 class TestCaputo:
     def test_constant_maps_to_zero_exactly(self):
@@ -239,6 +267,10 @@ class TestCaputo:
             fc.caputo_derivative(g, 1.3, (0.0,))
         with pytest.raises(fc.TaylorMismatchError):
             fc.caputo_derivative(g, 0.5, (math.nan,))
+
+    def test_rejects_marked_input(self):
+        with pytest.raises(fc.PreconditionError):
+            fc.caputo_derivative(_grid(np.r_[np.nan, np.ones(64)], singular_start=True), 0.5, (1.0,))
 
     def test_order_zero_is_the_identity(self):
         # Order 0 subtracts no Taylor polynomial, so it takes an empty Taylor vector.
@@ -349,6 +381,15 @@ class TestLeibniz:
         w = fc.GridFunction(0.0, 2.0, np.ones(65))
         with pytest.raises(fc.PreconditionError):
             fc.leibniz_rl(u, w, 0.5)
+
+    def test_marked_factor_rejected(self):
+        u = _grid(np.ones(65))
+        marked = _grid(np.r_[np.nan, np.ones(64)], singular_start=True)
+        for formula in (fc.leibniz_rl, fc.leibniz_caputo):
+            with pytest.raises(fc.PreconditionError):
+                formula(u, marked, 0.5)
+            with pytest.raises(fc.PreconditionError):
+                formula(marked, u, 0.5)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
     def test_order_range(self, alpha):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fraccalc as fc
+from fraccalc import spaces
 from fraccalc.spaces import (
     EXCLUDED_START_NODES,
     c_norm,
@@ -46,20 +47,22 @@ class TestHolderSeminorm:
         # Against exponent 1/2 the widest chord dominates: 1 / 1^0.5 = 1.
         assert holder_seminorm(g, 0.5).value == pytest.approx(1.0, rel=1e-13)
 
-    def test_budget_subsampling_keeps_the_peak(self):
+    def test_budget_subsampling_keeps_the_peak(self, monkeypatch):
         # The block pairs at the start, where the sqrt ratio peaks, have some
         # of the largest bounds, so the first chunk finds the value.
-        est = holder_seminorm(_sqrt_grid(), 0.5, pair_budget=10_000)
+        monkeypatch.setattr(spaces, "_PAIR_BUDGET", 10_000)
+        est = holder_seminorm(_sqrt_grid(), 0.5)
         assert not est.exact
         assert est.value == 1.0
         assert est.pairs_examined < 1025 * 1024 // 2
 
-    def test_budgeted_values_beyond_float_range_give_inf(self):
+    def test_budgeted_values_beyond_float_range_give_inf(self, monkeypatch):
         # Neighbours 2e308 apart overflow their difference; the 65 nodes fit
         # in one chunk, so even a budget of 100 pairs gives the exact inf,
         # and raises no RuntimeWarning.
         g = fc.GridFunction(0.0, 1.0, np.where(np.arange(65) % 2, 1e308, -1e308))
-        est = holder_seminorm(g, 0.5, pair_budget=100)
+        monkeypatch.setattr(spaces, "_PAIR_BUDGET", 100)
+        est = holder_seminorm(g, 0.5)
         assert est.exact
         assert est.value == math.inf
         assert est.upper == math.inf
@@ -117,6 +120,11 @@ class TestHolderExponent:
         g = fc.GridFunction(0.0, 1.0, np.linspace(0.0, 1.0, 5))
         with pytest.raises(fc.PreconditionError):
             holder_exponent(g)
+
+    def test_rejects_marked_data(self):
+        marked = fc.GridFunction(0.0, 1.0, np.r_[np.nan, np.linspace(0.0, 1.0, 64)], singular_start=True)
+        with pytest.raises(fc.PreconditionError):
+            holder_exponent(marked)
 
 
 class TestContinuityClassifier:
