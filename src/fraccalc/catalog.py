@@ -228,8 +228,15 @@ def _make_ml_exp(params: dict | None) -> AnalyticFunction:
         return _positive_power(x, s) * mittag_leffler(a, 1.0 + s, x**a)
 
     def cap_der(order: float, t: np.ndarray) -> np.ndarray:
-        # Above order 0 the Caputo form drops the Taylor term 1 at t0, the series' first term.
-        return series(a - order if order > 0.0 else 0.0, t)
+        # Above order 0 the form drops the Taylor polynomial of degree m - 1 = ceil(order) - 1 at t0:
+        # the terms k < K, where a k <= m - 1.  For K > 1 that needs f^(m-1)(t0), which (t - t0)^a
+        # lacks unless a is an integer.
+        if order <= 0.0:
+            return series(0.0, t)
+        K = math.floor((math.ceil(order) - 1) / a) + 1
+        if K > 1 and not a.is_integer():
+            raise InvalidParameterError(f"ml_exp: no closed Caputo form for order {order} with alpha {a}")
+        return series(a * K - order, t)
 
     return AnalyticFunction(
         name="ml_exp",
@@ -237,7 +244,8 @@ def _make_ml_exp(params: dict | None) -> AnalyticFunction:
         params=p,
         base_point=t0,
         eval=lambda t: series(0.0, t),
-        taylor=(1.0,),
+        # Only the derivatives that exist at t0: (t - t0)^a has none past order a unless a is an integer.
+        taylor=(1.0, 1.0, 1.0, 1.0) if a == 1.0 else (1.0, 0.0, 1.0, 0.0) if a == 2.0 else (1.0, 0.0) if a > 1.0 else (1.0,),
         rl_integral=series,
         rl_derivative=lambda order, t: series(-order, t),
         caputo_derivative=cap_der,

@@ -41,7 +41,7 @@ from .spaces import (
     holder_seminorm,
     rl_norm,
 )
-from .special import gamma, rgamma
+from .special import rgamma
 
 __all__ = [
     "CheckReport",
@@ -139,19 +139,19 @@ def _require_n(who: str, n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def check_semigroup(alpha: float, beta: float, n: int) -> CheckReport:
-    """J^alpha[J^beta f] versus J^(alpha+beta) f for f(t) = t on [0, 1]."""
+def check_semigroup(n: int) -> CheckReport:
+    """J^0.3[J^0.4 f] versus J^0.7 f for f(t) = t on [0, 1]."""
     _require_n("check_semigroup", n)
+    alpha, beta = 0.3, 0.4
     f = catalog.builtin("power", {"p": 1.0})
     g = catalog.sample(f, 0.0, 1.0, n)
     composed = frac_integral(frac_integral(g, beta), alpha)
     direct = frac_integral(g, alpha + beta)
     err = _sup(composed.values - direct.values)
     details: dict = {"composed_vs_direct": err}
-    if alpha + beta > 0.0:
-        closed = f.rl_integral(alpha + beta, g.times())
-        details["direct_vs_closed"] = _sup(direct.values - closed)
-        details["composed_vs_closed"] = _sup(composed.values - closed)
+    closed = f.rl_integral(alpha + beta, g.times())
+    details["direct_vs_closed"] = _sup(direct.values - closed)
+    details["composed_vs_closed"] = _sup(composed.values - closed)
     return _report(
         "semigroup",
         r"J_{t_0,t}^{\alpha+\beta} f(t)=J_{t_0,t}^{\alpha}\left[J_{t_0,t}^{\beta} f(t)\right]",
@@ -162,87 +162,74 @@ def check_semigroup(alpha: float, beta: float, n: int) -> CheckReport:
     )
 
 
-def check_integral_shift(alpha: float, m: int, n: int) -> CheckReport:
-    """J^alpha f versus J^(alpha+m) f^(m), f = t^2, whose Taylor boundary sum
-    over f(0), ..., f^(m-1)(0) vanishes for m <= 2."""
+def check_integral_shift(n: int) -> CheckReport:
+    """J^0.5 f versus J^1.5 f', f = t^2, whose Taylor boundary term f(0) vanishes."""
     _require_n("check_integral_shift", n)
-    if m not in (1, 2):
-        raise InvalidParameterError(f"check_integral_shift supports m in {{1, 2}}, got {m}")
+    alpha = 0.5
     lhs = frac_integral(_power(2.0, n), alpha).values
-    rhs = frac_integral(_power(2.0 - m, n, scale=2.0), alpha + m).values
+    rhs = frac_integral(_power(1.0, n, scale=2.0), alpha + 1).values
     err = _sup(lhs - rhs)
-    # The piecewise-linear rule is not exact on t^2, so even the integer-order
-    # case carries the quadrature's O(h^2) floor.
-    tol = 1e-5 if alpha == math.floor(alpha) else 1e-4
     return _report(
         "integral_shift",
         r"J_{t_0,t}^{\alpha} f(t)=J_{t_0,t}^{\alpha+m} f^{(m)}(t)",
         n,
         err,
-        tol,
-        {"m": float(m), "alpha": alpha},
+        1e-4,
+        {"m": 1.0, "alpha": alpha},
     )
 
 
-def check_derivative_commute(alpha: float, m: int, n: int) -> CheckReport:
-    """d^m/dt^m of J^alpha f, by the m difference passes of rl_derivative at
-    order m, versus J^alpha f^(m), f = t^2."""
+def check_derivative_commute(n: int) -> CheckReport:
+    """d/dt of J^0.5 f, by the difference pass of rl_derivative at order 1,
+    versus J^0.5 f', f = t^2."""
     _require_n("check_derivative_commute", n)
-    if m not in (1, 2):
-        raise InvalidParameterError(f"check_derivative_commute supports m in {{1, 2}}, got {m}")
-    lhs = rl_derivative(frac_integral(_power(2.0, n), alpha), m).values
-    rhs = frac_integral(_power(2.0 - m, n, scale=2.0), alpha).values
-    # Each difference pass runs a one-sided stencil at the ends; exclude those
+    alpha = 0.5
+    lhs = rl_derivative(frac_integral(_power(2.0, n), alpha), 1).values
+    rhs = frac_integral(_power(1.0, n, scale=2.0), alpha).values
+    # The difference pass runs a one-sided stencil at the ends; exclude those
     # nodes along with the start window.
-    err = _sup(lhs[_W : n - 2 * m] - rhs[_W : n - 2 * m])
-    tol = 1e-4 if m == 1 else 1e-3
+    err = _sup(lhs[_W : n - 2] - rhs[_W : n - 2])
     return _report(
         "derivative_commute",
         r"\dfrac{d^{m}}{dt^{m}}\bigg[J_{t_0,t}^{\alpha} f(t)\bigg]=J_{t_0,t}^{\alpha} f^{(m)}(t)",
         n,
         err,
-        tol,
-        {"m": float(m), "alpha": alpha},
+        1e-4,
+        {"m": 1.0, "alpha": alpha},
     )
 
 
-def check_inversion(alpha: float, n: int) -> CheckReport:
-    """J^alpha[D^alpha f] versus f for f = t^1.5, off the start window."""
+def check_inversion(n: int) -> CheckReport:
+    """J^0.6[D^0.6 f] versus f for f = t^1.5, off the start window."""
     _require_n("check_inversion", n)
+    alpha = 0.6
     f = catalog.builtin("power", {"p": 1.5})
     g = catalog.sample(f, 0.0, 1.0, n)
     d = rl_derivative(g, alpha)
     recon = frac_integral(d, alpha)
     err = _sup(recon.values[_W:] - g.values[_W:])
-    # Integer orders go through difference stencils whose one-sided start
-    # contaminates the integral at the 1e-5 level; fractional orders use the
-    # quadratic Marchaud route and sit far below their tolerance.
-    tol = 1e-4 if alpha == math.floor(alpha) else 5e-3
     return _report(
         "inversion",
         r"J_{t_0,t}^{\alpha}\Big[D_{t_0,t}^\alpha f(t)\Big]=f(t)",
         n,
         err,
-        tol,
+        5e-3,
         {"alpha": alpha},
     )
 
 
-def check_vanishing_at_start(alpha: float) -> CheckReport:
-    """Members of the order-alpha space carry f(t0) = 0; a constant must be rejected."""
+def check_vanishing_at_start() -> CheckReport:
+    """Members of the order-0.5 space carry f(t0) = 0; a constant must be rejected."""
     n = 1025
-    members = [0.5, 0.7, 1.0, 1.5]
     worst = 0.0
-    for p in members:
-        if p < alpha:
-            continue
+    for p in (0.5, 0.7, 1.0, 1.5):
         g = _power(p, 257)
         worst = max(worst, abs(float(g.values[0])))
     zero = catalog.sample(catalog.builtin("constant", {"c": 0.0}), 0.0, 1.0, 257)
     worst = max(worst, abs(float(zero.values[0])))
 
     const = catalog.sample(catalog.builtin("constant", {"c": 1.0}), 0.0, 1.0, n)
-    d = rl_derivative(const, alpha)
+    d = rl_derivative(const, 0.5)
     rejected = not continuous_at_start(d)
     ratios = [worst / 1e-12, 0.0 if rejected else _FAIL]
     return _report(
@@ -255,15 +242,14 @@ def check_vanishing_at_start(alpha: float) -> CheckReport:
     )
 
 
-def check_hardy_littlewood(alpha: float, beta: float, n: int) -> CheckReport:
-    """A Hölder-beta power is a member of the order-alpha space, 0 < alpha < beta."""
+def check_hardy_littlewood(n: int) -> CheckReport:
+    """The Hölder-0.7 power t^0.7 is a member of the order-0.3 space."""
     _require_n("check_hardy_littlewood", n)
-    if not 0.0 < alpha < beta <= 1.0:
-        raise InvalidParameterError(f"need 0 < alpha < beta <= 1, got alpha={alpha}, beta={beta}")
-    f = _power(beta, n)
+    alpha, beta = 0.3, 0.7
+    entry = catalog.builtin("power", {"p": beta})
+    f = catalog.sample(entry, 0.0, 1.0, n)
     d = marchaud_derivative(f, alpha)
-    t = f.times()
-    closed = gamma(beta + 1.0) * rgamma(beta - alpha + 1.0) * t ** (beta - alpha)
+    closed = entry.rl_derivative(alpha, f.times())
     err = _sup(d.values[_W:] - closed[_W:])
     cont = continuous_at_start(d)
     starts_at_zero = float(d.values[0]) == 0.0
@@ -292,11 +278,10 @@ def check_hardy_littlewood(alpha: float, beta: float, n: int) -> CheckReport:
     )
 
 
-def check_embedding_constant(alpha: float, trials: int, seed: int = 7) -> CheckReport:
-    """Seminorm of J^alpha h bounded by 2 sup|h| / Gamma(alpha+1), rough random h."""
-    if trials < 1:
-        raise InvalidParameterError(f"need at least 1 trial, got {trials}")
-    n = 1025
+def check_embedding_constant(seed: int) -> CheckReport:
+    """Order-0.5 seminorm of J^0.5 h bounded by 2 sup|h| / Gamma(1.5), over 20
+    rough random h on 1025 nodes drawn from ``seed``."""
+    alpha, trials, n = 0.5, 20, 1025
     knots = np.linspace(0.0, 1.0, 16)
     t = np.linspace(0.0, 1.0, n)
     rng = np.random.default_rng(seed)
@@ -322,12 +307,13 @@ def check_embedding_constant(alpha: float, trials: int, seed: int = 7) -> CheckR
     )
 
 
-def check_leibniz(alpha: float, n: int, caputo: bool) -> CheckReport:
-    """Product formula against closed forms: RL on t^0.6 * t^0.8, the derivative
-    of t^1.4; Caputo on (1 + t^0.6)(2 + t^0.8), whose derivative is
-    2 D t^0.6 + D t^0.8 + D t^1.4.  ``grid_derivative_gap`` is the sup past
+def check_leibniz(n: int, caputo: bool) -> CheckReport:
+    """Product formula of order 0.5 against closed forms: RL on t^0.6 * t^0.8,
+    the derivative of t^1.4; Caputo on (1 + t^0.6)(2 + t^0.8), whose derivative
+    is 2 D t^0.6 + D t^0.8 + D t^1.4.  ``grid_derivative_gap`` is the sup past
     node 8 of the formula minus the grid derivative of the product."""
     _require_n("check_leibniz", n)
+    alpha = 0.5
     u0, v0 = (1.0, 2.0) if caputo else (0.0, 0.0)
     u, v = _power(0.6, n), _power(0.8, n)
     u, v = u.with_values(u0 + u.values), v.with_values(v0 + v.values)
@@ -352,9 +338,10 @@ def check_leibniz(alpha: float, n: int, caputo: bool) -> CheckReport:
     )
 
 
-def check_banach_algebra(alpha: float, n: int) -> CheckReport:
-    """Products of members stay members: D^alpha(uv) continuous with vanishing start limit."""
+def check_banach_algebra(n: int) -> CheckReport:
+    """Products of order-0.5 members stay members: D^0.5(t^0.7 t^0.9) continuous, start limit 0."""
     _require_n("check_banach_algebra", n)
+    alpha = 0.5
     u = _power(0.7, n)
     v = _power(0.9, n)
     w = u.with_values(u.values * v.values)
@@ -379,21 +366,22 @@ def check_banach_algebra(alpha: float, n: int) -> CheckReport:
     )
 
 
-def _interior_jump_detected(d: np.ndarray, jump_index: int, halfwidth: int = 8) -> bool:
-    # Consecutive-node increments near the jump, against the spread of the
-    # trusted values: a function with continuous derivative keeps per-cell
-    # increments orders of magnitude below its overall spread.
-    lo = max(jump_index - halfwidth, 1)
-    hi = min(jump_index + halfwidth, d.size - 1)
+def _interior_jump_detected(d: np.ndarray, jump_index: int) -> bool:
+    # Consecutive-node increments within 8 nodes of the jump, against the
+    # spread of the trusted values: a function with continuous derivative
+    # keeps per-cell increments orders of magnitude below its overall spread.
+    lo = max(jump_index - 8, 1)
+    hi = min(jump_index + 8, d.size - 1)
     near = float(np.max(np.abs(np.diff(d[lo : hi + 1]))))
     spread = float(np.max(d[_W:]) - np.min(d[_W:]))
     return near >= 0.25 * max(spread, 1e-30)
 
 
-def check_counterexample_step(alpha: float, n: int, t_jump: float = 0.5) -> CheckReport:
-    """J^alpha of a jump: Hölder exponent alpha, derivative reproducing the jump,
-    and an interior discontinuity that expels it from the order-alpha space."""
+def check_counterexample_step(n: int) -> CheckReport:
+    """J^0.5 of a jump at t = 0.5: Hölder exponent 0.5, derivative reproducing
+    the jump, and an interior discontinuity that expels it from the order-0.5 space."""
     _require_n("check_counterexample_step", n)
+    alpha, t_jump = 0.5, 0.5
     entry = catalog.builtin("step", {"t_jump": t_jump})
     step = catalog.sample(entry, 0.0, 1.0, n)
     g = frac_integral(step, alpha)
@@ -421,10 +409,11 @@ def check_counterexample_step(alpha: float, n: int, t_jump: float = 0.5) -> Chec
     )
 
 
-def check_weierstrass_nonmembership(alpha: float, sigma: float, n: int) -> CheckReport:
-    """The lacunary cosine sum has the right Hölder exponent but its derivative
-    estimates never settle under refinement."""
-    _require_n("check_weierstrass_nonmembership", n)
+def check_weierstrass_nonmembership() -> CheckReport:
+    """The lacunary cosine sum (alpha = 0.5, sigma = 2) has Hölder exponent 0.5, but its
+    order-0.5 derivative estimates on 1025, 2049 and 4097 nodes never settle; the
+    refinement quadruples the grid, so it starts at 1025, not at the suite's n."""
+    alpha, sigma, n = 0.5, 2.0, 1025
     entry = catalog.builtin("weierstrass_shifted", {"alpha": alpha, "sigma": sigma})
     # The n and 2n-1 node grids are every fourth and every second node of the
     # 4n-3 node grid, bit for bit, so one sampling serves all three levels.
@@ -476,21 +465,20 @@ class SuiteConfig:
         _require_n("suite", self.n)
 
 
+# Each lambda looks its check up at call time, so a wrapper set on the module attribute runs.
 _REGISTRY: dict[str, Callable[[SuiteConfig], CheckReport]] = {
-    "semigroup": lambda c: check_semigroup(0.3, 0.4, c.n),
-    "integral_shift": lambda c: check_integral_shift(0.5, 1, c.n),
-    "derivative_commute": lambda c: check_derivative_commute(0.5, 1, c.n),
-    "inversion": lambda c: check_inversion(0.6, c.n),
-    "vanishing_at_start": lambda c: check_vanishing_at_start(0.5),
-    "hardy_littlewood": lambda c: check_hardy_littlewood(0.3, 0.7, c.n),
-    "embedding_constant": lambda c: check_embedding_constant(0.5, 20, seed=c.seed),
-    "leibniz_rl": lambda c: check_leibniz(0.5, c.n, caputo=False),
-    "leibniz_caputo": lambda c: check_leibniz(0.5, c.n, caputo=True),
-    "banach_algebra": lambda c: check_banach_algebra(0.5, c.n),
-    "counterexample_step": lambda c: check_counterexample_step(0.5, c.n),
-    # The refinement protocol multiplies the base grid by four internally;
-    # its base size stays frozen rather than following config.n.
-    "weierstrass_nonmembership": lambda c: check_weierstrass_nonmembership(0.5, 2.0, 1025),
+    "semigroup": lambda c: check_semigroup(c.n),
+    "integral_shift": lambda c: check_integral_shift(c.n),
+    "derivative_commute": lambda c: check_derivative_commute(c.n),
+    "inversion": lambda c: check_inversion(c.n),
+    "vanishing_at_start": lambda c: check_vanishing_at_start(),
+    "hardy_littlewood": lambda c: check_hardy_littlewood(c.n),
+    "embedding_constant": lambda c: check_embedding_constant(c.seed),
+    "leibniz_rl": lambda c: check_leibniz(c.n, caputo=False),
+    "leibniz_caputo": lambda c: check_leibniz(c.n, caputo=True),
+    "banach_algebra": lambda c: check_banach_algebra(c.n),
+    "counterexample_step": lambda c: check_counterexample_step(c.n),
+    "weierstrass_nonmembership": lambda c: check_weierstrass_nonmembership(),
 }
 
 

@@ -420,7 +420,7 @@ def _require_same_grid(u: GridFunction, v: GridFunction) -> None:
         raise PreconditionError("product formulas need factors finite at the start")
 
 
-def _product_correction(u: np.ndarray, v: np.ndarray, a: float, moments: _Moments | None = None) -> np.ndarray:
+def _product_correction(u: np.ndarray, v: np.ndarray, a: float, moments: _Moments) -> np.ndarray:
     # I[k] ~ int_0^k tau**(-a-1) [u(t-tau h) - u(t)] [v(t-tau h) - v(t)] dtau with
     # both increments piecewise linear per cell.  On cell m (left node i = k-m)
     # the increment U(xi) = UR + du xi (xi = tau - (m-1)) has UR = u[i+1] - u[k]
@@ -439,7 +439,7 @@ def _product_correction(u: np.ndarray, v: np.ndarray, a: float, moments: _Moment
     n = u.size
     u = u - u[0]
     v = v - v[0]
-    _, mu1, mu2, T = (m[: n - 1] for m in (moments or _cell_moments(n - 1, a)))
+    _, mu1, mu2, T = (m[: n - 1] for m in moments)
     ur, vr = u[1:], v[1:]
     du = u[:-1] - ur
     dv = v[:-1] - vr

@@ -120,7 +120,7 @@ def test_a06_product_formula_matches_closed_form():
 def test_a07_embedding_constant_bound():
     # 20 seeded piecewise-linear functions: the 0.5-Hölder seminorm of J^0.5 h
     # never exceeds 2 sup|h| / Gamma(1.5) by more than 5 percent.
-    rep = check_embedding_constant(0.5, trials=20, seed=7)
+    rep = check_embedding_constant(7)
     worst = rep.details["worst_ratio"]
     _report(
         "A07",
@@ -179,7 +179,7 @@ def test_a10_membership_boundary():
         fc.rl_norm(const, 0.5)
     caputo_norm = fc.c_norm(const, 0.5, (1.0,))
     sqrt_norm = fc.rl_norm(fc.GridFunction(0.0, 1.0, np.sqrt(t)), 0.5)
-    rep = check_weierstrass_nonmembership(0.5, 2.0, 1025)
+    rep = check_weierstrass_nonmembership()
     dev1, dev2 = rep.details["deviation_1"], rep.details["deviation_2"]
     shrink = dev1 / dev2
     ok = (

@@ -135,25 +135,57 @@ class TestMittagLefflerExponential:
         gap = e.rl_derivative(0.5, t) - e.caputo_derivative(0.5, t)
         assert gap == pytest.approx(fc.rgamma(0.5) * t**-0.5, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "alpha, taylor",
+        [(1.0, (1.0, 1.0, 1.0, 1.0)), (1.5, (1.0, 0.0)), (2.0, (1.0, 0.0, 1.0, 0.0))],
+    )
+    def test_taylor_holds_the_derivatives_that_exist(self, alpha, taylor):
+        # The term t**alpha / gamma(alpha + 1) has no derivative at 0 past order alpha, unless
+        # alpha is an integer.
+        assert catalog.builtin("ml_exp", {"alpha": alpha}).taylor == taylor
+
     @staticmethod
-    def _forms(alpha):
-        # Each closed form is the series sum_k x**(alpha k + s) / gamma(alpha k + 1 + s), x = t - t0,
-        # for an s set by the order: J adds it, the RL derivative takes it off, and Caputo above
-        # order 0 drops the series' first term, 1 at t0.
+    def _caputo_start(alpha, order):
+        # The Caputo derivative of order o subtracts the Taylor polynomial of degree m - 1,
+        # m = ceil(o): the series terms of exponent alpha k <= m - 1.  Returns the first kept k,
+        # or None when a subtracted term other than the constant has a non-integer exponent, so
+        # that f^(m-1)(t0) does not exist.
+        if order == 0.0:
+            return 0
+        a, m = mpmath.mpf(alpha), math.ceil(order)
+        first = next(k for k in range(1, 100) if a * k > m - 1)
+        return first if all(mpmath.isint(a * k) for k in range(1, first)) else None
+
+    @classmethod
+    def _forms(cls, alpha):
+        # Each closed form is the series sum_{k >= k0} x**(alpha k + s) / gamma(alpha k + 1 + s),
+        # x = t - t0, for an s set by the order: J adds it, the derivatives take it off, and
+        # Caputo also drops the terms below k0, its Taylor polynomial at t0.
         e = catalog.builtin("ml_exp", {"alpha": alpha})
         for k in range(31):
             order = k / 10
-            yield order, "J", e.rl_integral, order
-            yield order, "RL", e.rl_derivative, -order
-            yield order, "Caputo", e.caputo_derivative, alpha - order if order > 0.0 else 0.0
+            yield order, "J", e.rl_integral, order, 0
+            yield order, "RL", e.rl_derivative, -order, 0
+            if (k0 := cls._caputo_start(alpha, order)) is not None:
+                yield order, "Caputo", e.caputo_derivative, -order, k0
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.2, 1.5])
+    def test_caputo_refuses_orders_without_taylor_data(self, alpha):
+        # Refused past order floor(alpha) + 1, where t**alpha has no derivative of order m - 1.
+        e = catalog.builtin("ml_exp", {"alpha": alpha})
+        refused = [k / 10 for k in range(31) if self._caputo_start(alpha, k / 10) is None]
+        assert refused == [k / 10 for k in range(31) if k / 10 > math.floor(alpha) + 1]
+        for order in refused:
+            with pytest.raises(InvalidParameterError, match="no closed Caputo form"):
+                e.caputo_derivative(order, np.array([0.5]))
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 2.0])
     def test_start_value_is_the_series_limit(self, alpha):
         # As x -> 0+ the first term with a finite gamma decides: +-inf below exponent 0, its
         # coefficient at 0 and 0 above, never NaN from 1/gamma(0) * inf or inf * 0.
-        for order, form, closed, s in self._forms(alpha):
+        for order, form, closed, s, k in self._forms(alpha):
             with mpmath.workdps(40):
-                a, k = mpmath.mpf(alpha), 0
+                a = mpmath.mpf(alpha)
                 while (c := mpmath.rgamma(a * k + 1 + s)) == 0:
                     k += 1
                 expo = a * k + s
@@ -166,13 +198,13 @@ class TestMittagLefflerExponential:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 2.0])
     def test_closed_forms_match_the_series(self, alpha):
         t = np.array([1.0 / 32, 0.37, 1.0])
-        for order, form, closed, s in self._forms(alpha):
+        for order, form, closed, s, k0 in self._forms(alpha):
             with mpmath.workdps(40):
                 a, sm = mpmath.mpf(alpha), mpmath.mpf(s)
                 # At x <= 1 the terms are below 1e-43 once gamma's argument passes 38.
-                coef = [mpmath.rgamma(a * k + 1 + sm) for k in range(int(40 / alpha) + 2)]
+                ks = range(k0, k0 + int(40 / alpha) + 2)
                 want = [
-                    float(mpmath.fsum(c * mpmath.mpf(x) ** (a * k + sm) for k, c in enumerate(coef)))
+                    float(mpmath.fsum(mpmath.rgamma(a * k + 1 + sm) * mpmath.mpf(x) ** (a * k + sm) for k in ks))
                     for x in t
                 ]
             with warnings.catch_warnings():

@@ -2,6 +2,7 @@
 and the verification subcommand's JSON document."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,18 @@ class TestTransformCommand:
         assert run_cli("transform", "--fn", "constant:c=7", "--op", "cD",
                        "--alpha", "0.4", "--n", "257", "--output", str(out)) == 0
         assert np.all(read_grid_csv(str(out)).values == 0.0)
+
+    def test_caputo_of_ml_exp_above_order_one(self, tmp_path):
+        # e^t has Taylor data (1, 1) at 0, and cD^1.5 e^t = e^t erf(sqrt(t)).
+        out = tmp_path / "c.csv"
+        assert run_cli("transform", "--fn", "ml_exp:alpha=1", "--op", "cD",
+                       "--alpha", "1.5", "--n", "4097", "--output", str(out)) == 0
+        g = read_grid_csv(str(out))
+        want = np.exp(g.times()) * np.array([math.erf(math.sqrt(x)) for x in g.times()])
+        assert np.max(np.abs(g.values[8:-2] - want[8:-2])) <= 2e-4  # 8.2e-5 measured
+        # With alpha = 0.7 the first derivative does not exist at 0.
+        assert run_cli("transform", "--fn", "ml_exp:alpha=0.7", "--op", "cD",
+                       "--alpha", "1.5", "--output", str(out)) == 2
 
     def test_order_zero_identity_bytes(self, tmp_path):
         src = tmp_path / "in.csv"
