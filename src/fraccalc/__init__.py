@@ -3,7 +3,8 @@
 The package provides Riemann-Liouville integrals, two fractional-derivative
 discretizations, Caputo derivatives, product (Leibniz) formulas, Hölder-type
 diagnostics for fractional regularity classes, and a verification suite that
-checks the implemented operators against their known identities.
+checks the implemented operators against their known identities.  Grid
+functions take scalar values, or values in X = R^d with the sup norm.
 """
 
 __version__ = "0.1.0"  # pyproject.toml reads the package version from here

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical-precondition
 error.  CSV files are UTF-8 with LF endings, header ``t,value``, 17
 significant digits (lossless float round-trip), and the token ``sing`` for a
-singular index-0 value.  All file writes go through a temp file + rename.
+singular index-0 value.  They hold scalar data only: writing data of d
+components is a data error.  All file writes go through a temp file + rename.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ def _atomic_write(path: str, data: str) -> None:
 def write_grid_csv(path: str, g: GridFunction) -> None:
     # One format operation for the whole table.  Only a singular index 0 can
     # format as "nan": every other value of a GridFunction is finite.
+    if g.values.ndim != 1:
+        raise DataError(f"CSV holds scalar data; got values of shape {g.values.shape}")
     cells = np.column_stack([g.times(), g.values]).ravel().tolist()
     table = ("%.17g,%.17g\n" * g.n) % tuple(cells)
     if g.singular_start:

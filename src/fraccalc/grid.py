@@ -5,6 +5,9 @@ on ``[t0, t1]``: values at ``n`` equally spaced nodes.  Index 0 is special —
 several operators produce outputs that blow up at the left endpoint, and such
 results carry ``singular_start=True`` with the index-0 value stored as NaN
 (serialized as the token ``sing`` in CSV).
+
+Values of shape (d, n) hold d components, a function with values in X = R^d
+under the sup norm; time is always the last axis.
 """
 
 from __future__ import annotations
@@ -42,10 +45,11 @@ def as_order(order: FracOrder | float) -> FracOrder:
 class GridFunction:
     """Values of a function at ``n`` uniform nodes on ``[t0, t1]``.
 
-    The step (t1-t0)/(n-1) must be finite and above the float spacing at t0 and t1.
-    ``values[1:]`` must be finite.  If ``singular_start`` is set, ``values[0]``
-    is normalized to NaN and means "unbounded as t -> t0"; otherwise
-    ``values[0]`` must be finite as well.
+    ``values`` has shape (n,), or (d, n) for d >= 1 components.  The step
+    (t1-t0)/(n-1) must be finite and above the float spacing at t0 and t1.
+    ``values[..., 1:]`` must be finite.  If ``singular_start`` is set,
+    ``values[..., 0]`` is normalized to NaN and means "unbounded as t -> t0";
+    otherwise ``values[..., 0]`` must be finite as well.
     """
 
     t0: float
@@ -57,16 +61,17 @@ class GridFunction:
         t0 = float(self.t0)
         t1 = float(self.t1)
         vals = np.array(self.values, dtype=float, copy=True)
-        if vals.ndim != 1 or vals.size < 2:
-            raise DataError(f"values must be a 1-D array with at least 2 nodes, got shape {vals.shape}")
-        h = (t1 - t0) / (vals.size - 1)
+        if vals.ndim not in (1, 2) or vals.shape[-1] < 2 or vals.size < 2:
+            raise DataError(f"values must have shape (n,) or (d, n) with n >= 2 and d >= 1, got shape {vals.shape}")
+        n = vals.shape[-1]
+        h = (t1 - t0) / (n - 1)
         if not (math.isfinite(h) and h > math.ulp(max(abs(t0), abs(t1)))):
-            raise DataError(f"need finite t1 > t0 and a step above float spacing, got {vals.size} nodes on [{self.t0}, {self.t1}]")
-        if not np.all(np.isfinite(vals[1:])):
+            raise DataError(f"need finite t1 > t0 and a step above float spacing, got {n} nodes on [{self.t0}, {self.t1}]")
+        if not np.all(np.isfinite(vals[..., 1:])):
             raise DataError("values must be finite at every node past index 0")
         if self.singular_start:
-            vals[0] = np.nan
-        elif not np.isfinite(vals[0]):
+            vals[..., 0] = np.nan
+        elif not np.all(np.isfinite(vals[..., 0])):
             raise DataError("values[0] is not finite; pass singular_start=True to mark it")
         vals.flags.writeable = False
         object.__setattr__(self, "t0", t0)
@@ -76,7 +81,7 @@ class GridFunction:
 
     @property
     def n(self) -> int:
-        return int(self.values.size)
+        return int(self.values.shape[-1])
 
     @property
     def h(self) -> float:
@@ -88,5 +93,5 @@ class GridFunction:
     def with_values(self, values: np.ndarray, singular_start: bool = False) -> "GridFunction":
         """Same grid, new data."""
         if np.asarray(values).shape != self.values.shape:
-            raise DataError("with_values requires data of identical length")
+            raise DataError("with_values requires data of identical shape")
         return GridFunction(self.t0, self.t1, values, singular_start)

@@ -280,23 +280,19 @@ def check_hardy_littlewood(n: int) -> CheckReport:
 
 def check_embedding_constant(seed: int) -> CheckReport:
     """Order-0.5 seminorm of J^0.5 h bounded by 2 sup|h| / Gamma(1.5), over 20
-    rough random h on 1025 nodes drawn from ``seed``."""
+    rough random h on 1025 nodes drawn from ``seed``.  Each nonzero h is divided
+    by its bound first; J is linear, so the worst ratio is the seminorm of one
+    X-valued J over the stacked trials, with the sup norm on X."""
     alpha, trials, n = 0.5, 20, 1025
     knots = np.linspace(0.0, 1.0, 16)
     t = np.linspace(0.0, 1.0, n)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        kv = rng.uniform(-1.0, 1.0, knots.size)
-        kv[0] = 0.0
-        h = GridFunction(0.0, 1.0, np.interp(t, knots, kv))
-        sup_h = _sup(h.values)
-        if sup_h == 0.0:
-            continue
-        f = frac_integral(h, alpha)
-        sem = holder_seminorm(f, alpha).value
-        bound = 2.0 * sup_h * rgamma(alpha + 1.0)
-        worst = max(worst, sem / bound)
+    kv = rng.uniform(-1.0, 1.0, (trials, knots.size))
+    kv[:, 0] = 0.0
+    h = np.array([np.interp(t, knots, row) for row in kv])
+    bound = 2.0 * np.max(np.abs(h), axis=1) * rgamma(alpha + 1.0)
+    rows = h[bound > 0.0] / bound[bound > 0.0, None]
+    worst = holder_seminorm(frac_integral(GridFunction(0.0, 1.0, rows), alpha), alpha).value
     return _report(
         "embedding_constant",
         r"g(w) \leq 2",

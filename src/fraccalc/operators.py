@@ -26,6 +26,11 @@ first-node estimates are probed on stride-4/2/1 subgrids, and if they grow by
 of a meaningless number.  The probe reads only the first ceil(alpha) + 2
 nodes of each subgrid, so it works for any n >= 13 and its cost does not
 depend on n.
+
+Data of shape (d, n) holds d components (X = R^d with the sup norm).  Every
+operator acts on each component as on scalar data, with the same bits, and
+the components share the kernel tables and their spectra.  An output is
+marked singular at the start when any component's probe detects a blow-up.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ def _as_method(method: DerivativeMethod | str | None, order: FracOrder) -> Deriv
 
 def _result(g: GridFunction, vals: np.ndarray, singular_start: bool = False) -> GridFunction:
     # Finite data whose computation overflows fail a precondition; the callers run under np.errstate.
-    if not np.all(np.isfinite(vals[1 if singular_start else 0 :])):
+    if not np.all(np.isfinite(vals[..., 1 if singular_start else 0 :])):
         raise PreconditionError("the computation overflows the float range")
     return g.with_values(vals, singular_start)
 
@@ -135,16 +140,22 @@ def _integral_kernel(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _frac_integral_values(g: np.ndarray, h: float, a: float) -> np.ndarray:
-    n = g.size
-    out = np.zeros(n)
+    # Rows of ``g`` (shape (..., n)) are integrated independently, sharing the kernel.
+    n = g.shape[-1]
+    out = np.zeros(g.shape)
     kernel, A = _integral_kernel(n, a)
     conv = _causal_convolve(g, kernel)
-    # Data near the float range overflow the convolution first: rescale them exactly, by a power of two.
-    if not np.isfinite(conv).all() and (e := math.frexp(np.max(np.abs(g)))[1]) > 0:
-        return np.ldexp(_frac_integral_values(np.ldexp(g, -e), h, a), e)
     # The full convolution pretends the data extends past node 0; remove the
     # phantom left-neighbour contribution A(k+1) * g[0] from each row.
-    out[1:] = (conv[1:] - g[0] * A[1:]) * h**a * rgamma(a)
+    out[..., 1:] = (conv[..., 1:] - g[..., :1] * A[1:]) * h**a * rgamma(a)
+    # Data near the float range overflow the convolution first: rescale each such row exactly, by a
+    # power of two of its own, so that a small row stacked with it keeps its bits.
+    bad = ~np.isfinite(conv).all(axis=-1)
+    if bad.any():
+        e = np.frexp(np.max(np.abs(g), axis=-1))[1]
+        redo = bad & (e > 0)
+        e = e[redo][:, None]
+        out[redo] = np.ldexp(_frac_integral_values(np.ldexp(g[redo], -e), h, a), e)
     return out
 
 
@@ -166,22 +177,23 @@ def _frac_integral_singular(g: GridFunction, a: float) -> np.ndarray:
     # past the first use the ordinary rule on nodes 1..n-1, while the first
     # cell is modelled by the power decay fitted to the first trusted nodes.
     v = g.values
-    n = v.size
+    n = g.n
     if n < 3:
         raise PreconditionError("need at least 3 nodes to integrate marked data")
     h = g.h
-    q = _estimate_decay_exponent(float(v[1]), float(v[2]))
-    out = np.zeros(n)
-    out[2:] = _frac_integral_values(v[1:], h, a)[1:]
+    out = np.zeros(v.shape)
+    out[..., 2:] = _frac_integral_values(v[..., 1:], h, a)[..., 1:]
     k = np.arange(1, n, dtype=float)
-    # Exact Beta-moment for the cell ending at node 1; for later rows the
-    # kernel is smooth across the first cell and is frozen at the centroid of
-    # the u^(-q) mass.
     first = np.empty(n - 1)
-    first[0] = gamma(1.0 - q) * rgamma(a + 1.0 - q)
-    centroid = (1.0 - q) / (2.0 - q)
-    first[1:] = rgamma(a) * (k[1:] - centroid) ** (a - 1.0) / (1.0 - q)
-    out[1:] += v[1] * h**a * first
+    # Each component fits its own decay.  Exact Beta-moment for the cell ending
+    # at node 1; for later rows the kernel is smooth across the first cell and
+    # is frozen at the centroid of the u^(-q) mass.
+    for row, vals in zip(out.reshape(-1, n), v.reshape(-1, n)):
+        q = _estimate_decay_exponent(float(vals[1]), float(vals[2]))
+        first[0] = gamma(1.0 - q) * rgamma(a + 1.0 - q)
+        centroid = (1.0 - q) / (2.0 - q)
+        first[1:] = rgamma(a) * (k[1:] - centroid) ** (a - 1.0) / (1.0 - q)
+        row[1:] += vals[1] * h**a * first
     return out
 
 
@@ -290,12 +302,12 @@ def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None
 
 
 def _diff_once(v: np.ndarray, h: float) -> np.ndarray:
-    if v.size < 3:
+    if v.shape[-1] < 3:
         raise PreconditionError("need at least 3 nodes to difference")
     d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    d[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
+    d[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
     return d
 
 
@@ -312,20 +324,19 @@ def _rl_values(v: np.ndarray, h: float, a: float, method: DerivativeMethod) -> n
 def _probe_singular_start(v: np.ndarray, h: float, a: float, method: DerivativeMethod) -> bool:
     # Re-estimate the first-node derivative on stride-4 and stride-2 subgrids.
     # A genuine (t-t0)^-a blow-up makes the estimate grow like 2**a per
-    # halving; bounded derivatives keep it flat or shrinking.
-    if v.size < 13:
+    # halving; bounded derivatives keep it flat or shrinking.  Components are
+    # probed separately, and one blow-up marks the whole output.
+    if v.shape[-1] < 13:
         return False
     # Index 1 of a derivative of order a depends only on the first ceil(a) + 2
     # nodes, so each subgrid is cut to those and the cost does not grow with n.
     nodes = math.ceil(a) + 2
-    estimates = []
-    for stride in (4, 2, 1):
-        sub = v[::stride][:nodes]
-        estimates.append(abs(float(_rl_values(sub, h * stride, a, method)[1])))
-    e4, e2, e1 = estimates
-    if e4 <= 0.0 or e2 <= 0.0:
-        return False
-    return e2 / e4 >= _PROBE_GROWTH and e1 / e2 >= _PROBE_GROWTH
+    e4, e2, e1 = (
+        np.abs(_rl_values(v[..., ::stride][..., :nodes], h * stride, a, method)[..., 1]) for stride in (4, 2, 1)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grows = (e4 > 0.0) & (e2 > 0.0) & (e2 / e4 >= _PROBE_GROWTH) & (e1 / e2 >= _PROBE_GROWTH)
+    return bool(np.any(grows))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -356,6 +367,13 @@ def rl_derivative(
     order >= 1 raises :class:`PreconditionError`.  When the first-node probe
     detects divergence under refinement, the output carries
     ``singular_start=True`` instead of an unreliable index-0 value.
+
+    Known defect: for orders in (2, 3), integrate-then-difference leaves an
+    O(1) error on the last three nodes that does not shrink with n, because
+    the third difference pass amplifies the one-sided end formulas.  D^2.5 of
+    t^4 is off there by 2.26, 6.77 and 11.3 at both n = 1025 and n = 4097,
+    while nodes 8 to n - 4 are within 8.6e-5 and 1.1e-5.  ROADMAP item 9
+    tracks the end formulas.
     """
     o = as_order(order)
     if g.singular_start:
@@ -382,9 +400,11 @@ def caputo_derivative(
     """Caputo derivative: subtract the Taylor polynomial at t0, then apply the
     Riemann-Liouville derivative.
 
-    ``taylor`` must hold exactly ceil(order) derivatives (f(t0), f'(t0), ...).
-    Wrong Taylor data does not crash: the residual behaves like a function
-    with f(t0) != 0 and typically surfaces as the singular-start marker.
+    ``taylor`` must hold exactly ceil(order) derivatives (f(t0), f'(t0), ...);
+    for data of d components each entry is a scalar, shared by all of them,
+    or a length-d vector.  Wrong Taylor data does not crash: the residual
+    behaves like a function with f(t0) != 0 and typically surfaces as the
+    singular-start marker.
     """
     o = as_order(order)
     if g.singular_start:
@@ -398,11 +418,14 @@ def caputo_derivative(
         raise TaylorMismatchError(
             f"order {o.alpha} needs exactly {m} Taylor coefficient(s), got {len(taylor)}"
         )
-    coeffs = [float(c) for c in taylor]
-    if not all(math.isfinite(c) for c in coeffs):
+    # Each entry as a column: a scalar, or one value per component.
+    coeffs = [np.asarray(c, dtype=float)[..., None] for c in taylor]
+    if any(c.shape not in ((1,), g.values.shape[:-1] + (1,)) for c in coeffs):
+        raise TaylorMismatchError("each Taylor entry must be a scalar or hold one value per component")
+    if not all(np.isfinite(c).all() for c in coeffs):
         raise TaylorMismatchError("Taylor coefficients must be finite")
     t_rel = g.times() - g.t0
-    poly = np.zeros(g.n)
+    poly = np.zeros(g.values.shape)
     for j, c in enumerate(coeffs):
         poly += (c / math.factorial(j)) * t_rel**j
     return rl_derivative(_result(g, g.values - poly), o, method)
@@ -414,8 +437,8 @@ def caputo_derivative(
 
 
 def _require_same_grid(u: GridFunction, v: GridFunction) -> None:
-    if u.n != v.n or u.t0 != v.t0 or u.t1 != v.t1:
-        raise PreconditionError("product formulas need both factors on the identical grid")
+    if u.values.shape != v.values.shape or u.t0 != v.t0 or u.t1 != v.t1:
+        raise PreconditionError("product formulas need both factors on the identical grid, with equal shapes")
     if u.singular_start or v.singular_start:
         raise PreconditionError("product formulas need factors finite at the start")
 
@@ -436,16 +459,19 @@ def _product_correction(u: np.ndarray, v: np.ndarray, a: float, moments: _Moment
     # is I[k] + U V k**-a / a (U = u[k] - u[0], V = v[k] - v[0]); the Caputo
     # formula's last term cancels that part.  Pairing the u and v terms as
     # (A_u + A_v) makes a u, v swap bit-identical.  ``moments`` needs >= n - 1 entries.
-    n = u.size
-    u = u - u[0]
-    v = v - v[0]
+    # Rows of u and v (shape (..., n)) pair up componentwise.
+    n = u.shape[-1]
+    u = u - u[..., :1]
+    v = v - v[..., :1]
     _, mu1, mu2, T = (m[: n - 1] for m in moments)
-    ur, vr = u[1:], v[1:]
-    du = u[:-1] - ur
-    dv = v[:-1] - vr
+    ur, vr = u[..., 1:], v[..., 1:]
+    du = u[..., :-1] - ur
+    dv = v[..., :-1] - vr
     from_u, from_v, cross = _causal_convolve(np.stack((du, dv, ur * dv + vr * du)), mu1 + T)
     pair = _causal_convolve(du * dv, mu2 + T)
-    return np.concatenate(([0.0], cross + pair - (ur * from_v + vr * from_u)))
+    out = np.zeros(u.shape)
+    out[..., 1:] = cross + pair - (ur * from_v + vr * from_u)
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -458,14 +484,14 @@ def _leibniz(u: GridFunction, v: GridFunction, alpha: float, caputo: bool) -> Gr
         raise PreconditionError(f"the product formula requires 0 < order < 1, got {a}")
     _require_same_grid(u, v)
     h, uu, vv = u.h, u.values, v.values
-    u0, v0 = uu[0], vv[0]
+    u0, v0 = uu[..., :1], vv[..., :1]
     moments = _cell_moments(u.n + 1, a)
     du, dv = _marchaud_values(np.stack((uu - u0, vv - v0)), h, a, moments)
     q = a * rgamma(1.0 - a) * h**-a
     out = uu * dv + vv * du - q * _product_correction(uu, vv, a, moments)
-    out[0] = 0.0  # not -0.0 when both factors start negative
+    out[..., 0] = 0.0  # not -0.0 when both factors start negative
     if not caputo:
-        out[1:] += u0 * v0 * q * moments[3][: u.n - 1]  # (t-t0)**-a = a h**-a tail
+        out[..., 1:] += u0 * v0 * q * moments[3][: u.n - 1]  # (t-t0)**-a = a h**-a tail
     return _result(u, out)
 
 

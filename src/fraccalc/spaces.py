@@ -7,6 +7,10 @@ derivative skips the first ``EXCLUDED_START_NODES`` nodes.  The classifier
 additionally cross-checks its verdict on a stride-2 subsample: a genuine
 (t-t0)^-q blow-up looks the same at every resolution, while discretization
 wiggle does not survive the comparison.
+
+Data of d components is a function with values in X = R^d under the sup
+norm: the seminorm, the modulus of continuity and the norms take the largest
+component, and data is continuous at the start when every component is.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ _REL_TOL = 0.15
 _BLOCK_PAIRS = 1 << 14
 
 # Largest number of blocks the Hölder scan splits the nodes into; its block-pair tables grow with
-# the square of this.
+# the square of this, times the number of components.
 _SCAN_BLOCKS = 512
 
 # Evaluated node pairs after which the Hölder scan stops while a bound above its best quotient is
@@ -64,8 +68,8 @@ class HolderEstimate:
     the largest block bound left unevaluated, or ``value`` itself when the
     scan finished, so the grid seminorm lies in [value, upper].  ``exact`` is
     ``upper <= value``: ``value`` is then the grid seminorm, and
-    ``pairs_examined`` is n(n-1)/2, the pairs it is exact over.  Otherwise
-    ``pairs_examined`` counts the evaluated pairs.
+    ``pairs_examined`` is d n(n-1)/2 for d components, the pairs it is exact
+    over.  Otherwise ``pairs_examined`` counts the evaluated pairs.
     """
 
     gamma: float
@@ -79,42 +83,55 @@ class HolderEstimate:
 # An overflow to inf is still a valid bound or quotient; masked pairs j <= i give 0/0 or NaN.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _block_scan(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tuple[int, int], int, float]:
-    # The scan of holder_seminorm (its docstring describes the pruning): the largest quotient over
-    # the evaluated pairs i < j, the first pair attaining it, the pairs examined and ``upper``.
-    n = v.size
+    # The scan of holder_seminorm (its docstring describes the pruning) over the rows of v, shape
+    # (d, n): the largest quotient over the evaluated pairs i < j of any row, the first pair (i, j)
+    # attaining it in any row, the pairs examined and ``upper``.  Every table below holds one row
+    # per component; a candidate is a (row, block pair), flattened row by row.
+    d, n = v.shape
     size = 32
     while -(-n // size) > _SCAN_BLOCKS:
         size *= 2
     starts = np.arange(0, n, size)
     last = np.minimum(starts + size, n) - 1
-    vmin = np.minimum.reduceat(v, starts)
-    vmax = np.maximum.reduceat(v, starts)
+    vmin = np.minimum.reduceat(v, starts, axis=1)
+    vmax = np.maximum.reduceat(v, starts, axis=1)
     p, q = np.triu_indices(starts.size)
     live = (p < q) | (last[p] > starts[p])  # a one-node block holds no pair
     p, q = p[live], q[live]
-    rise = np.maximum(vmax[q] - vmin[p], vmax[p] - vmin[q])
+    rise = np.maximum(vmax[:, q] - vmin[:, p], vmax[:, p] - vmin[:, q])
     h_min = np.min(np.diff(t))
     gap = np.where(p < q, t[starts[q]] - t[last[p]], h_min)
     # |v[k+1] - v[k]|, 0 past the last node; inner[b] leaves out the step from block b to b + 1.
-    steps = np.abs(np.diff(v, append=v[-1]))
-    inner = np.maximum.reduceat(np.where(np.arange(n) % size == size - 1, 0.0, steps), starts)
+    steps = np.abs(np.diff(v, append=v[:, -1:]))
+    inner = np.maximum.reduceat(np.where(np.arange(n) % size == size - 1, 0.0, steps), starts, axis=1)
     # reach[p, q]: the largest step from the first node of block p to the first of block q.
-    owned = np.concatenate(([0.0], np.maximum(inner, steps[last])[:-1]))
-    reach = np.maximum.accumulate(np.triu(np.broadcast_to(owned, (starts.size,) * 2), 1), axis=1)
+    owned = np.concatenate((np.zeros((d, 1)), np.maximum(inner, steps[:, last])[:, :-1]), axis=1)
+    reach = np.maximum.accumulate(np.triu(np.broadcast_to(owned[:, None], (d,) + (starts.size,) * 2), 1), axis=2)
     # Slope bound: pairs of P x Q are j - i <= L = last(Q) - first(P) nodes apart, no step between
     # them exceeds D and no grid step is below h_min, so a quotient is at most D (j - i) / ((j - i)
     # h_min)**gamma <= D L**(1 - gamma) / h_min**gamma.  Rounding the steps, differences, quotients,
     # 1 - gamma and pow moves the sides under 20 ulps apart; the margin, applied before the product
     # with D so that a subnormal product keeps it, covers that.
-    D = np.maximum(reach[p, q], inner[q])
+    D = np.maximum(reach[:, p, q], inner[:, q])
     L = (last[q] - starts[p]).astype(float)
     slope = D * (L ** (1.0 - gamma) / h_min**gamma * _BOUND_MARGIN)
-    bound = np.where(rise > 0.0, np.minimum(rise / gap**gamma * _BOUND_MARGIN, slope), 0.0)
-    # Each block pair's first node pair, keyed i * n + j so keys sort in (i, j) order.
-    first = starts[p] * n + np.where(p < q, starts[q], starts[p] + 1)
-    order = np.argsort(-bound, kind="stable")
+    bound = np.where(rise > 0.0, np.minimum(rise / gap**gamma * _BOUND_MARGIN, slope), 0.0).ravel()
+    # Each candidate's row offset into v.ravel() and its first node pair, keyed i * n + j so keys
+    # sort in (i, j) order whatever the row.
+    base = np.repeat(np.arange(0, d * n, n), p.size)
+    p, q = np.tile(starts[p], d), np.tile(starts[q], d)
+    first = p * n + np.where(p < q, q, p + 1)
+    # A floor under the result: the quotient of some row's extreme values.  Its block pair's bound
+    # covers it, so no candidate below it is ever evaluated, and the sort can leave those out.  An
+    # overflowing floor gives no such guarantee and keeps every candidate.
+    lo, hi = np.sort((np.argmin(v, axis=1), np.argmax(v, axis=1)), axis=0)
+    extreme = np.abs(v[np.arange(d), hi] - v[np.arange(d), lo]) / (t[hi] - t[lo]) ** gamma
+    floor = np.max(extreme, where=hi > lo, initial=0.0)
+    order = np.flatnonzero(bound >= (floor if np.isfinite(floor) else 0.0))
+    order = order[np.argsort(-bound[order], kind="stable")]
     offsets = np.arange(size)
     per_chunk = max(_BLOCK_PAIRS // size**2, 1)
+    flat = v.ravel()
 
     best = -1.0
     best_key = 1  # the pair (0, 1)
@@ -132,13 +149,13 @@ def _block_scan(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tupl
         elif evaluated >= _PAIR_BUDGET:
             return best, divmod(best_key, n), evaluated, float(top)
         take, order = order[:per_chunk], order[per_chunk:]
-        sp, sq = starts[p[take]], starts[q[take]]
+        sp, sq, row = p[take], q[take], base[take, None, None]
         i = sp[:, None, None] + offsets[:, None]
         j = sq[:, None, None] + offsets
         keep = (j > i) & (j < n)
         evaluated += int(np.count_nonzero(keep))
         i, j = np.minimum(i, n - 1), np.minimum(j, n - 1)
-        r = np.where(keep, np.abs(v[j] - v[i]) / (t[j] - t[i]) ** gamma, -1.0)
+        r = np.where(keep, np.abs(flat[row + j] - flat[row + i]) / (t[j] - t[i]) ** gamma, -1.0)
         top_r = float(np.max(r))
         # The chunk matters only if it beats the best quotient or ties it at an earlier pair.
         if top_r < max(best, 0.0) or (top_r == best and first[take].min() > best_key):
@@ -147,34 +164,41 @@ def _block_scan(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tupl
         key = int(np.min((sp[k] + a) * n + sq[k] + c))
         if top_r > best or key < best_key:
             best, best_key = top_r, key
-    return best, divmod(best_key, n), n * (n - 1) // 2, best
+    return best, divmod(best_key, n), d * n * (n - 1) // 2, best
 
 
 def holder_seminorm(g: GridFunction, gamma: float) -> HolderEstimate:
     """Grid Hölder seminorm of exponent ``gamma`` in (0, 1].
 
     The seminorm is the largest |f(t_j)-f(t_i)| / (t_j-t_i)**gamma over all
-    n(n-1)/2 node pairs i < j.  The scan bounds every pair and evaluates only
-    the pairs that can still win.  It splits the nodes into blocks of 32, or
-    of the smallest larger power of two that leaves at most 512 blocks (64
-    nodes from n = 16385 on), and bounds each block pair P <= Q by the
-    smaller of the largest value difference between the blocks over the
-    smallest time gap between them (the smallest grid step when P = Q), and
-    the largest step |f(t_k+1)-f(t_k)| from the first node of P to the last
-    of Q times L**(1-gamma) / h_min**gamma, for the L steps spanned and the
-    smallest grid step h_min, with a margin of 64 ulps.  It then evaluates
-    block pairs in order of descending bound, in chunks of 16,384 pairs (one
-    block pair once blocks hold 128 nodes or more), each quotient computed
-    exactly as a full scan would.  It stops when no bound left reaches the
-    best quotient found; a block pair whose bound only ties it is skipped
-    when all its pairs come after the best pair.
+    n(n-1)/2 node pairs i < j; for data of d components it is the sup-norm
+    seminorm, the largest over the d n(n-1)/2 pairs of all of them.  One scan
+    covers every component: it bounds every pair and evaluates only the pairs
+    that can still win against one best quotient.  It splits the nodes into
+    blocks of 32, or of the smallest larger power of two that leaves at most
+    512 blocks (64 nodes from n = 16385 on), and keeps one set of block
+    tables with a row per component.  It bounds each block pair P <= Q of
+    each component by the smaller of the largest value difference between
+    the blocks over the smallest time gap between them (the smallest grid
+    step when P = Q), and the largest step |f(t_k+1)-f(t_k)| from the first
+    node of P to the last of Q times L**(1-gamma) / h_min**gamma, for the L
+    steps spanned and the smallest grid step h_min, with a margin of 64
+    ulps.  Block pairs bounded below the quotient of some component's
+    minimum and maximum can never win and are dropped before the rest are
+    sorted.  It then evaluates block pairs in order of descending bound, in
+    chunks of 16,384 pairs (one block pair once blocks hold 128 nodes or
+    more), each quotient computed exactly as a full scan would.  It stops
+    when no bound left reaches the best quotient found; a block pair whose
+    bound only ties it is skipped when all its pairs come after the best
+    pair.
 
     A finished scan is exact: ``value`` is the grid seminorm, ``upper``
     equals it, ``argmax_pair`` is the first pair in (i, j) order attaining
-    it, and ``pairs_examined`` reports all n(n-1)/2 pairs, although only a
-    fraction of them are evaluated (about 5% for the suite's embedding check
-    at n = 1025).  Data of constant slope at gamma = 1 prunes nothing: every
-    block bound exceeds the slope, so every pair is evaluated.
+    it in any component, and ``pairs_examined`` reports all d n(n-1)/2
+    pairs, although only a fraction of them are evaluated (1% to 3% for the
+    suite's embedding check, 20 components of 1025 nodes).  Data of constant
+    slope at gamma = 1 prunes nothing: every block bound exceeds the slope,
+    so every pair is evaluated.
 
     The scan also stops before the next chunk once a fixed budget of
     2,000,000 pairs has been evaluated while a bound above the best quotient
@@ -192,22 +216,23 @@ def holder_seminorm(g: GridFunction, gamma: float) -> HolderEstimate:
         raise InvalidParameterError(f"need 0 < gamma <= 1, got {gamma}")
     if g.singular_start:
         raise PreconditionError("seminorm needs finite data; index 0 is marked singular")
-    value, pair, examined, upper = _block_scan(g.values, g.times(), gamma)
+    value, pair, examined, upper = _block_scan(g.values.reshape(-1, g.n), g.times(), gamma)
     return HolderEstimate(gamma, value, pair, examined, upper <= value, upper)
 
 
 def holder_exponent(g: GridFunction) -> float:
     """Least-squares estimate of the Hölder exponent, clamped to (0, 1].
 
-    Fits the log-log slope of the modulus of continuity over dyadic lags
-    h, 2h, 4h, ... up to a quarter of the interval.  Constant data has no
+    Fits the log-log slope of the modulus of continuity (the largest over
+    components) over dyadic lags h, 2h, 4h, ... up to a quarter of the
+    interval.  Constant data has no
     exponent and raises :class:`ConstantInputError`; a modulus that overflows
     the float range raises :class:`PreconditionError`.
     """
     if g.singular_start:
         raise PreconditionError("exponent fit needs finite data; index 0 is marked singular")
     v = g.values
-    n = v.size
+    n = g.n
     if n < 9:
         raise PreconditionError(f"need at least 9 nodes for the exponent fit, got {n}")
     max_lag = (n - 1) // 4
@@ -220,7 +245,7 @@ def holder_exponent(g: GridFunction) -> float:
     moduli = []
     for lag in lags:
         with np.errstate(over="ignore"):
-            w = float(np.max(np.abs(v[lag:] - v[:-lag])))
+            w = float(np.max(np.abs(v[..., lag:] - v[..., :-lag])))
         if not np.isfinite(w):
             raise PreconditionError(f"values {lag} nodes apart differ by more than the float range")
         if w > 0.0:
@@ -241,32 +266,30 @@ def continuous_at_start(g: GridFunction) -> bool:
     of the trusted values.  Grids of 10 to 23 nodes are too short for that;
     there the last 16 values are looked at, or all from index 1 on.  Data like
     (t-t0)^-q keeps a scale-proportional spread at every resolution and fails
-    both looks.
+    both looks.  Data of d components is continuous at the start when
+    every component passes, each against its own scale.
     """
     if g.singular_start:
         return False
     v = g.values
-    n = v.size
+    n = g.n
     if n < 10:
         raise PreconditionError(f"need at least 10 nodes to classify, got {n}")
 
-    def spread(vals: np.ndarray) -> float:
+    def spread(vals: np.ndarray) -> np.ndarray:
         start = EXCLUDED_START_NODES
-        if vals.size < start + _CLASSIFY_COUNT:
-            start = max(1, vals.size - _CLASSIFY_COUNT)
-        w = vals[start : start + _CLASSIFY_COUNT]
-        return float(np.max(w) - np.min(w))
+        if vals.shape[-1] < start + _CLASSIFY_COUNT:
+            start = max(1, vals.shape[-1] - _CLASSIFY_COUNT)
+        w = vals[..., start : start + _CLASSIFY_COUNT]
+        return np.max(w, axis=-1) - np.min(w, axis=-1)
 
-    scale = float(np.max(np.abs(v[min(EXCLUDED_START_NODES, n - 2) :])))
-    if scale == 0.0:
-        return True
-    threshold = max(_ABS_TOL, _REL_TOL * scale)
-    if spread(v) > threshold:
-        return False
+    # Each component against its own scale; a component that is 0 on the trusted nodes passes.
+    scale = np.max(np.abs(v[..., min(EXCLUDED_START_NODES, n - 2) :]), axis=-1)
+    threshold = np.maximum(_ABS_TOL, _REL_TOL * scale)
+    jumps = spread(v) > threshold
     if (n - 1) % 2 == 0 and (n - 1) // 2 + 1 >= 10:
-        if spread(v[::2]) > threshold:
-            return False
-    return True
+        jumps |= spread(v[..., ::2]) > threshold
+    return not np.any(jumps & (scale > 0.0))
 
 
 def _space_norm(g: GridFunction, order: FracOrder | float, name: str, derivative) -> float:
@@ -284,11 +307,13 @@ def _space_norm(g: GridFunction, order: FracOrder | float, name: str, derivative
         raise MembershipError(
             f"{name} of order {o.alpha} fails the continuity-at-start test; not a member"
         )
-    return float(np.max(np.abs(g.values)) + np.max(np.abs(d.values[EXCLUDED_START_NODES:])))
+    return float(np.max(np.abs(g.values)) + np.max(np.abs(d.values[..., EXCLUDED_START_NODES:])))
 
 
 def rl_norm(g: GridFunction, order: FracOrder | float) -> float:
     """sup|f| + sup|Df| when the Riemann-Liouville derivative is continuous.
+
+    Each sup is taken over nodes and components.
 
     Raises :class:`MembershipError` when the derivative estimate blows up at
     the start or fails the continuity classifier — the function is then not a

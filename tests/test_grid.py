@@ -52,7 +52,7 @@ class TestGridFunction:
         with pytest.raises(DataError):
             GridFunction(0.0, 1.0, np.zeros(1))          # single node
         with pytest.raises(DataError):
-            GridFunction(0.0, 1.0, np.zeros((2, 2)))     # not 1-D
+            GridFunction(0.0, 1.0, np.zeros((2, 2, 2)))  # neither (n,) nor (d, n)
         with pytest.raises(DataError):
             GridFunction(0.0, 1.0, np.array([0.0, math.inf]))
         # NaN at index 0 is only legal under the marker.
