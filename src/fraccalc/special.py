@@ -193,9 +193,19 @@ def weierstrass(
     all |t| <= 2**20, terms of weight <= 2**-12 take the fraction path: cos of
     2*pi*frac(sigma**j * t / (2*pi)) in [-pi, pi], the fraction kept exactly
     from t*sigma**j0 times at most 4 limbs of 1/(2*pi), which move the sum by
-    < 2**-60.  Other sigma and parameters needing more limbs (sigma = 2, alpha
-    < ~0.28) take cos(sigma**j * t); other sigma round it, a reproducible noise
-    ~|t|*sigma**N*eps.  While all |t| <= 2**20 no entry depends on the others.
+    < 2**-60.  Only every r-th fraction term, an anchor, reduces the fraction,
+    scaled exactly by sigma**r since the last anchor, and takes cos and sin of
+    its angle; the terms between rotate (c, s) to (c*c - s*s, 2*c*s),
+    log2(sigma) times per term.  A rotation step doubles the error it
+    inherits and adds about 2u (u = 2**-53), so the term k places past an
+    anchor is off by about 3u*(sigma*q)**k of the anchor's weight,
+    q = sigma**-alpha.  The spacing r is the largest r <= N with
+    2**-12 / (1 - q) * 3u * ((sigma*q)**r - 1) / (sigma*q - 1) <= 2**-55:
+    10 at (alpha, sigma) = (0.5, 2), 4 at (0.3, 8); r = 1 takes no sine and
+    gives the values of a cosine at every term.  Other sigma and parameters
+    needing more limbs (sigma = 2, alpha < ~0.28) take cos(sigma**j * t);
+    other sigma round it, a reproducible noise ~|t|*sigma**N*eps.  While all
+    |t| <= 2**20 no entry depends on the others.
     """
     if not (sigma > 1.0 and math.isfinite(sigma)):
         raise InvalidParameterError(f"need sigma > 1, got {sigma}")
@@ -227,23 +237,36 @@ def weierstrass(
     # that, bounded here with N + 1 for N.
     bits = math.log2(4.0 * math.pi * _FRACTION_T_MAX * (terms + 1)) + terms * math.log2(sigma * q) + 60.0
     limbs = next((k + 1 for k, limb in enumerate(_INV_2PI) if fits and math.ulp(limb) < 2.0**-bits), 0)
+    # The fraction path's anchor spacing r, by the docstring's rotation-error budget; ratio is
+    # ((sigma*q)**r - 1) / (sigma*q - 1), summed term by term so that sigma*q = 1 needs no case.
+    spacing, ratio, growth = 1, 1.0, sigma * q
+    while spacing < terms and 2.0**-12 * tail_scale * 3.0 * 2.0**-53 * (ratio + growth) <= 2.0**-55:
+        spacing, ratio, growth = spacing + 1, ratio + growth, growth * sigma * q
+    doublings = math.frexp(sigma)[1] - 1  # log2(sigma) double-angle steps per term
     total = np.zeros_like(arg)
     comp = np.zeros_like(arg)
-    frac = None  # the fraction path's limb products, scaled and reduced modulo 1
+    frac = None  # the fraction path's limb products, scaled and reduced modulo 1 at each anchor
     w = 1.0
-    for _ in range(terms):
+    for j in range(terms):
         if frac is None and limbs and w <= 2.0**-12:
             frac = np.stack([part for limb in _INV_2PI[:limbs] for part in _two_product(arg, limb)][:-1])
+            j0 = j
         if frac is None:
             c = np.cos(arg)
             arg = arg * sigma
+        elif (j - j0) % spacing:
+            for _ in range(doublings):
+                c, sine = c * c - sine * sine, 2.0 * c * sine
         else:
             frac -= np.rint(frac)
             f = frac[0] + frac[1]  # row by row for any shape (np.sum adds a lone entry's rows pairwise)
             for row in frac[2:]:
                 f += row
-            c = np.cos(2.0 * math.pi * (f - np.rint(f)))
-            frac *= sigma
+            angle = 2.0 * math.pi * (f - np.rint(f))
+            c = np.cos(angle)
+            if spacing > 1:
+                sine = np.sin(angle)
+            frac *= sigma**spacing
         y = w * c - comp
         s = total + y
         comp = (s - total) - y

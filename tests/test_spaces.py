@@ -47,6 +47,15 @@ class TestHolderSeminorm:
         # Against exponent 1/2 the widest chord dominates: 1 / 1^0.5 = 1.
         assert holder_seminorm(g, 0.5).value == pytest.approx(1.0, rel=1e-13)
 
+    def test_smooth_data_scan_is_exact(self):
+        # At gamma = 0.8 the seminorm of sin(20 t) is a chord of about 600
+        # nodes.  The rise/gap bounds of close block pairs stay above it, so
+        # without the slope bound the scan stops at the pair budget.
+        t = np.linspace(0.0, 1.0, 8193)
+        est = holder_seminorm(fc.GridFunction(0.0, 1.0, np.sin(20.0 * t)), 0.8)
+        assert est.exact
+        assert est.upper == est.value
+
     def test_budget_subsampling_keeps_the_peak(self, monkeypatch):
         # The block pairs at the start, where the sqrt ratio peaks, have some
         # of the largest bounds, so the first chunk finds the value.

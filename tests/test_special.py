@@ -294,20 +294,26 @@ SUITE_GRID = np.linspace(0.0, 1.0, 4097)  # the Weierstrass check's fine grid at
 
 class TestWeierstrassFractionPath:
     # For sigma a power of two, the terms past weight 2**-12 take the cosine
-    # of an exactly reduced fraction of a turn instead of the huge argument.
+    # of an exactly reduced fraction of a turn instead of the huge argument,
+    # at anchor terms only; the terms between rotate the anchor's cosine and sine.
     grid = SUITE_GRID
     points = [-5.5, -0.3, 1.7, 37.0, 1000.25] + [float(SUITE_GRID[i]) for i in (1, 1234, 2048, 3071, 4095)]
 
     @pytest.mark.parametrize("sigma", [2.0, 4.0, 8.0])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
     def test_against_mpmath_over_its_own_terms(self, alpha, sigma):
-        got = weierstrass(alpha, sigma, np.array(self.points))
+        # Dense in t, for the anchor spacing's rotation error: a fixed spacing
+        # of 16 is off here by up to 5.8e5 ulp at (0.3, 8), and of 8 by 4 ulp.
+        points = self.points + [float(x) for x in SUITE_GRID[::16]]
+        got = weierstrass(alpha, sigma, np.array(points))
         terms = _term_count(alpha, sigma)
         ulp = math.ulp(1.0 / (1.0 - sigma**-alpha))  # of the largest value the sum can take
         with mpmath.workdps(40):
             a, s = mpmath.mpf(alpha), mpmath.mpf(sigma)
-            for x, value in zip(self.points, got):
-                exact = mpmath.fsum(s ** (-j * a) * mpmath.cos(mpmath.mpf(x) * s**j) for j in range(terms))
+            weights = [s ** (-j * a) for j in range(terms)]
+            scales = [s**j for j in range(terms)]
+            for x, value in zip(points, got):
+                exact = mpmath.fsum(wj * mpmath.cos(mpmath.mpf(x) * sj) for wj, sj in zip(weights, scales))
                 assert abs(value - float(exact)) <= 4 * ulp, x
 
     def test_other_sigma_matches_scalar_loop(self):
@@ -318,28 +324,37 @@ class TestWeierstrassFractionPath:
         assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_no_large_cosine_argument_past_the_switch(self, monkeypatch):
-        # Past the first term of weight <= 2**-12 no cosine argument leaves
-        # libm's fast reduction range; the direct sum passes up to 2**96 there.
+        # Past the first term of weight <= 2**-12 no cosine or sine argument
+        # leaves libm's fast reduction range; the direct sum passes up to 2**96
+        # there.  Those terms take a cosine and a sine at anchors only, every
+        # r = 10 terms at (0.5, 2).
         import fraccalc.special as special
 
-        seen = []
+        seen = {"cos": [], "sin": []}
 
-        class CosRecorder:
+        class TrigRecorder:
             def __getattr__(self, name):
                 return getattr(np, name)
 
             def cos(self, x, *args, **kwargs):
-                seen.append(float(np.max(np.abs(x))))
+                seen["cos"].append(float(np.max(np.abs(x))))
                 return np.cos(x, *args, **kwargs)
 
-        monkeypatch.setattr(special, "np", CosRecorder())
+            def sin(self, x, *args, **kwargs):
+                seen["sin"].append(float(np.max(np.abs(x))))
+                return np.sin(x, *args, **kwargs)
+
+        monkeypatch.setattr(special, "np", TrigRecorder())
         special.weierstrass(0.5, 2.0, self.grid)
         q, w, j0 = 2.0**-0.5, 1.0, 0
         while w > 2.0**-12:
             w *= q
             j0 += 1
-        assert len(seen) == _term_count(0.5, 2.0)
-        assert max(seen[j0:]) <= 2.0**26
+        anchors = range(j0, _term_count(0.5, 2.0), 10)
+        assert (j0, len(anchors)) == (25, 8)
+        assert len(seen["cos"]) == j0 + len(anchors)
+        assert len(seen["sin"]) == len(anchors)
+        assert max(seen["cos"][j0:] + seen["sin"]) <= 2.0**26
 
     @pytest.mark.parametrize("alpha, sigma", [(0.5, 2.0), (0.3, 2.0), (0.9, 8.0), (0.5, 3.0)])
     def test_entry_independent_of_companions(self, alpha, sigma):
@@ -352,7 +367,7 @@ class TestWeierstrassRefusals:
     # Where q = sigma**-alpha rounds to 1 the sum has no tail bound, where the
     # tail bound needs more than 2,000 terms the budget is spent, and where
     # sigma**j * t leaves the float range within the term count the direct sum
-    # would take cos(inf).  All raise the package error before any cosine.
+    # would take cos(inf).  All raise the package error before any cosine or sine.
     @pytest.fixture
     def no_cos(self, monkeypatch):
         import fraccalc.special as special
@@ -362,7 +377,9 @@ class TestWeierstrassRefusals:
                 return getattr(np, name)
 
             def cos(self, x, *args, **kwargs):
-                raise AssertionError("a cosine was taken")
+                raise AssertionError("a cosine or sine was taken")
+
+            sin = cos
 
         monkeypatch.setattr(special, "np", NoCos())
         return special
