@@ -9,7 +9,8 @@ checked against exact answers.  Closed forms are anchored to the base point
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,6 +86,8 @@ def _coerce_params(name: str, params: dict | None, allowed: dict[str, float | No
                 out[key] = float(given.pop(key))
             except (TypeError, ValueError):
                 raise InvalidParameterError(f"{name}: parameter {key!r} is not a number") from None
+            if not math.isfinite(out[key]):
+                raise InvalidParameterError(f"{name}: parameter {key!r} must be finite, got {out[key]}")
         elif default is None:
             raise InvalidParameterError(f"{name}: missing required parameter {key!r}")
         else:
@@ -94,32 +97,11 @@ def _coerce_params(name: str, params: dict | None, allowed: dict[str, float | No
     return out
 
 
-def _label(name: str, params: dict[str, float]) -> str:
-    shown = {k: v for k, v in params.items() if not (k == "t0" and v == 0.0)}
-    if not shown:
-        return name
-    return name + "(" + ", ".join(f"{k}={v:g}" for k, v in sorted(shown.items())) + ")"
+# Each maker takes the coerced parameters in the order of its spec and returns
+# the entry's own fields; `builtin` adds the name, label, parameters and base point.
 
 
-# name -> {param: default}, with None marking a required parameter; the second
-# table supplies a representative value so `describe` can show closed forms.
-_PARAM_SPECS: dict[str, dict[str, float | None]] = {
-    "constant": {"c": 1.0, "t0": 0.0},
-    "power": {"p": None, "t0": 0.0},
-    "ml_exp": {"alpha": 0.7, "t0": 0.0},
-    "step": {"t_jump": None, "t0": 0.0},
-    "weierstrass_shifted": {"alpha": 0.5, "sigma": 2.0, "t0": 0.0},
-}
-_EXAMPLE_PARAMS: dict[str, dict[str, float]] = {
-    "power": {"p": 0.5},
-    "step": {"t_jump": 0.5},
-}
-
-
-def _make_constant(params: dict | None) -> AnalyticFunction:
-    p = _coerce_params("constant", params, _PARAM_SPECS["constant"])
-    c, t0 = p["c"], p["t0"]
-
+def _constant(c: float, t0: float) -> dict:
     def rl_int(order: float, t: np.ndarray) -> np.ndarray:
         return c * rgamma(order + 1.0) * _positive_power(np.asarray(t, float) - t0, order)
 
@@ -131,11 +113,7 @@ def _make_constant(params: dict | None) -> AnalyticFunction:
     def cap_der(order: float, t: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(t, dtype=float), c if order == 0.0 else 0.0)
 
-    return AnalyticFunction(
-        name="constant",
-        label=_label("constant", p),
-        params=p,
-        base_point=t0,
+    return dict(
         eval=lambda t: np.full_like(np.asarray(t, dtype=float), c),
         taylor=(c, 0.0, 0.0, 0.0),
         rl_integral=rl_int,
@@ -151,27 +129,20 @@ def _make_constant(params: dict | None) -> AnalyticFunction:
 
 def _power_taylor(p: float) -> tuple[float, ...]:
     if p == math.floor(p):
+        # Integer exponent: every derivative through order max(p, 3), like the constant's.
         k = int(p)
-        coeffs = [0.0] * (k + 1)
+        coeffs = [0.0] * (max(k, 3) + 1)
         coeffs[k] = float(math.factorial(k))
         return tuple(coeffs)
     # Non-integer exponent: only the value at the base point is usable.
     return (0.0,)
 
 
-def _make_power(params: dict | None) -> AnalyticFunction:
-    p = _coerce_params("power", params, _PARAM_SPECS["power"])
-    expo, t0 = p["p"], p["t0"]
+def _power(expo: float, t0: float) -> dict:
     if expo < 0.0:
         raise InvalidParameterError(f"power: need exponent p >= 0, got {expo}")
     if expo == 0.0:
-        return replace(
-            _make_constant({"c": 1.0, "t0": t0}),
-            name="power",
-            label=_label("power", p),
-            params=p,
-            summary="(t - t0)^0, i.e. the constant 1",
-        )
+        return {**_constant(1.0, t0), "summary": "(t - t0)^0, i.e. the constant 1"}
 
     def rl_int(order: float, t: np.ndarray) -> np.ndarray:
         coef = gamma(expo + 1.0) * rgamma(expo + order + 1.0)
@@ -195,11 +166,7 @@ def _make_power(params: dict | None) -> AnalyticFunction:
             )
         return rl_der(order, t)
 
-    return AnalyticFunction(
-        name="power",
-        label=_label("power", p),
-        params=p,
-        base_point=t0,
+    return dict(
         eval=lambda t: _positive_power(np.asarray(t, float) - t0, expo),
         taylor=_power_taylor(expo),
         rl_integral=rl_int,
@@ -212,9 +179,7 @@ def _make_power(params: dict | None) -> AnalyticFunction:
     )
 
 
-def _make_ml_exp(params: dict | None) -> AnalyticFunction:
-    p = _coerce_params("ml_exp", params, _PARAM_SPECS["ml_exp"])
-    a, t0 = p["alpha"], p["t0"]
+def _ml_exp(a: float, t0: float) -> dict:
     if not (0.3 <= a <= 2.0):
         raise InvalidParameterError(f"ml_exp: alpha must lie in [0.3, 2], got {a}")
 
@@ -238,11 +203,7 @@ def _make_ml_exp(params: dict | None) -> AnalyticFunction:
             raise InvalidParameterError(f"ml_exp: no closed Caputo form for order {order} with alpha {a}")
         return series(a * K - order, t)
 
-    return AnalyticFunction(
-        name="ml_exp",
-        label=_label("ml_exp", p),
-        params=p,
-        base_point=t0,
+    return dict(
         eval=lambda t: series(0.0, t),
         # Only the derivatives that exist at t0: (t - t0)^a has none past order a unless a is an integer.
         taylor=(1.0, 1.0, 1.0, 1.0) if a == 1.0 else (1.0, 0.0, 1.0, 0.0) if a == 2.0 else (1.0, 0.0) if a > 1.0 else (1.0,),
@@ -256,9 +217,7 @@ def _make_ml_exp(params: dict | None) -> AnalyticFunction:
     )
 
 
-def _make_step(params: dict | None) -> AnalyticFunction:
-    p = _coerce_params("step", params, _PARAM_SPECS["step"])
-    tj, t0 = p["t_jump"], p["t0"]
+def _step(tj: float, t0: float) -> dict:
     if tj <= t0:
         raise InvalidParameterError(f"step: need t_jump > t0, got t_jump={tj}, t0={t0}")
 
@@ -267,16 +226,11 @@ def _make_step(params: dict | None) -> AnalyticFunction:
         shifted = np.where(tt >= tj, tt - tj, 0.0)
         return np.where(tt >= tj, rgamma(order + 1.0) * np.power(shifted, order), 0.0)  # 0**0 is 1
 
-    return AnalyticFunction(
-        name="step",
-        label=_label("step", p),
-        params=p,
-        base_point=t0,
+    # The jump admits no continuous derivative of any positive order: no derivative forms.
+    return dict(
         eval=lambda t: (np.asarray(t, dtype=float) >= tj).astype(float),
         taylor=(0.0,),
         rl_integral=rl_int,
-        rl_derivative=None,  # the jump admits no continuous derivative of any positive order
-        caputo_derivative=None,
         anchors={
             "rl_integral": r"has no representative in $C^0([t_0, t_1], \mathbb{R})$",
         },
@@ -284,22 +238,15 @@ def _make_step(params: dict | None) -> AnalyticFunction:
     )
 
 
-def _make_weierstrass_shifted(params: dict | None) -> AnalyticFunction:
-    p = _coerce_params("weierstrass_shifted", params, _PARAM_SPECS["weierstrass_shifted"])
-    a, sigma, t0 = p["alpha"], p["sigma"], p["t0"]
+def _weierstrass_shifted(a: float, sigma: float, t0: float) -> dict:
     if not (0.0 < a < 1.0):
         raise InvalidParameterError(f"weierstrass_shifted: need 0 < alpha < 1, got {a}")
     if sigma <= 1.0:
         raise InvalidParameterError(f"weierstrass_shifted: need sigma > 1, got {sigma}")
     w0 = weierstrass(a, sigma, t0)
-    return AnalyticFunction(
-        name="weierstrass_shifted",
-        label=_label("weierstrass_shifted", p),
-        params=p,
-        base_point=t0,
+    # Nowhere differentiable: no Taylor data and no closed forms exist.
+    return dict(
         eval=lambda t: weierstrass(a, sigma, t) - w0,
-        taylor=None,  # nowhere differentiable; no Taylor data exists
-        anchors={},
         summary=(
             f"lacunary cosine sum W(t) - W(t0), alpha={a:g}, sigma={sigma:g}; "
             "Hoelder-continuous of its own order but nowhere smoother"
@@ -307,17 +254,27 @@ def _make_weierstrass_shifted(params: dict | None) -> AnalyticFunction:
     )
 
 
-_BUILTINS: dict[str, Callable[[dict | None], AnalyticFunction]] = {
-    "constant": _make_constant,
-    "power": _make_power,
-    "ml_exp": _make_ml_exp,
-    "step": _make_step,
-    "weierstrass_shifted": _make_weierstrass_shifted,
+# name -> (maker, {parameter: default, None if required}, the parameters `describe` shows it for)
+_ENTRIES = {
+    "constant": (_constant, {"c": 1.0, "t0": 0.0}, {}),
+    "power": (_power, {"p": None, "t0": 0.0}, {"p": 0.5}),
+    "ml_exp": (_ml_exp, {"alpha": 0.7, "t0": 0.0}, {}),
+    "step": (_step, {"t_jump": None, "t0": 0.0}, {"t_jump": 0.5}),
+    "weierstrass_shifted": (_weierstrass_shifted, {"alpha": 0.5, "sigma": 2.0, "t0": 0.0}, {}),
 }
 
 
+def _entry(name: str) -> tuple[Callable[..., dict], dict[str, float | None], dict[str, float]]:
+    try:
+        return _ENTRIES[name]
+    except KeyError:
+        raise UnknownNameError(
+            f"unknown catalog entry {name!r}; known: {', '.join(builtin_names())}"
+        ) from None
+
+
 def builtin_names() -> list[str]:
-    return sorted(_BUILTINS)
+    return sorted(_ENTRIES)
 
 
 def describe_builtin(name: str) -> str:
@@ -326,46 +283,43 @@ def describe_builtin(name: str) -> str:
     Required parameters are shown as such; the closed-form summary below the
     parameter list is rendered for a representative instantiation.
     """
-    if name not in _BUILTINS:
-        raise UnknownNameError(
-            f"unknown catalog entry {name!r}; known: {', '.join(builtin_names())}"
-        )
-    spec = _PARAM_SPECS[name]
+    _, spec, example = _entry(name)
     parts = [
         f"{key} (required)" if default is None else f"{key} (default {default:g})"
         for key, default in spec.items()
     ]
-    example = _EXAMPLE_PARAMS.get(name, {})
-    entry = builtin(name, example)
     lines = [name, f"  parameters: {', '.join(parts)}"]
     if example:
         shown = ",".join(f"{k}={v:g}" for k, v in sorted(example.items()))
         lines.append(f"  shown below for: {name}:{shown}")
-    lines.extend("  " + ln for ln in entry.describe().splitlines())
+    lines.extend("  " + ln for ln in builtin(name, example).describe().splitlines())
     return "\n".join(lines)
 
 
 def builtin(name: str, params: dict | None = None) -> AnalyticFunction:
     """Construct a catalog entry by name; unknown names raise UnknownNameError."""
-    try:
-        maker = _BUILTINS[name]
-    except KeyError:
-        raise UnknownNameError(
-            f"unknown catalog entry {name!r}; known: {', '.join(builtin_names())}"
-        ) from None
-    return maker(params)
+    maker, spec, _ = _entry(name)
+    p = _coerce_params(name, params, spec)
+    shown = sorted((k, v) for k, v in p.items() if not (k == "t0" and v == 0.0))
+    label = name + "(" + ", ".join(f"{k}={v:g}" for k, v in shown) + ")"
+    return AnalyticFunction(name=name, label=label, params=p, base_point=p["t0"], **maker(*p.values()))
 
 
 def sample(f: AnalyticFunction, t0: float, t1: float, n: int) -> GridFunction:
     """Evaluate ``f`` on the uniform grid with ``n`` nodes over ``[t0, t1]``.
 
     The grid must start at the entry's base point, since that is where its
-    closed forms and Taylor data are anchored.
+    closed forms and Taylor data are anchored.  ``n`` must be an integer >= 2
+    and ``t1 - t0`` positive and finite, or InvalidParameterError is raised.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidParameterError(f"need an integer number of grid nodes, got {n!r}") from None
     if n < 2:
         raise InvalidParameterError(f"need n >= 2 grid nodes, got {n}")
-    if not (t1 > t0):
-        raise InvalidParameterError(f"need t1 > t0, got [{t0}, {t1}]")
+    if not (t1 > t0 and math.isfinite(float(t1) - float(t0))):
+        raise InvalidParameterError(f"need t1 > t0 and a finite t1 - t0, got [{t0}, {t1}]")
     if t0 != f.base_point:
         raise InvalidParameterError(
             f"{f.label} is anchored at t0={f.base_point:g}; sampling must start there, not {t0:g}"

@@ -302,8 +302,6 @@ def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None
 
 
 def _diff_once(v: np.ndarray, h: float) -> np.ndarray:
-    if v.shape[-1] < 3:
-        raise PreconditionError("need at least 3 nodes to difference")
     d = np.empty_like(v)
     d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
     d[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
@@ -386,6 +384,10 @@ def rl_derivative(
             f"the Marchaud form requires 0 < order < 1, got {o.alpha}; "
             "use integral_then_difference"
         )
+    # Refused before any of the ceil(order) difference passes, which a huge order would run
+    # for ever.  The probe's subgrids hold >= 4 nodes, the 3 a pass needs and more.
+    if meth is DerivativeMethod.INTEGRAL_THEN_DIFFERENCE and o.ceil_alpha > g.n - 2:
+        raise PreconditionError(f"order {o.alpha} needs ceil(order) + 2 nodes to difference, got {g.n}")
     vals = _rl_values(g.values, g.h, o.alpha, meth)
     return _result(g, vals, _probe_singular_start(g.values, g.h, o.alpha, meth))
 

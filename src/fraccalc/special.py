@@ -57,7 +57,8 @@ def rgamma(x: float) -> float:
     """Reciprocal gamma, 1/gamma(x), with the poles mapped to 0.
 
     Where gamma overflows for x > 0 the result is exp(-lgamma(x)), a
-    subnormal past x ~ 171.6 that underflows to 0 only past x ~ 178.  For
+    subnormal past x ~ 171.6 that underflows to 0 past x ~ 178, and 0 also
+    where lgamma itself overflows (x from about 2.56e305 on).  For
     x < 0 an overflowing gamma gives a zero of its sign; where 1/gamma
     overflows (x below about -171) the result is an infinity of its sign.
     """
@@ -66,7 +67,10 @@ def rgamma(x: float) -> float:
         return 0.0
     g = gamma(x)
     if g == math.inf and x > 0.0:
-        return math.exp(-math.lgamma(x))
+        try:
+            return math.exp(-math.lgamma(x))
+        except OverflowError:
+            return 0.0
     return math.copysign(math.inf, g) if g == 0.0 else 1.0 / g
 
 
@@ -197,10 +201,12 @@ def weierstrass(
     scaled exactly by sigma**r since the last anchor, and takes cos and sin of
     its angle; the terms between rotate (c, s) to (c*c - s*s, 2*c*s),
     log2(sigma) times per term.  A rotation step doubles the error it
-    inherits and adds about 2u (u = 2**-53), so the term k places past an
-    anchor is off by about 3u*(sigma*q)**k of the anchor's weight,
+    inherits and adds about 2u (u = 2**-53); the anchor's angle itself is off
+    by up to 5u, which the steps amplify too, so the term k places past an
+    anchor is off by up to about 8u*(sigma*q)**k of the anchor's weight,
     q = sigma**-alpha.  The spacing r is the largest r <= N with
-    2**-12 / (1 - q) * 3u * ((sigma*q)**r - 1) / (sigma*q - 1) <= 2**-55:
+    2**-12 / (1 - q) * 3u * ((sigma*q)**r - 1) / (sigma*q - 1) <= 2**-55, so
+    with 8u in place of 3u the rotations move the sum by < 8/3 * 2**-55:
     10 at (alpha, sigma) = (0.5, 2), 4 at (0.3, 8); r = 1 takes no sine and
     gives the values of a cosine at every term.  Other sigma and parameters
     needing more limbs (sigma = 2, alpha < ~0.28) take cos(sigma**j * t);

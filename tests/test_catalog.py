@@ -49,6 +49,25 @@ def test_bad_parameters_raise(name, params):
         catalog.builtin(name, params)
 
 
+_VALID = {
+    "constant": {"c": 1.0, "t0": 0.0},
+    "power": {"p": 0.5, "t0": 0.0},
+    "ml_exp": {"alpha": 0.7, "t0": 0.0},
+    "step": {"t_jump": 0.5, "t0": 0.0},
+    "weierstrass_shifted": {"alpha": 0.5, "sigma": 2.0, "t0": 0.0},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name,key", [(name, key) for name, spec in _VALID.items() for key in spec])
+def test_non_finite_parameters_raise(name, key, value):
+    # Refused by the parameter check itself, before any entry's own arithmetic.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match=f"{name}: parameter {key!r} must be finite"):
+            catalog.builtin(name, {**_VALID[name], key: value})
+
+
 class TestConstant:
     def test_closed_forms(self):
         e = catalog.builtin("constant", {"c": 2.0})
@@ -87,9 +106,27 @@ class TestPower:
 
     def test_integer_exponent_taylor_and_caputo(self):
         e = catalog.builtin("power", {"p": 2.0})
-        assert e.taylor == (0.0, 0.0, 2.0)
+        assert e.taylor == (0.0, 0.0, 2.0, 0.0)
         # Caputo of order above the polynomial degree vanishes.
         assert np.all(e.caputo_derivative(2.3, np.array([0.5, 1.0])) == 0.0)
+
+    @pytest.mark.parametrize(
+        "p,taylor",
+        [
+            (1.0, (0.0, 1.0, 0.0, 0.0)),
+            (3.0, (0.0, 0.0, 0.0, 6.0)),
+            (4.0, (0.0, 0.0, 0.0, 0.0, 24.0)),
+        ],
+    )
+    def test_integer_powers_list_derivatives_through_order_three(self, p, taylor):
+        # Like the constant and p = 0: every derivative at t0 through order max(p, 3).
+        e = catalog.builtin("power", {"p": p})
+        assert e.taylor == taylor
+        # So the Caputo derivative of order 2.5 has its Taylor data and a closed form.
+        t = np.linspace(0.0, 1.0, 4097)
+        g = fc.caputo_derivative(catalog.sample(e, 0.0, 1.0, 4097), 2.5, catalog.taylor_for_order(e, 3))
+        # 7.0e-4 measured at p = 3; the last three nodes carry the open order-(2, 3) end defect.
+        assert np.max(np.abs(g.values[8:-3] - e.caputo_derivative(2.5, t)[8:-3])) <= 1e-3
 
     def test_caputo_refuses_orders_past_smoothness(self):
         e = catalog.builtin("power", {"p": 0.5})
@@ -288,6 +325,38 @@ class TestSample:
         with pytest.raises(InvalidParameterError):
             catalog.sample(e, 0.5, 1.0, 9)  # must start at the base point
 
+    @pytest.mark.parametrize(
+        "t0,t1,n",
+        [
+            (0.0, math.inf, 9),
+            (0.0, math.nan, 9),
+            (math.nan, 1.0, 9),
+            (-math.inf, 1.0, 9),
+            (0.0, 1.0, 10.0),
+            (0.0, 1.0, "10"),
+            (0.0, 1.0, None),
+        ],
+    )
+    def test_non_finite_interval_or_non_integer_n_raise(self, t0, t1, n):
+        e = catalog.builtin("power", {"p": 2.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError):
+                catalog.sample(e, t0, t1, n)
+
+    def test_overflowing_span_raises(self):
+        e = catalog.builtin("constant", {"t0": -1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError):
+                catalog.sample(e, -1e308, 1e308, 9)
+            with pytest.raises(InvalidParameterError):
+                catalog.sample(e, np.float64(-1e308), np.float64(1e308), 9)
+
+    def test_numpy_integer_n(self):
+        e = catalog.builtin("power", {"p": 2.0})
+        assert catalog.sample(e, 0.0, 1.0, np.int64(9)).n == 9
+
     def test_shifted_base_point(self):
         e = catalog.builtin("power", {"p": 1.0, "t0": 1.0})
         g = catalog.sample(e, 1.0, 2.0, 5)
@@ -306,6 +375,74 @@ def test_describe_builtin():
     assert "p (required)" in text and "t0 (default 0)" in text
     with pytest.raises(UnknownNameError):
         catalog.describe_builtin("nope")
+
+
+_DESCRIPTIONS = {
+    "constant": [
+        "constant",
+        "  parameters: c (default 1), t0 (default 0)",
+        "  constant(c=1)",
+        "    constant value 1",
+        "    parameters: c=1, t0=0",
+        "    taylor at start: [1.0, 0.0, 0.0, 0.0]",
+        "    closed fractional integral: available",
+        r"    closed fractional derivative: D^\alpha_{t_0,t}c=\dfrac{(t-t_0)^{-\alpha}c}{\Gamma(1-\alpha)}",
+        r"    closed Caputo derivative: cD^\alpha_{t_0,t}c=0",
+    ],
+    "ml_exp": [
+        "ml_exp",
+        "  parameters: alpha (default 0.7), t0 (default 0)",
+        "  ml_exp(alpha=0.7)",
+        "    Mittag-Leffler exponential E_alpha((t - t0)^alpha), alpha=0.7",
+        "    parameters: alpha=0.7, t0=0",
+        "    taylor at start: [1.0]",
+        "    closed fractional integral: available",
+        "    closed fractional derivative: available",
+        r"    closed Caputo derivative: cD^{\beta}_{t_0,t}E_\alpha\big((t-t_0)^\alpha\big)"
+        r"=(t-t_0)^{\alpha-\beta}E_{\alpha,1+\alpha-\beta}\big((t-t_0)^\alpha\big)",
+    ],
+    "power": [
+        "power",
+        "  parameters: p (required), t0 (default 0)",
+        "  shown below for: power:p=0.5",
+        "  power(p=0.5)",
+        "    (t - t0)^0.5",
+        "    parameters: p=0.5, t0=0",
+        "    taylor at start: [0.0]",
+        "    closed fractional integral: available",
+        r"    closed fractional derivative: D_{0,t}^\beta f(t)=\dfrac{\Gamma(\alpha+1)}{\Gamma(\alpha-\beta+1)}t^{\alpha-\beta}",
+        "    closed Caputo derivative: available",
+    ],
+    "step": [
+        "step",
+        "  parameters: t_jump (required), t0 (default 0)",
+        "  shown below for: step:t_jump=0.5",
+        "  step(t_jump=0.5)",
+        "    unit jump at t=0.5 (0 before, 1 from the jump on)",
+        "    parameters: t0=0, t_jump=0.5",
+        "    taylor at start: [0.0]",
+        r"    closed fractional integral: has no representative in $C^0([t_0, t_1], \mathbb{R})$",
+        "    closed fractional derivative: none",
+        "    closed Caputo derivative: none",
+    ],
+    "weierstrass_shifted": [
+        "weierstrass_shifted",
+        "  parameters: alpha (default 0.5), sigma (default 2), t0 (default 0)",
+        "  weierstrass_shifted(alpha=0.5, sigma=2)",
+        "    lacunary cosine sum W(t) - W(t0), alpha=0.5, sigma=2; "
+        "Hoelder-continuous of its own order but nowhere smoother",
+        "    parameters: alpha=0.5, sigma=2, t0=0",
+        "    closed fractional integral: none",
+        "    closed fractional derivative: none",
+        "    closed Caputo derivative: none",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DESCRIPTIONS))
+def test_describe_builtin_text(name):
+    assert sorted(_DESCRIPTIONS) == catalog.builtin_names()
+    assert catalog.describe_builtin(name) == "\n".join(_DESCRIPTIONS[name])
 
 
 class TestQuadratureOracle:

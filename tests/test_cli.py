@@ -192,10 +192,25 @@ class TestTransformCommand:
              "--taylor", "a,b"),
             ("transform", "--fn", "power:p=0.5", "--op", "J", "--alpha", "0.5",
              "--method", "marchaud"),
+            # non-finite catalog parameters and sampling intervals
+            ("transform", "--fn", "power:p=nan", "--op", "J", "--alpha", "0.5"),
+            ("transform", "--fn", "power:p=inf", "--op", "J", "--alpha", "0.5"),
+            ("transform", "--fn", "step:t_jump=nan", "--op", "J", "--alpha", "0.5"),
+            ("transform", "--fn", "constant:t0=nan", "--op", "J", "--alpha", "0.5"),
+            ("transform", "--fn", "power:p=0.5", "--op", "J", "--alpha", "0.5", "--t1", "inf"),
         ],
     )
-    def test_usage_errors(self, tmp_path, args):
+    def test_usage_errors(self, tmp_path, capsys, args):
         assert run_cli(*args, "--output", str(tmp_path / "o.csv")) == 2
+        assert "Warning" not in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_caputo_of_integer_power_past_its_degree(self, tmp_path):
+        # t has Taylor data (0, 1, 0, 0) at 0, so order 2.5 runs, and cD^2.5 t = 0.
+        out = tmp_path / "c.csv"
+        assert run_cli("transform", "--fn", "power:p=1", "--op", "cD", "--alpha", "2.5",
+                       "--n", "257", "--output", str(out)) == 0
+        assert np.max(np.abs(read_grid_csv(str(out)).values[8:])) <= 1e-9
 
     @pytest.mark.parametrize("method", list(fc.DerivativeMethod))
     def test_every_derivative_method_is_a_choice(self, tmp_path, method):
@@ -233,6 +248,12 @@ class TestTransformCommand:
         assert run_cli("transform", "--fn", "constant", "--op", "D", "--alpha", "0.5",
                        "--n", "257", "--output", str(marked)) == 0
         assert run_cli("transform", "--input", str(marked), "--op", "cD", "--alpha", "0.5",
+                       "--output", str(tmp_path / "o.csv")) == 4
+        # More difference passes than the grid has nodes for, refused before the first
+        assert run_cli("transform", "--fn", "power:p=0.5", "--op", "D", "--alpha", "1e308",
+                       "--output", str(tmp_path / "o.csv")) == 4
+        # An order past the range of math.lgamma: a precondition error, not a traceback
+        assert run_cli("transform", "--fn", "power:p=0.5", "--op", "J", "--alpha", "1e306",
                        "--output", str(tmp_path / "o.csv")) == 4
 
     @pytest.mark.parametrize("alpha", ["0.05", "1e-17"])

@@ -2,6 +2,7 @@
 convergence, exactness classes, and the singular-start bookkeeping."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -208,6 +209,21 @@ class TestIntegralThenDifference:
     def test_two_nodes_are_too_few_to_difference(self):
         with pytest.raises(fc.PreconditionError):
             fc.rl_derivative(_grid([0.0, 1.0]), 1.5)
+
+    @pytest.mark.parametrize("order", [1e308, 2e4, 1024.0, 1023.5])
+    def test_order_past_the_node_count_is_refused_at_once(self, order):
+        # ceil(order) difference passes need ceil(order) + 2 nodes; past that
+        # the call is refused before any pass, so it cannot run for ever.
+        g = _grid(np.linspace(0.0, 1.0, 1025) ** 0.5)
+        start = time.perf_counter()
+        with pytest.raises(fc.PreconditionError, match="ceil"):
+            fc.rl_derivative(g, order)
+        assert time.perf_counter() - start < 1.0
+
+    def test_order_at_the_node_count_is_computed(self):
+        # ceil(order) = n - 2 is the largest order differenced: 6 passes on 8 nodes.
+        d = fc.rl_derivative(_grid(np.linspace(0.0, 1.0, 8) ** 2), 5.5)
+        assert d.n == 8 and np.all(np.isfinite(d.values))
 
 
 class TestSingularStartDetection:

@@ -13,9 +13,12 @@ import pytest
 
 from fraccalc import catalog
 from fraccalc import (
+    GridFunction,
     InvalidParameterError,
     NonConvergenceError,
     PoleError,
+    PreconditionError,
+    frac_integral,
     gamma,
     mittag_leffler,
     rgamma,
@@ -106,6 +109,16 @@ class TestReciprocalGamma:
 
     def test_zero_at_inf(self):
         assert rgamma(math.inf) == 0.0
+
+    @pytest.mark.parametrize("x", [1e305, 2.56e305, 1e306, 1.7976931348623157e308])
+    def test_zero_where_lgamma_overflows(self, x):
+        # math.lgamma overflows from about 2.56e305 on; 1/gamma has long underflowed there.
+        assert rgamma(x) == 0.0
+
+    def test_integral_of_order_past_lgamma_overflow_is_a_precondition_error(self):
+        g = GridFunction(0.0, 1.0, np.linspace(0.0, 1.0, 65) ** 0.5)
+        with pytest.raises(PreconditionError, match="overflows"):
+            frac_integral(g, 1e306)
 
     @pytest.mark.parametrize("x", [171.5, 172.0, 175.0, 177.5, 178.5, 180.0])
     def test_subnormal_past_gamma_overflow(self, x):
