@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -127,15 +127,27 @@ def _constant(c: float, t0: float) -> dict:
     )
 
 
-def _power_taylor(p: float) -> tuple[float, ...]:
-    if p == math.floor(p):
-        # Integer exponent: every derivative through order max(p, 3), like the constant's.
-        k = int(p)
-        coeffs = [0.0] * (max(k, 3) + 1)
-        coeffs[k] = float(math.factorial(k))
-        return tuple(coeffs)
-    # Non-integer exponent: only the value at the base point is usable.
-    return (0.0,)
+class _IntegerPowerTaylor(Sequence):
+    # The derivatives at t0 of (t - t0)^p, integer p >= 1, through order max(p, 3) like the constant's:
+    # p! at order p (inf past the float range, which Caputo refuses), else 0, each made when read.
+    def __init__(self, p: int) -> None:
+        self.p = p
+
+    def __len__(self) -> int:
+        return max(self.p, 3) + 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        if range(len(self))[k] != self.p:
+            return 0.0
+        return float(math.factorial(self.p)) if math.isfinite(gamma(self.p + 1.0)) else math.inf
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and len(other) == len(self) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _power(expo: float, t0: float) -> dict:
@@ -168,7 +180,7 @@ def _power(expo: float, t0: float) -> dict:
 
     return dict(
         eval=lambda t: _positive_power(np.asarray(t, float) - t0, expo),
-        taylor=_power_taylor(expo),
+        taylor=_IntegerPowerTaylor(int(expo)) if expo == math.floor(expo) else (0.0,),  # else f(t0) only
         rl_integral=rl_int,
         rl_derivative=rl_der,
         caputo_derivative=cap_der,

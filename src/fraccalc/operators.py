@@ -47,7 +47,7 @@ from .errors import (
     TaylorMismatchError,
     UnintegrableSingularityError,
 )
-from .grid import FracOrder, GridFunction, as_order
+from .grid import FracOrder, GridFunction, _Owned, as_order
 from .special import gamma, rgamma
 
 __all__ = [
@@ -75,25 +75,30 @@ class DerivativeMethod(str, enum.Enum):
     INTEGRAL_THEN_DIFFERENCE = "integral_then_difference"
 
 
-def _as_method(method: DerivativeMethod | str | None, order: FracOrder) -> DerivativeMethod:
+def _as_method(method: DerivativeMethod | str | None, order: FracOrder, n: int) -> DerivativeMethod:
     if method is None:
-        return (
-            DerivativeMethod.MARCHAUD
-            if order.alpha < 1.0
-            else DerivativeMethod.INTEGRAL_THEN_DIFFERENCE
-        )
+        method = DerivativeMethod.MARCHAUD if order.alpha < 1.0 else DerivativeMethod.INTEGRAL_THEN_DIFFERENCE
     try:
-        return DerivativeMethod(method)
+        meth = DerivativeMethod(method)
     except ValueError:
         choices = ", ".join(m.value for m in DerivativeMethod)
         raise InvalidParameterError(f"unknown derivative method {method!r}; known: {choices}") from None
+    if meth is DerivativeMethod.MARCHAUD and not order.alpha < 1.0:
+        raise PreconditionError(f"the Marchaud form requires 0 < order < 1, got {order.alpha}; "
+                                "use integral_then_difference")
+    # Refused before any of the ceil(order) difference passes, which a huge order would run
+    # for ever.  The probe's subgrids hold >= 4 nodes, the 3 a pass needs and more.
+    if meth is DerivativeMethod.INTEGRAL_THEN_DIFFERENCE and order.ceil_alpha > n - 2:
+        raise PreconditionError(f"order {order.alpha} needs ceil(order) + 2 nodes to difference, got {n}")
+    return meth
 
 
 def _result(g: GridFunction, vals: np.ndarray, singular_start: bool = False) -> GridFunction:
     # Finite data whose computation overflows fail a precondition; the callers run under np.errstate.
+    # ``vals`` is always a new array; a view into the FFT path's longer buffer is compacted.
     if not np.all(np.isfinite(vals[..., 1 if singular_start else 0 :])):
         raise PreconditionError("the computation overflows the float range")
-    return g.with_values(vals, singular_start)
+    return GridFunction(g.t0, g.t1, _Owned(vals if vals.base is None else vals.copy()), singular_start)
 
 
 def _fft_size(m: int) -> int:
@@ -319,6 +324,20 @@ def _rl_values(v: np.ndarray, h: float, a: float, method: DerivativeMethod) -> n
     return w
 
 
+def _first_node_estimates(v: np.ndarray, h: float, a: float, method: DerivativeMethod) -> Sequence[np.ndarray]:
+    # |index 1| of the derivative of each row of v on its stride-4, stride-2 and stride-1 subgrids.
+    if method is DerivativeMethod.MARCHAUD:
+        # That of a 3-node _marchaud_values, by its operations: ((g0 - g1) mu1[0]) (-a r (h s)**-a) + ((h s)**-a r) g1.
+        r = rgamma(1.0 - a)
+        scale = np.array([-a * r * (h * s) ** -a for s in (4, 2, 1)])  # Python's power, as the pass's
+        start = (h * np.array([4.0, 2.0, 1.0])) ** -a * r  # numpy's, as the pass's
+        g0, g1 = v[..., :1], v[..., [4, 2, 1]]
+        return np.moveaxis(np.abs(((g0 - g1) * (1.0 / (1.0 - a))) * scale + start * g1), -1, 0)
+    # Index 1 depends only on the first ceil(a) + 2 nodes: the subgrids are cut to those.
+    nodes = math.ceil(a) + 2
+    return [np.abs(_rl_values(v[..., ::s][..., :nodes], h * s, a, method)[..., 1]) for s in (4, 2, 1)]
+
+
 def _probe_singular_start(v: np.ndarray, h: float, a: float, method: DerivativeMethod) -> bool:
     # Re-estimate the first-node derivative on stride-4 and stride-2 subgrids.
     # A genuine (t-t0)^-a blow-up makes the estimate grow like 2**a per
@@ -326,12 +345,7 @@ def _probe_singular_start(v: np.ndarray, h: float, a: float, method: DerivativeM
     # probed separately, and one blow-up marks the whole output.
     if v.shape[-1] < 13:
         return False
-    # Index 1 of a derivative of order a depends only on the first ceil(a) + 2
-    # nodes, so each subgrid is cut to those and the cost does not grow with n.
-    nodes = math.ceil(a) + 2
-    e4, e2, e1 = (
-        np.abs(_rl_values(v[..., ::stride][..., :nodes], h * stride, a, method)[..., 1]) for stride in (4, 2, 1)
-    )
+    e4, e2, e1 = _first_node_estimates(v, h, a, method)
     with np.errstate(divide="ignore", invalid="ignore"):
         grows = (e4 > 0.0) & (e2 > 0.0) & (e2 / e4 >= _PROBE_GROWTH) & (e1 / e2 >= _PROBE_GROWTH)
     return bool(np.any(grows))
@@ -370,7 +384,7 @@ def rl_derivative(
     O(1) error on the last three nodes that does not shrink with n, because
     the third difference pass amplifies the one-sided end formulas.  D^2.5 of
     t^4 is off there by 2.26, 6.77 and 11.3 at both n = 1025 and n = 4097,
-    while nodes 8 to n - 4 are within 8.6e-5 and 1.1e-5.  ROADMAP item 9
+    while nodes 8 to n - 4 are within 8.6e-5 and 1.1e-5.  ROADMAP item 1
     tracks the end formulas.
     """
     o = as_order(order)
@@ -378,16 +392,7 @@ def rl_derivative(
         raise PreconditionError("cannot differentiate data marked singular at the start")
     if o.alpha == 0.0:
         return g
-    meth = _as_method(method, o)
-    if meth is DerivativeMethod.MARCHAUD and not o.alpha < 1.0:
-        raise PreconditionError(
-            f"the Marchaud form requires 0 < order < 1, got {o.alpha}; "
-            "use integral_then_difference"
-        )
-    # Refused before any of the ceil(order) difference passes, which a huge order would run
-    # for ever.  The probe's subgrids hold >= 4 nodes, the 3 a pass needs and more.
-    if meth is DerivativeMethod.INTEGRAL_THEN_DIFFERENCE and o.ceil_alpha > g.n - 2:
-        raise PreconditionError(f"order {o.alpha} needs ceil(order) + 2 nodes to difference, got {g.n}")
+    meth = _as_method(method, o, g.n)
     vals = _rl_values(g.values, g.h, o.alpha, meth)
     return _result(g, vals, _probe_singular_start(g.values, g.h, o.alpha, meth))
 
@@ -426,10 +431,14 @@ def caputo_derivative(
         raise TaylorMismatchError("each Taylor entry must be a scalar or hold one value per component")
     if not all(np.isfinite(c).all() for c in coeffs):
         raise TaylorMismatchError("Taylor coefficients must be finite")
+    _as_method(method, o, g.n)  # its refusals come before the ceil(order) polynomial terms
     t_rel = g.times() - g.t0
     poly = np.zeros(g.values.shape)
+    factorial = 1
     for j, c in enumerate(coeffs):
-        poly += (c / math.factorial(j)) * t_rel**j
+        factorial *= max(j, 1)  # past the float range (j >= 171) scaled by 2**-e, which c takes exactly
+        e = max(factorial.bit_length() - 1023, 0)
+        poly += (np.ldexp(c, -e) / (factorial >> e)) * t_rel**j
     return rl_derivative(_result(g, g.values - poly), o, method)
 
 

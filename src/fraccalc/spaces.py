@@ -46,8 +46,8 @@ _REL_TOL = 0.15
 # Node pairs the Hölder scan evaluates per vectorized chunk, when its blocks are small enough.
 _BLOCK_PAIRS = 1 << 14
 
-# Largest number of blocks the Hölder scan splits the nodes into; its block-pair tables grow with
-# the square of this, times the number of components.
+# Largest number of blocks the Hölder scan splits the nodes into; the square of this bounds the
+# block pairs of the tables it builds at once, over a group of components.
 _SCAN_BLOCKS = 512
 
 # Evaluated node pairs after which the Hölder scan stops while a bound above its best quotient is
@@ -85,85 +85,86 @@ class HolderEstimate:
 def _block_scan(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tuple[int, int], int, float]:
     # The scan of holder_seminorm (its docstring describes the pruning) over the rows of v, shape
     # (d, n): the largest quotient over the evaluated pairs i < j of any row, the first pair (i, j)
-    # attaining it in any row, the pairs examined and ``upper``.  Every table below holds one row
-    # per component; a candidate is a (row, block pair), flattened row by row.
+    # attaining it in any row, the pairs examined and ``upper``.  The rows are padded with their
+    # last value to (d, blocks, size) tiles; a candidate is a (row, block pair).
     d, n = v.shape
     size = 32
     while -(-n // size) > _SCAN_BLOCKS:
         size *= 2
+    blocks = -(-n // size)
+    tiles = np.pad(v, ((0, 0), (0, blocks * size - n)), mode="edge").reshape(d, blocks, size)
+    times = np.pad(t, (0, blocks * size - n), mode="edge").reshape(blocks, size)
     starts = np.arange(0, n, size)
-    last = np.minimum(starts + size, n) - 1
-    vmin = np.minimum.reduceat(v, starts, axis=1)
-    vmax = np.maximum.reduceat(v, starts, axis=1)
-    p, q = np.triu_indices(starts.size)
-    live = (p < q) | (last[p] > starts[p])  # a one-node block holds no pair
+    width = np.minimum(starts + size, n) - starts
+    p, q = np.triu_indices(blocks)
+    live = (p < q) | (width[p] > 1)  # a one-node block holds no pair
     p, q = p[live], q[live]
-    rise = np.maximum(vmax[:, q] - vmin[:, p], vmax[:, p] - vmin[:, q])
     h_min = np.min(np.diff(t))
-    gap = np.where(p < q, t[starts[q]] - t[last[p]], h_min)
-    # |v[k+1] - v[k]|, 0 past the last node; inner[b] leaves out the step from block b to b + 1.
-    steps = np.abs(np.diff(v, append=v[:, -1:]))
-    inner = np.maximum.reduceat(np.where(np.arange(n) % size == size - 1, 0.0, steps), starts, axis=1)
-    # reach[p, q]: the largest step from the first node of block p to the first of block q.
-    owned = np.concatenate((np.zeros((d, 1)), np.maximum(inner, steps[:, last])[:, :-1]), axis=1)
-    reach = np.maximum.accumulate(np.triu(np.broadcast_to(owned[:, None], (d,) + (starts.size,) * 2), 1), axis=2)
-    # Slope bound: pairs of P x Q are j - i <= L = last(Q) - first(P) nodes apart, no step between
-    # them exceeds D and no grid step is below h_min, so a quotient is at most D (j - i) / ((j - i)
-    # h_min)**gamma <= D L**(1 - gamma) / h_min**gamma.  Rounding the steps, differences, quotients,
-    # 1 - gamma and pow moves the sides under 20 ulps apart; the margin, applied before the product
-    # with D so that a subnormal product keeps it, covers that.
-    D = np.maximum(reach[:, p, q], inner[:, q])
-    L = (last[q] - starts[p]).astype(float)
-    slope = D * (L ** (1.0 - gamma) / h_min**gamma * _BOUND_MARGIN)
-    bound = np.where(rise > 0.0, np.minimum(rise / gap**gamma * _BOUND_MARGIN, slope), 0.0).ravel()
-    # Each candidate's row offset into v.ravel() and its first node pair, keyed i * n + j so keys
-    # sort in (i, j) order whatever the row.
-    base = np.repeat(np.arange(0, d * n, n), p.size)
-    p, q = np.tile(starts[p], d), np.tile(starts[q], d)
-    first = p * n + np.where(p < q, q, p + 1)
+    gap = np.where(p < q, t[starts[q]] - t[starts[p] + width[p] - 1], h_min)
+    L = (starts[q] + width[q] - 1 - starts[p]).astype(float)
+    # Each block pair's node pairs, and its first keyed i * n + j: keys sort in (i, j) order in any row.
+    pairs = np.where(p < q, width[p] * width[q], width[p] * (width[p] - 1) // 2)
+    first = starts[p] * n + np.where(p < q, starts[q], starts[p] + 1)
+
+    def bounds(tile: np.ndarray) -> np.ndarray:  # of every candidate of the rows of tile, row by row
+        vmin, vmax = tile.min(axis=2), tile.max(axis=2)
+        rise = np.maximum(vmax[:, q] - vmin[:, p], vmax[:, p] - vmin[:, q])
+        # |v[k+1] - v[k]| inside each block, and owned[b] the largest step from block 0 to block b.
+        inner = np.max(np.abs(np.diff(tile, axis=2)), axis=2)
+        cross = np.abs(tile[:, 1:, 0] - tile[:, :-1, -1])  # the step from each block to the next
+        owned = np.concatenate((np.zeros((len(tile), 1)), np.maximum(inner[:, :-1], cross)), axis=1)
+        # reach[p, q]: the largest step from the first node of block p to the first of block q.
+        reach = np.maximum.accumulate(np.triu(np.broadcast_to(owned[:, None], (len(tile), blocks, blocks)), 1), axis=2)
+        # Slope bound: pairs of P x Q are j - i <= L = last(Q) - first(P) nodes apart, no step
+        # between them exceeds D and no grid step is below h_min, so a quotient is at most
+        # D (j - i) / ((j - i) h_min)**gamma <= D L**(1 - gamma) / h_min**gamma.  Rounding the
+        # steps, differences, quotients, 1 - gamma and pow moves the sides under 20 ulps apart; the
+        # margin, applied before the product with D so that a subnormal product keeps it, covers that.
+        slope = np.maximum(reach[:, p, q], inner[:, q]) * (L ** (1.0 - gamma) / h_min**gamma * _BOUND_MARGIN)
+        return np.where(rise > 0.0, np.minimum(rise / gap**gamma * _BOUND_MARGIN, slope), 0.0).ravel()
     # A floor under the result: the quotient of some row's extreme values.  Its block pair's bound
     # covers it, so no candidate below it is ever evaluated, and the sort can leave those out.  An
     # overflowing floor gives no such guarantee and keeps every candidate.
     lo, hi = np.sort((np.argmin(v, axis=1), np.argmax(v, axis=1)), axis=0)
     extreme = np.abs(v[np.arange(d), hi] - v[np.arange(d), lo]) / (t[hi] - t[lo]) ** gamma
     floor = np.max(extreme, where=hi > lo, initial=0.0)
-    order = np.flatnonzero(bound >= (floor if np.isfinite(floor) else 0.0))
-    order = order[np.argsort(-bound[order], kind="stable")]
-    offsets = np.arange(size)
+    below = np.tri(size, dtype=bool)  # the offsets of j at or before i, no pair in a diagonal block
     per_chunk = max(_BLOCK_PAIRS // size**2, 1)
-    flat = v.ravel()
-
-    best = -1.0
-    best_key = 1  # the pair (0, 1)
-    evaluated = 0
-    while order.size:
-        top = bound[order[0]]
-        if top < best:
-            break
-        if top == best:
-            # Nothing left can exceed the best quotient; a block pair can
-            # only tie it, and matters only if it starts before the best pair.
-            order = order[(bound[order] == best) & (first[order] < best_key)]
-            if not order.size:
+    group = max(_SCAN_BLOCKS**2 // blocks**2, 1)  # rows whose tables are built at once
+    best, best_key, evaluated = -1.0, 1, 0  # key 1 is the pair (0, 1)
+    for g0 in range(0, d, group):
+        bound = bounds(tiles[g0 : g0 + group])
+        order = np.flatnonzero(bound >= (floor if np.isfinite(floor) else 0.0))
+        order = order[np.argsort(-bound[order], kind="stable")]
+        while order.size:
+            top = bound[order[0]]
+            if top < best:
                 break
-        elif evaluated >= _PAIR_BUDGET:
-            return best, divmod(best_key, n), evaluated, float(top)
-        take, order = order[:per_chunk], order[per_chunk:]
-        sp, sq, row = p[take], q[take], base[take, None, None]
-        i = sp[:, None, None] + offsets[:, None]
-        j = sq[:, None, None] + offsets
-        keep = (j > i) & (j < n)
-        evaluated += int(np.count_nonzero(keep))
-        i, j = np.minimum(i, n - 1), np.minimum(j, n - 1)
-        r = np.where(keep, np.abs(flat[row + j] - flat[row + i]) / (t[j] - t[i]) ** gamma, -1.0)
-        top_r = float(np.max(r))
-        # The chunk matters only if it beats the best quotient or ties it at an earlier pair.
-        if top_r < max(best, 0.0) or (top_r == best and first[take].min() > best_key):
-            continue
-        k, a, c = np.unravel_index(np.flatnonzero(r == top_r), r.shape)
-        key = int(np.min((sp[k] + a) * n + sq[k] + c))
-        if top_r > best or key < best_key:
-            best, best_key = top_r, key
+            if top == best:
+                # Nothing left can exceed the best quotient; a block pair can
+                # only tie it, and matters only if it starts before the best pair.
+                order = order[(bound[order] == best) & (first[order % p.size] < best_key)]
+                if not order.size:
+                    break
+            elif evaluated >= _PAIR_BUDGET:
+                later = [np.max(bounds(tiles[k : k + group])) for k in range(g0 + group, d, group)]
+                return best, divmod(best_key, n), evaluated, float(max([top, *later]))
+            take, order = order[:per_chunk], order[per_chunk:]
+            row, k = np.divmod(take, p.size)
+            sp, sq = p[k], q[k]
+            vi, vj, ti, tj = tiles[g0 + row, sp], tiles[g0 + row, sq], times[sp], times[sq]
+            r = np.abs(vj[:, None, :] - vi[:, :, None]) / (tj[:, None, :] - ti[:, :, None]) ** gamma
+            r[sp == sq] = np.where(below, -1.0, r[sp == sq])
+            r[sq == blocks - 1, :, width[-1] :] = -1.0  # the padding of the last block
+            evaluated += int(pairs[k].sum())
+            top_r = float(np.max(r))
+            # The chunk matters only if it beats the best quotient or ties it at an earlier pair.
+            if top_r < max(best, 0.0) or (top_r == best and first[k].min() > best_key):
+                continue
+            c, a, b = np.unravel_index(np.flatnonzero(r == top_r), r.shape)
+            key = int(np.min((starts[sp[c]] + a) * n + starts[sq[c]] + b))
+            if top_r > best or key < best_key:
+                best, best_key = top_r, key
     return best, divmod(best_key, n), d * n * (n - 1) // 2, best
 
 
@@ -176,21 +177,24 @@ def holder_seminorm(g: GridFunction, gamma: float) -> HolderEstimate:
     covers every component: it bounds every pair and evaluates only the pairs
     that can still win against one best quotient.  It splits the nodes into
     blocks of 32, or of the smallest larger power of two that leaves at most
-    512 blocks (64 nodes from n = 16385 on), and keeps one set of block
-    tables with a row per component.  It bounds each block pair P <= Q of
-    each component by the smaller of the largest value difference between
-    the blocks over the smallest time gap between them (the smallest grid
-    step when P = Q), and the largest step |f(t_k+1)-f(t_k)| from the first
-    node of P to the last of Q times L**(1-gamma) / h_min**gamma, for the L
-    steps spanned and the smallest grid step h_min, with a margin of 64
-    ulps.  Block pairs bounded below the quotient of some component's
-    minimum and maximum can never win and are dropped before the rest are
-    sorted.  It then evaluates block pairs in order of descending bound, in
-    chunks of 16,384 pairs (one block pair once blocks hold 128 nodes or
-    more), each quotient computed exactly as a full scan would.  It stops
-    when no bound left reaches the best quotient found; a block pair whose
-    bound only ties it is skipped when all its pairs come after the best
-    pair.
+    512 blocks (64 nodes from n = 16385 on), viewing each component, padded
+    with its last value, as tiles of one block each.  Components go in groups
+    of max(1, 512**2 // blocks**2) that build their block tables in turn, one
+    group for the suite's 20 of 1025 nodes.  It bounds each block pair P <= Q
+    of each component by the smaller of the largest value difference between
+    the blocks over the smallest time gap between them (the smallest grid step
+    when P = Q), and the largest step |f(t_k+1)-f(t_k)| from the first node of
+    P to the last of Q times L**(1-gamma) / h_min**gamma, for the L steps
+    spanned and the smallest grid step h_min, with a margin of 64 ulps.  Block
+    pairs bounded below the quotient of some component's minimum and maximum
+    can never win and are dropped before the rest are sorted.  It then
+    evaluates block pairs in order of descending bound, in chunks of 16,384
+    pairs (one block pair once blocks hold 128 nodes or more), broadcasting
+    each block pair's two value and two time tiles to its quotients, each
+    computed exactly as a full scan would; only diagonal and last-block pairs
+    take a mask.  It stops when no bound left reaches the best quotient found;
+    a block pair whose bound only ties it is skipped when all its pairs come
+    after the best pair.
 
     A finished scan is exact: ``value`` is the grid seminorm, ``upper``
     equals it, ``argmax_pair`` is the first pair in (i, j) order attaining
@@ -203,7 +207,8 @@ def holder_seminorm(g: GridFunction, gamma: float) -> HolderEstimate:
     The scan also stops before the next chunk once a fixed budget of
     2,000,000 pairs has been evaluated while a bound above the best quotient
     is left.  It then returns ``exact`` False, ``value`` a certified lower
-    bound, ``upper`` the largest bound left, a certified upper bound, and
+    bound, ``upper`` the largest bound left in this group or a later one, a
+    certified upper bound, and
     ``pairs_examined`` the evaluated pairs, which exceed the budget by less
     than one chunk.  No scan of the suite comes near the budget.  √t at
     n = 32769 reaches it, as does data of constant slope at gamma = 1 with
@@ -235,14 +240,8 @@ def holder_exponent(g: GridFunction) -> float:
     n = g.n
     if n < 9:
         raise PreconditionError(f"need at least 9 nodes for the exponent fit, got {n}")
-    max_lag = (n - 1) // 4
-    lags = []
-    lag = 1
-    while lag <= max_lag:
-        lags.append(lag)
-        lag *= 2
-    scales = []
-    moduli = []
+    lags = [1 << k for k in range(((n - 1) // 4).bit_length())]  # 1, 2, 4, ... up to (n - 1) // 4
+    scales, moduli = [], []
     for lag in lags:
         with np.errstate(over="ignore"):
             w = float(np.max(np.abs(v[..., lag:] - v[..., :-lag])))

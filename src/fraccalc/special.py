@@ -4,9 +4,10 @@ Gamma and its reciprocal take scalar arguments and wrap :func:`math.gamma`,
 which is good to about 1e-15 relative.  The wrappers raise the package's
 errors at the poles and at -inf, and return signed infinities where a value
 overflows.  Mittag-Leffler and the Weierstrass-type sum take a scalar or an
-array of points.  They are summed here with compensated (Kahan) summation to
-a fixed truncation tolerance of 1e-14 within a fixed budget of 2,000 terms,
-so the package needs no special-function library beyond the standard one.
+array of points.  They are summed here with compensated (Kahan) summation,
+all but the Weierstrass sum's small terms, to a fixed truncation tolerance of
+1e-14 within a fixed budget of 2,000 terms, so the package needs no
+special-function library beyond the standard one.
 """
 
 from __future__ import annotations
@@ -208,10 +209,14 @@ def weierstrass(
     2**-12 / (1 - q) * 3u * ((sigma*q)**r - 1) / (sigma*q - 1) <= 2**-55, so
     with 8u in place of 3u the rotations move the sum by < 8/3 * 2**-55:
     10 at (alpha, sigma) = (0.5, 2), 4 at (0.3, 8); r = 1 takes no sine and
-    gives the values of a cosine at every term.  Other sigma and parameters
-    needing more limbs (sigma = 2, alpha < ~0.28) take cos(sigma**j * t);
-    other sigma round it, a reproducible noise ~|t|*sigma**N*eps.  While all
-    |t| <= 2**20 no entry depends on the others.
+    gives the values of a cosine at every term.  The m terms of weight
+    <= 2**-12, on every path, go to one plain accumulator that the Kahan sum
+    takes once; its partial sums stay below 2**-12 / (1 - q), so it moves the
+    sum by < (m - 1) u 2**-12 / (1 - q): 0.018u / (1 - q) at (0.5, 2), where
+    m = 72 of N = 97, and < u / (2 (1 - q)) within the budget.  Other sigma
+    and parameters needing more limbs (sigma = 2, alpha < ~0.28) take
+    cos(sigma**j * t); other sigma round it, a reproducible noise
+    ~|t|*sigma**N*eps.  While all |t| <= 2**20 no entry depends on the others.
     """
     if not (sigma > 1.0 and math.isfinite(sigma)):
         raise InvalidParameterError(f"need sigma > 1, got {sigma}")
@@ -252,7 +257,7 @@ def weierstrass(
     total = np.zeros_like(arg)
     comp = np.zeros_like(arg)
     frac = None  # the fraction path's limb products, scaled and reduced modulo 1 at each anchor
-    w = 1.0
+    w, tail = 1.0, 0.0  # tail: the terms of weight <= 2**-12, summed plainly
     for j in range(terms):
         if frac is None and limbs and w <= 2.0**-12:
             frac = np.stack([part for limb in _INV_2PI[:limbs] for part in _two_product(arg, limb)][:-1])
@@ -273,9 +278,13 @@ def weierstrass(
             if spacing > 1:
                 sine = np.sin(angle)
             frac *= sigma**spacing
-        y = w * c - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
+        if w > 2.0**-12:
+            y = w * c - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+        else:
+            tail = tail + w * c
         w *= q
+    total = total + (tail - comp)
     return float(total) if np.ndim(total) == 0 else total

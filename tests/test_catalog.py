@@ -2,6 +2,7 @@
 quadrature oracle for every closed fractional integral."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -98,6 +99,32 @@ class TestPower:
         d = e.rl_derivative(0.5, np.array([0.3, 0.9]))
         assert d == pytest.approx([0.88622692545275801] * 2, rel=1e-14)
         assert e.taylor == (0.0,)
+
+    def test_large_integer_exponent_lists_lazily(self):
+        # Derivatives through order max(p, 3) are made when read: p = 1e9 lists none up front.
+        tracemalloc.start()
+        try:
+            e = catalog.builtin("power", {"p": 1e9})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(e.taylor) == 10**9 + 1
+        assert catalog.taylor_for_order(e, 5) == (0.0,) * 5
+        assert e.taylor[-1] == math.inf and e.taylor[10**9 - 1] == 0.0
+        with pytest.raises(IndexError):
+            e.taylor[10**9 + 1]
+
+    def test_integer_exponent_past_the_factorial_range(self):
+        # 170! is a float, 171! is not: a Caputo order that needs it is refused (exit code 4).
+        assert catalog.builtin("power", {"p": 170}).taylor[170] == float(math.factorial(170))
+        e = catalog.builtin("power", {"p": 200})
+        assert e.taylor == (0.0,) * 200 + (math.inf,)
+        g = catalog.sample(e, 0.0, 1.0, 257)
+        assert np.all(np.isfinite(fc.frac_integral(g, 0.5).values))
+        assert not fc.rl_derivative(g, 0.5).singular_start
+        with pytest.raises(fc.TaylorMismatchError, match="finite"):
+            fc.caputo_derivative(g, 200.5, catalog.taylor_for_order(e, 201))
 
     def test_half_derivative_annihilates_sqrt_again(self):
         # D^1.5 t^0.5 has coefficient Gamma(1.5)/Gamma(0) = 0.

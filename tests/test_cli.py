@@ -275,6 +275,24 @@ class TestTransformCommand:
         assert "overflows the float range" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_large_integer_power(self, tmp_path, capsys):
+        # p = 200: J and D run; a Caputo order above p needs 200!, which is not a float.
+        for op, alpha in (("J", "0.5"), ("D", "0.5"), ("cD", "0.5"), ("cD", "2.5")):
+            assert run_cli("transform", "--fn", "power:p=200", "--op", op, "--alpha", alpha,
+                           "--output", str(tmp_path / "o.csv")) == 0, (op, alpha)
+        assert run_cli("transform", "--fn", "power:p=200", "--op", "cD", "--alpha", "200.5",
+                       "--output", str(tmp_path / "o.csv")) == 4
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_caputo_with_200_taylor_entries(self, tmp_path):
+        # The difference passes of e^t overflow (4); the residual of the constant vanishes (0).
+        zeros = ",".join(["0"] * 199)
+        assert run_cli("transform", "--fn", "ml_exp:alpha=1", "--op", "cD", "--alpha", "199.5", "--n", "257",
+                       "--taylor", "1," + zeros, "--output", str(tmp_path / "o.csv")) == 4
+        assert run_cli("transform", "--fn", "constant", "--op", "cD", "--alpha", "199.5", "--n", "257",
+                       "--taylor", "1," + zeros, "--output", str(tmp_path / "o.csv")) == 0
+        assert np.all(read_grid_csv(str(tmp_path / "o.csv")).values == 0.0)
+
 
 class TestVerifyCommand:
     def test_single_check_with_prefix(self, capsys):

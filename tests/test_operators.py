@@ -3,6 +3,7 @@ convergence, exactness classes, and the singular-start bookkeeping."""
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -462,3 +463,87 @@ class TestDifferenceStencil:
         t = np.linspace(0.0, 1.0, 129)
         d = _diff_once(3.0 * t**2 - t + 2.0, t[1] - t[0])
         assert d == pytest.approx(6.0 * t - 1.0, rel=1e-10, abs=1e-10)
+
+
+class TestOutputArrays:
+    # Operators hand their new arrays to the result without the constructor's copy and checks; the
+    # result must still hold the invariants the constructor gives.
+    @pytest.mark.parametrize("n", [65, 2049])  # direct and FFT convolution
+    @pytest.mark.parametrize("shape", ["scalar", "stacked"])
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda g: fc.frac_integral(g, 0.5),
+            lambda g: fc.frac_integral(fc.rl_derivative(g, 0.5), 0.5),  # integrates marked data
+            lambda g: fc.rl_derivative(g, 0.5),
+            lambda g: fc.rl_derivative(g, 0.5, "integral_then_difference"),
+            lambda g: fc.rl_derivative(g, 1.5),
+            lambda g: fc.rl_derivative(g, 2.0),
+            lambda g: fc.marchaud_derivative(g, 0.3),
+            lambda g: fc.caputo_derivative(g, 0.5, (1.0,)),
+            lambda g: fc.caputo_derivative(g, 0.5, (0.0,)),
+            lambda g: fc.leibniz_rl(g, g, 0.5),
+            lambda g: fc.leibniz_caputo(g, g, 0.5),
+        ],
+        ids=["J", "J_marked", "D", "D_itd", "D_1.5", "D_2", "marchaud", "cD", "cD_marked", "leibniz_rl", "leibniz_caputo"],
+    )
+    def test_fresh_read_only_float64_marked_by_nan(self, op, shape, n):
+        t = np.linspace(0.0, 1.0, n)
+        rows = np.array([1.0 + t**0.6, 0.5 * t**1.5 + t])
+        g = _grid(rows[0] if shape == "scalar" else rows)
+        out = op(g)
+        v = out.values
+        assert v.dtype == np.float64 and v.shape == g.values.shape
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[..., -1] = 0.0
+        assert not np.shares_memory(v, g.values)
+        assert np.isnan(v[..., 0]).all() == out.singular_start
+        assert np.isfinite(v[..., 0 if not out.singular_start else 1 :]).all()
+        assert (out.t0, out.t1, out.n) == (g.t0, g.t1, g.n)
+
+    def test_marked_and_unmarked_outputs_occur(self):
+        t = np.linspace(0.0, 1.0, 65)
+        assert fc.rl_derivative(_grid(1.0 + t), 0.5).singular_start
+        assert not fc.rl_derivative(_grid(t), 0.5).singular_start
+
+
+class TestCaputoWithManyTaylorEntries:
+    def test_taylor_polynomial_bits_below_171_entries(self, monkeypatch):
+        # The residual handed to rl_derivative is g minus sum_j c_j / j! t^j with j! as a float.
+        seen = []
+        monkeypatch.setattr(operators, "rl_derivative", lambda g, o, m=None: seen.append(g.values) or g)
+        rng = np.random.default_rng(171)
+        t = np.linspace(0.0, 1.0, 257)
+        g = _grid(np.exp(t))
+        for m in (1, 2, 3, 7, 23, 24, 100, 170):
+            taylor = list(rng.uniform(-3.0, 3.0, m))
+            fc.caputo_derivative(g, m - 0.5, taylor)
+            poly = np.zeros(257)
+            for j, c in enumerate(taylor):
+                poly += (np.asarray(c)[..., None] / math.factorial(j)) * t**j
+            assert np.array_equal(seen[-1], g.values - poly), m
+
+    def test_past_170_entries_no_overflow_error(self):
+        t = np.linspace(0.0, 1.0, 257)
+        # The residual of 0 vanishes at every order; 200 difference passes of e^t overflow.
+        assert np.all(fc.caputo_derivative(_grid(np.zeros(257)), 200, [0.0] * 200).values == 0.0)
+        assert np.all(fc.caputo_derivative(_grid(np.ones(257)), 199.5, [1.0] + [0.0] * 199).values == 0.0)
+        with pytest.raises(fc.PreconditionError, match="overflows"):
+            fc.caputo_derivative(_grid(np.exp(t)), 200, [1.0] * 200)
+
+    def test_order_past_the_node_count_is_refused_before_the_polynomial(self):
+        # 100,000 Taylor terms would take minutes of big-integer factorials on 1025 nodes.
+        start = time.perf_counter()
+        with pytest.raises(fc.PreconditionError, match="nodes to difference"):
+            fc.caputo_derivative(_grid(np.zeros(1025)), 1e5, [0.0] * 100_000)
+        assert time.perf_counter() - start < 5.0
+
+    def test_entry_past_170_keeps_its_size(self, monkeypatch):
+        # 1e308 / 171! = 0.0806..., although 171! is not a float.
+        seen = []
+        monkeypatch.setattr(operators, "rl_derivative", lambda g, o, m=None: seen.append(g.values) or g)
+        t = np.linspace(0.0, 1.0, 257)
+        fc.caputo_derivative(_grid(np.zeros(257)), 171.5, [0.0] * 171 + [1e308])
+        coeff = float(Fraction(1e308) / math.factorial(171))
+        assert -seen[-1] == pytest.approx(coeff * t**171, rel=1e-15, abs=0.0)

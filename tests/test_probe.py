@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraccalc as fc
-from fraccalc.operators import _PROBE_GROWTH, DerivativeMethod, _rl_values
+from fraccalc.operators import _PROBE_GROWTH, DerivativeMethod, _first_node_estimates, _marchaud_values, _rl_values
 
 
 def _round_trip(g: fc.GridFunction, alpha: float) -> tuple[bool, float]:
@@ -101,3 +101,34 @@ class TestProbePrefix:
         whole = _rl_values(v, h, alpha, method)[1]
         prefix = _rl_values(v[: math.ceil(alpha) + 2], h, alpha, method)[1]
         assert prefix == pytest.approx(whole, rel=1e-11)
+
+
+class TestClosedFormEstimates:
+    # Below order 1 the probe reads index 1 of a 3-node Marchaud pass in closed form; the pass
+    # itself, on the stride prefixes, is the oracle.
+    @staticmethod
+    def _pass_estimates(v, h, alpha):
+        return [np.abs(_marchaud_values(v[..., ::s][..., :3], h * s, alpha)[..., 1]) for s in (4, 2, 1)]
+
+    def _assert_bitwise(self, v, h, alpha):
+        got = _first_node_estimates(v, h, alpha, DerivativeMethod.MARCHAUD)
+        for e, want in zip(got, self._pass_estimates(v, h, alpha)):
+            assert e.shape == want.shape
+            assert np.array_equal(e.view(np.int64), want.view(np.int64))
+
+    def test_bitwise_on_random_rows(self):
+        rng = np.random.default_rng(21)
+        for k in range(2000):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(13, 80))
+            scale = 10.0 ** rng.uniform(-30, 30)
+            v = scale * (rng.standard_normal((d, n)) if k % 2 else np.round(rng.uniform(-3.0, 3.0, (d, n))))
+            self._assert_bitwise(v[0] if d == 1 and k % 3 == 0 else v, float(rng.uniform(1e-4, 2.0)),
+                                 float(rng.uniform(0.01, 0.99)))
+
+    @pytest.mark.parametrize("n", [13, 14, 20])
+    def test_coarse_mittag_leffler_keeps_its_decision(self, n):
+        # The documented miss on coarse grids: the stride-4 -> 2 growth stays below 1.15.
+        g = _sampled("ml_exp", {"alpha": 0.7}, n)
+        self._assert_bitwise(g.values, g.h, 0.5)
+        assert not fc.rl_derivative(g, 0.5).singular_start

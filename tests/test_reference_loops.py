@@ -541,6 +541,181 @@ class TestPrunedHolderScan:
         assert holder_seminorm(g, gamma) == _rows_reference(g, gamma)
 
 
+def _xvalued_rows_reference(v, t, gamma):
+    # Node i against every later node of every component, one i at a time; the first pair in
+    # (i, j) order attaining the largest quotient, and (0, 1) when every quotient is 0.
+    d, n = v.shape
+    best, pair = -1.0, (0, 1)
+    for i in range(n - 1):
+        r = np.abs(v[:, i + 1 :] - v[:, i : i + 1]) / (t[i + 1 :] - t[i]) ** gamma
+        top = float(np.max(r))
+        if top > best:
+            best, pair = top, (i, i + 1 + int(np.flatnonzero((r == top).any(axis=0))[0]))
+    return HolderEstimate(gamma, best, pair, d * n * (n - 1) // 2, exact=True, upper=best)
+
+
+# The scan as it was before the tiles: per-pair index gathers and one table over all rows,
+# copied verbatim but for its name and the module prefix of the constants.
+# An overflow to inf is still a valid bound or quotient; masked pairs j <= i give 0/0 or NaN.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _block_scan_gathers(v: np.ndarray, t: np.ndarray, gamma: float) -> tuple[float, tuple[int, int], int, float]:
+    # The scan of holder_seminorm (its docstring describes the pruning) over the rows of v, shape
+    # (d, n): the largest quotient over the evaluated pairs i < j of any row, the first pair (i, j)
+    # attaining it in any row, the pairs examined and ``upper``.  Every table below holds one row
+    # per component; a candidate is a (row, block pair), flattened row by row.
+    d, n = v.shape
+    size = 32
+    while -(-n // size) > spaces._SCAN_BLOCKS:
+        size *= 2
+    starts = np.arange(0, n, size)
+    last = np.minimum(starts + size, n) - 1
+    vmin = np.minimum.reduceat(v, starts, axis=1)
+    vmax = np.maximum.reduceat(v, starts, axis=1)
+    p, q = np.triu_indices(starts.size)
+    live = (p < q) | (last[p] > starts[p])  # a one-node block holds no pair
+    p, q = p[live], q[live]
+    rise = np.maximum(vmax[:, q] - vmin[:, p], vmax[:, p] - vmin[:, q])
+    h_min = np.min(np.diff(t))
+    gap = np.where(p < q, t[starts[q]] - t[last[p]], h_min)
+    # |v[k+1] - v[k]|, 0 past the last node; inner[b] leaves out the step from block b to b + 1.
+    steps = np.abs(np.diff(v, append=v[:, -1:]))
+    inner = np.maximum.reduceat(np.where(np.arange(n) % size == size - 1, 0.0, steps), starts, axis=1)
+    # reach[p, q]: the largest step from the first node of block p to the first of block q.
+    owned = np.concatenate((np.zeros((d, 1)), np.maximum(inner, steps[:, last])[:, :-1]), axis=1)
+    reach = np.maximum.accumulate(np.triu(np.broadcast_to(owned[:, None], (d,) + (starts.size,) * 2), 1), axis=2)
+    # Slope bound: pairs of P x Q are j - i <= L = last(Q) - first(P) nodes apart, no step between
+    # them exceeds D and no grid step is below h_min, so a quotient is at most D (j - i) / ((j - i)
+    # h_min)**gamma <= D L**(1 - gamma) / h_min**gamma.  Rounding the steps, differences, quotients,
+    # 1 - gamma and pow moves the sides under 20 ulps apart; the margin, applied before the product
+    # with D so that a subnormal product keeps it, covers that.
+    D = np.maximum(reach[:, p, q], inner[:, q])
+    L = (last[q] - starts[p]).astype(float)
+    slope = D * (L ** (1.0 - gamma) / h_min**gamma * spaces._BOUND_MARGIN)
+    bound = np.where(rise > 0.0, np.minimum(rise / gap**gamma * spaces._BOUND_MARGIN, slope), 0.0).ravel()
+    # Each candidate's row offset into v.ravel() and its first node pair, keyed i * n + j so keys
+    # sort in (i, j) order whatever the row.
+    base = np.repeat(np.arange(0, d * n, n), p.size)
+    p, q = np.tile(starts[p], d), np.tile(starts[q], d)
+    first = p * n + np.where(p < q, q, p + 1)
+    # A floor under the result: the quotient of some row's extreme values.  Its block pair's bound
+    # covers it, so no candidate below it is ever evaluated, and the sort can leave those out.  An
+    # overflowing floor gives no such guarantee and keeps every candidate.
+    lo, hi = np.sort((np.argmin(v, axis=1), np.argmax(v, axis=1)), axis=0)
+    extreme = np.abs(v[np.arange(d), hi] - v[np.arange(d), lo]) / (t[hi] - t[lo]) ** gamma
+    floor = np.max(extreme, where=hi > lo, initial=0.0)
+    order = np.flatnonzero(bound >= (floor if np.isfinite(floor) else 0.0))
+    order = order[np.argsort(-bound[order], kind="stable")]
+    offsets = np.arange(size)
+    per_chunk = max(spaces._BLOCK_PAIRS // size**2, 1)
+    flat = v.ravel()
+
+    best = -1.0
+    best_key = 1  # the pair (0, 1)
+    evaluated = 0
+    while order.size:
+        top = bound[order[0]]
+        if top < best:
+            break
+        if top == best:
+            # Nothing left can exceed the best quotient; a block pair can
+            # only tie it, and matters only if it starts before the best pair.
+            order = order[(bound[order] == best) & (first[order] < best_key)]
+            if not order.size:
+                break
+        elif evaluated >= spaces._PAIR_BUDGET:
+            return best, divmod(best_key, n), evaluated, float(top)
+        take, order = order[:per_chunk], order[per_chunk:]
+        sp, sq, row = p[take], q[take], base[take, None, None]
+        i = sp[:, None, None] + offsets[:, None]
+        j = sq[:, None, None] + offsets
+        keep = (j > i) & (j < n)
+        evaluated += int(np.count_nonzero(keep))
+        i, j = np.minimum(i, n - 1), np.minimum(j, n - 1)
+        r = np.where(keep, np.abs(flat[row + j] - flat[row + i]) / (t[j] - t[i]) ** gamma, -1.0)
+        top_r = float(np.max(r))
+        # The chunk matters only if it beats the best quotient or ties it at an earlier pair.
+        if top_r < max(best, 0.0) or (top_r == best and first[take].min() > best_key):
+            continue
+        k, a, c = np.unravel_index(np.flatnonzero(r == top_r), r.shape)
+        key = int(np.min((sp[k] + a) * n + sq[k] + c))
+        if top_r > best or key < best_key:
+            best, best_key = top_r, key
+    return best, divmod(best_key, n), d * n * (n - 1) // 2, best
+
+
+def test_tiles_match_the_gather_scan_under_any_budget(monkeypatch):
+    # Budget-stopped scans too: value, pair, evaluated pairs and upper bound all agree, while the
+    # rows fit one group.
+    rng = np.random.default_rng(404)
+    for k in range(300):
+        d, n, gamma = int(rng.integers(1, 5)), int(rng.integers(2, 900)), float(rng.uniform(0.05, 1.0))
+        v = rng.standard_normal((d, n)) if k % 3 else np.round(np.cumsum(rng.standard_normal((d, n)), axis=1))
+        monkeypatch.setattr(spaces, "_PAIR_BUDGET", [1, 5000, 50_000, 2_000_000][k % 4])
+        t = np.linspace(0.0, 1.0, n)
+        value, pair, examined, upper = _block_scan_gathers(v, t, gamma)
+        want = HolderEstimate(gamma, value, pair, examined, upper <= value, upper)
+        assert holder_seminorm(fc.GridFunction(0.0, 1.0, v), gamma) == want, (k, d, n, gamma)
+
+class TestTiledHolderScan:
+    # The scan over (d, blocks, size) tiles, with masks only on diagonal and last-block pairs.
+    @pytest.mark.parametrize("kind", ["constant", "ties", "walk", "embedding"])
+    @pytest.mark.parametrize("d", [1, 3, 20])
+    @pytest.mark.parametrize("n", [2, 31, 32, 33, 1025])
+    def test_all_fields_match_row_loop(self, n, d, kind):
+        rng = np.random.default_rng(1000 * n + d)
+        t = np.linspace(0.0, 1.0, n)
+        if kind == "constant":
+            v = np.full((d, n), 0.25)
+        elif kind == "ties":  # few levels, so many pairs in many components tie for the maximum
+            v = np.round(rng.uniform(-2.0, 2.0, (d, n)))
+        elif kind == "walk":
+            v = np.cumsum(rng.standard_normal((d, n)), axis=1)
+        else:
+            v = np.array([_pruning_data("embedding", n, 0.0, 1.0, 1.0).values] * d) * rng.uniform(0.5, 1.0, (d, 1))
+        g = fc.GridFunction(0.0, 1.0, v[0] if d == 1 else v)
+        for gamma in (0.3, 0.5, 1.0):
+            assert holder_seminorm(g, gamma) == _xvalued_rows_reference(v, t, gamma), (gamma,)
+
+    @pytest.mark.parametrize("budget", [1, 2000, 20_000, 2_000_000])
+    @pytest.mark.parametrize("n", [65, 129, 257])
+    def test_row_groups_share_the_best_pair(self, n, budget, monkeypatch):
+        # 4 blocks at most, so each row is a group of its own; a stopped scan's upper bound covers
+        # the rows of the groups it never reached.
+        monkeypatch.setattr(spaces, "_SCAN_BLOCKS", 4)
+        monkeypatch.setattr(spaces, "_PAIR_BUDGET", budget)
+        rng = np.random.default_rng(n)
+        t = np.linspace(0.0, 1.0, n)
+        v = np.cumsum(rng.standard_normal((5, n)), axis=1) * np.array([[0.2], [1.0], [0.5], [3.0], [0.1]])
+        for gamma in (0.3, 0.5, 1.0):
+            est = holder_seminorm(fc.GridFunction(0.0, 1.0, v), gamma)
+            ref = _xvalued_rows_reference(v, t, gamma)
+            assert est.value <= ref.value <= est.upper and est.exact == (est.upper <= est.value)
+            if est.exact:
+                assert est == ref
+            else:
+                assert est.pairs_examined < budget + spaces._BLOCK_PAIRS
+
+    def test_many_components_scan_in_small_row_groups(self):
+        # 20 components of 8193 nodes: 257 blocks, so rows go in groups of 3 that share the best
+        # pair; one table over all 20 rows would peak at 63 MiB.  Each row's own scan is one group.
+        rng = np.random.default_rng(8193)
+        x = np.linspace(0.0, 1.0, 8193)
+        knots = np.linspace(0.0, 1.0, 16)
+        h = np.array([np.interp(x, knots, rng.uniform(-1.0, 1.0, knots.size)) for _ in range(20)])
+        g = fc.frac_integral(fc.GridFunction(0.0, 1.0, h), 0.5)
+        tracemalloc.start()
+        try:
+            est = holder_seminorm(g, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        rows = [holder_seminorm(fc.GridFunction(0.0, 1.0, row), 0.5) for row in g.values]
+        value = max(r.value for r in rows)
+        pair = min(r.argmax_pair for r in rows if r.value == value)
+        assert est == HolderEstimate(0.5, value, pair, 20 * 8193 * 8192 // 2, exact=True, upper=value)
+
+
 # ---------------------------------------------------------------------------
 # Weierstrass non-membership: one sampling serves all three levels
 # ---------------------------------------------------------------------------
