@@ -20,6 +20,7 @@ from .grid import GridFunction
 from .special import gamma, mittag_leffler, rgamma, weierstrass
 
 ClosedForm = Callable[[float, np.ndarray], np.ndarray]
+_SHOWN = 8  # Taylor lists past this length print as an integer power's repr, which is O(1) in p
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class AnalyticFunction:
             pairs = ", ".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
             lines.append(f"  parameters: {pairs}")
         if self.taylor is not None:
-            lines.append(f"  taylor at start: {list(self.taylor)}")
+            lines.append(f"  taylor at start: {list(self.taylor) if len(self.taylor) <= _SHOWN else self.taylor}")
         for slot, title in (
             ("rl_integral", "fractional integral"),
             ("rl_derivative", "fractional derivative"),
@@ -128,18 +129,19 @@ def _constant(c: float, t0: float) -> dict:
 
 
 class _IntegerPowerTaylor(Sequence):
-    # The derivatives at t0 of (t - t0)^p, integer p >= 1, through order max(p, 3) like the constant's:
-    # p! at order p (inf past the float range, which Caputo refuses), else 0, each made when read.
-    def __init__(self, p: int) -> None:
+    # The derivatives at t0 of (t - t0)^p, integer p >= 1, through order max(p, 3) like the constant's: p! at
+    # order p (inf past the float range, which Caputo refuses), else 0, each made when read.  Slices stay lazy.
+    def __init__(self, p: int, orders: range | None = None) -> None:
         self.p = p
+        self.orders = range(max(p, 3) + 1) if orders is None else orders
 
     def __len__(self) -> int:
-        return max(self.p, 3) + 1
+        return len(self.orders)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(self[i] for i in range(*k.indices(len(self))))
-        if range(len(self))[k] != self.p:
+            return _IntegerPowerTaylor(self.p, self.orders[k])
+        if self.orders[k] != self.p:
             return 0.0
         return float(math.factorial(self.p)) if math.isfinite(gamma(self.p + 1.0)) else math.inf
 
@@ -147,7 +149,11 @@ class _IntegerPowerTaylor(Sequence):
         return isinstance(other, Sequence) and len(other) == len(self) and all(map(operator.eq, self, other))
 
     def __repr__(self) -> str:
-        return repr(tuple(self))
+        # The zeros show as a repeat count on each side of order p, so the text is O(1) in p.
+        if self.p not in self.orders:
+            return f"(0.0,) * {len(self)}"
+        k = self.orders.index(self.p)
+        return " + ".join(repr(part) for part in (self[:k], (self[k],), self[k + 1 :]) if part)
 
 
 def _power(expo: float, t0: float) -> dict:
@@ -351,4 +357,4 @@ def taylor_for_order(f: AnalyticFunction, order_ceil: int) -> Sequence[float]:
         raise InvalidParameterError(
             f"{f.label} has Taylor data only up to order {len(f.taylor) - 1}, need {order_ceil - 1}"
         )
-    return tuple(f.taylor[:order_ceil])
+    return f.taylor[:order_ceil]

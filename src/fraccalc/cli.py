@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, catalog
 from .errors import DataError, FracCalcError, PreconditionError, UsageError
-from .grid import GridFunction
+from .grid import GridFunction, as_order
 from .harness import SuiteConfig, resolve_check_ids, run_suite
 from .operators import DerivativeMethod, caputo_derivative, frac_integral, leibniz_rl, rl_derivative
 
@@ -138,31 +138,31 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _transform_input(args: argparse.Namespace) -> GridFunction:
+def _transform_input(args: argparse.Namespace) -> tuple[GridFunction, catalog.AnalyticFunction | None]:
     if args.input:
         for flag in ("n", "t0", "t1"):
             if getattr(args, flag) is not None:
                 raise UsageError(f"--{flag} only applies to --fn inputs")
-        return read_grid_csv(args.input)
+        return read_grid_csv(args.input), None
     entry = _parse_fn_spec(args.fn)
     n = args.n if args.n is not None else 1025
     t0 = args.t0 if args.t0 is not None else entry.base_point
     t1 = args.t1 if args.t1 is not None else entry.base_point + 1.0
-    return catalog.sample(entry, t0, t1, n)
+    return catalog.sample(entry, t0, t1, n), entry
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     if args.op == "leibniz":
         if not (args.fn and args.fn2):
             raise UsageError("--op leibniz needs --fn and --fn2 (catalog factors on a shared grid)")
-        u = _transform_input(args)
+        u, _ = _transform_input(args)
         entry2 = _parse_fn_spec(args.fn2)
         v = catalog.sample(entry2, u.t0, u.t1, u.n)
         out = leibniz_rl(u, v, args.alpha)
     else:
         if args.fn2:
             raise UsageError("--fn2 only applies to --op leibniz")
-        g = _transform_input(args)
+        g, entry = _transform_input(args)
         if args.op == "J":
             if args.method:
                 raise UsageError("--method only applies to derivative ops")
@@ -170,19 +170,16 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         elif args.op == "D":
             out = rl_derivative(g, args.alpha, args.method)
         else:  # cD
+            m = as_order(args.alpha).ceil_alpha  # the order is refused before any Taylor data is read
             if args.taylor is not None:
                 taylor = _parse_taylor(args.taylor)
-            elif args.fn:
-                entry = _parse_fn_spec(args.fn)
-                taylor = catalog.taylor_for_order(entry, max(math.ceil(args.alpha), 0))
+            elif entry is not None:
+                taylor = catalog.taylor_for_order(entry, m)
+            elif g.singular_start:
+                raise PreconditionError("cannot infer Taylor data from a singular first value; pass --taylor")
+            elif m > 1:
+                raise UsageError(f"--taylor is required for CSV input with order {args.alpha}")
             else:
-                if g.singular_start:
-                    raise PreconditionError(
-                        "cannot infer Taylor data from a singular first value; pass --taylor"
-                    )
-                m = math.ceil(args.alpha)
-                if m > 1:
-                    raise UsageError(f"--taylor is required for CSV input with order {args.alpha}")
                 taylor = (float(g.values[0]),) if m == 1 else ()
             out = caputo_derivative(g, args.alpha, taylor, args.method)
     write_grid_csv(args.output, out)

@@ -60,19 +60,18 @@ class GridFunction:
     def __post_init__(self) -> None:
         t0 = float(self.t0)
         t1 = float(self.t1)
-        owned = isinstance(self.values, _Owned)
-        vals = self.values.array if owned else np.array(self.values, dtype=float, copy=True)
+        vals = np.array(self.values, dtype=float, copy=True)
         if vals.ndim not in (1, 2) or vals.shape[-1] < 2 or vals.size < 2:
             raise DataError(f"values must have shape (n,) or (d, n) with n >= 2 and d >= 1, got shape {vals.shape}")
         n = vals.shape[-1]
         h = (t1 - t0) / (n - 1)
         if not (math.isfinite(h) and h > math.ulp(max(abs(t0), abs(t1)))):
             raise DataError(f"need finite t1 > t0 and a step above float spacing, got {n} nodes on [{self.t0}, {self.t1}]")
-        if not owned and not np.all(np.isfinite(vals[..., 1:])):
+        if not np.all(np.isfinite(vals[..., 1:])):
             raise DataError("values must be finite at every node past index 0")
         if self.singular_start:
             vals[..., 0] = np.nan
-        elif not owned and not np.all(np.isfinite(vals[..., 0])):
+        elif not np.all(np.isfinite(vals[..., 0])):
             raise DataError("values[0] is not finite; pass singular_start=True to mark it")
         vals.flags.writeable = False
         object.__setattr__(self, "t0", t0)
@@ -96,9 +95,3 @@ class GridFunction:
         if np.asarray(values).shape != self.values.shape:
             raise DataError("with_values requires data of identical shape")
         return GridFunction(self.t0, self.t1, values, singular_start)
-
-
-class _Owned:
-    # Operator output for GridFunction to take over unchecked: a new float64 array, finite wherever it must be.
-    def __init__(self, array: np.ndarray) -> None:
-        self.array = array

@@ -42,12 +42,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DataError,
     InvalidParameterError,
     PreconditionError,
     TaylorMismatchError,
     UnintegrableSingularityError,
 )
-from .grid import FracOrder, GridFunction, _Owned, as_order
+from .grid import FracOrder, GridFunction, as_order
 from .special import gamma, rgamma
 
 __all__ = [
@@ -83,7 +84,7 @@ def _as_method(method: DerivativeMethod | str | None, order: FracOrder, n: int) 
     except ValueError:
         choices = ", ".join(m.value for m in DerivativeMethod)
         raise InvalidParameterError(f"unknown derivative method {method!r}; known: {choices}") from None
-    if meth is DerivativeMethod.MARCHAUD and not order.alpha < 1.0:
+    if meth is DerivativeMethod.MARCHAUD and not 0.0 < order.alpha < 1.0:
         raise PreconditionError(f"the Marchaud form requires 0 < order < 1, got {order.alpha}; "
                                 "use integral_then_difference")
     # Refused before any of the ceil(order) difference passes, which a huge order would run
@@ -94,11 +95,11 @@ def _as_method(method: DerivativeMethod | str | None, order: FracOrder, n: int) 
 
 
 def _result(g: GridFunction, vals: np.ndarray, singular_start: bool = False) -> GridFunction:
-    # Finite data whose computation overflows fail a precondition; the callers run under np.errstate.
-    # ``vals`` is always a new array; a view into the FFT path's longer buffer is compacted.
-    if not np.all(np.isfinite(vals[..., 1 if singular_start else 0 :])):
-        raise PreconditionError("the computation overflows the float range")
-    return GridFunction(g.t0, g.t1, _Owned(vals if vals.base is None else vals.copy()), singular_start)
+    # The constructor refuses only non-finite values on g's grid: an overflow, under the callers' np.errstate.
+    try:
+        return GridFunction(g.t0, g.t1, vals, singular_start)
+    except DataError:
+        raise PreconditionError("the computation overflows the float range") from None
 
 
 def _fft_size(m: int) -> int:
@@ -351,6 +352,11 @@ def _probe_singular_start(v: np.ndarray, h: float, a: float, method: DerivativeM
     return bool(np.any(grows))
 
 
+def _rl(g: GridFunction, v: np.ndarray, a: float, method: DerivativeMethod) -> GridFunction:
+    # The derivative of the data v on g's grid, marked when the probe sees it blow up at t0.
+    return _result(g, _rl_values(v, g.h, a, method), _probe_singular_start(v, g.h, a, method))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def marchaud_derivative(g: GridFunction, alpha: float) -> GridFunction:
     """Marchaud-form derivative for 0 < alpha < 1; output index 0 is zero.
@@ -358,12 +364,11 @@ def marchaud_derivative(g: GridFunction, alpha: float) -> GridFunction:
     No singularity probe is applied here — use :func:`rl_derivative` for the
     marker-aware entry point.
     """
-    a = as_order(alpha).alpha
-    if not 0.0 < a < 1.0:
-        raise PreconditionError(f"the Marchaud form requires 0 < order < 1, got {a}")
+    o = as_order(alpha)
+    _as_method(DerivativeMethod.MARCHAUD, o, g.n)
     if g.singular_start:
         raise PreconditionError("cannot differentiate data marked singular at the start")
-    return _result(g, _marchaud_values(g.values, g.h, a))
+    return _result(g, _marchaud_values(g.values, g.h, o.alpha))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -392,9 +397,7 @@ def rl_derivative(
         raise PreconditionError("cannot differentiate data marked singular at the start")
     if o.alpha == 0.0:
         return g
-    meth = _as_method(method, o, g.n)
-    vals = _rl_values(g.values, g.h, o.alpha, meth)
-    return _result(g, vals, _probe_singular_start(g.values, g.h, o.alpha, meth))
+    return _rl(g, g.values, o.alpha, _as_method(method, o, g.n))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -411,27 +414,27 @@ def caputo_derivative(
     for data of d components each entry is a scalar, shared by all of them,
     or a length-d vector.  Wrong Taylor data does not crash: the residual
     behaves like a function with f(t0) != 0 and typically surfaces as the
-    singular-start marker.
+    singular-start marker.  Refusals come before any work on the entries:
+    the Taylor length, then the method, order and node count, then each
+    entry's shape and finiteness.
     """
     o = as_order(order)
     if g.singular_start:
         raise PreconditionError("cannot differentiate data marked singular at the start")
-    if o.alpha == 0.0:
-        if len(taylor) != 0:
-            raise TaylorMismatchError("order 0 takes an empty Taylor vector")
-        return g
     m = o.ceil_alpha
     if len(taylor) != m:
         raise TaylorMismatchError(
             f"order {o.alpha} needs exactly {m} Taylor coefficient(s), got {len(taylor)}"
         )
+    if m == 0:
+        return g
+    meth = _as_method(method, o, g.n)
     # Each entry as a column: a scalar, or one value per component.
     coeffs = [np.asarray(c, dtype=float)[..., None] for c in taylor]
     if any(c.shape not in ((1,), g.values.shape[:-1] + (1,)) for c in coeffs):
         raise TaylorMismatchError("each Taylor entry must be a scalar or hold one value per component")
     if not all(np.isfinite(c).all() for c in coeffs):
         raise TaylorMismatchError("Taylor coefficients must be finite")
-    _as_method(method, o, g.n)  # its refusals come before the ceil(order) polynomial terms
     t_rel = g.times() - g.t0
     poly = np.zeros(g.values.shape)
     factorial = 1
@@ -439,7 +442,7 @@ def caputo_derivative(
         factorial *= max(j, 1)  # past the float range (j >= 171) scaled by 2**-e, which c takes exactly
         e = max(factorial.bit_length() - 1023, 0)
         poly += (np.ldexp(c, -e) / (factorial >> e)) * t_rel**j
-    return rl_derivative(_result(g, g.values - poly), o, method)
+    return _rl(g, g.values - poly, o.alpha, meth)
 
 
 # ---------------------------------------------------------------------------

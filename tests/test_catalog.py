@@ -115,6 +115,17 @@ class TestPower:
         with pytest.raises(IndexError):
             e.taylor[10**9 + 1]
 
+    def test_large_integer_exponent_prints_in_constant_length(self):
+        # repr and describe show the zeros before p! as a repeat count.
+        e = catalog.builtin("power", {"p": 1e7})
+        assert len(repr(e)) < 2000 and len(e.describe()) < 2000
+        assert "taylor at start: (0.0,) * 10000000 + (inf,)" in e.describe()
+        assert repr(e.taylor[:20]) == "(0.0,) * 20"
+        # Each repr is an expression for the entries, also of a slice.
+        small = catalog.builtin("power", {"p": 12}).taylor
+        assert eval(repr(small)) == (0.0,) * 12 + (479001600.0,)
+        assert eval(repr(small[::-1])) == tuple(small)[::-1] and eval(repr(small[3:])) == tuple(small)[3:]
+
     def test_integer_exponent_past_the_factorial_range(self):
         # 170! is a float, 171! is not: a Caputo order that needs it is refused (exit code 4).
         assert catalog.builtin("power", {"p": 170}).taylor[170] == float(math.factorial(170))

@@ -5,12 +5,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fraccalc as fc
+from fraccalc import catalog
 from fraccalc.cli import build_parser, main, read_grid_csv, write_grid_csv
 
 GAMMA_3_2 = 0.8862269254527580136
@@ -292,6 +294,39 @@ class TestTransformCommand:
         assert run_cli("transform", "--fn", "constant", "--op", "cD", "--alpha", "199.5", "--n", "257",
                        "--taylor", "1," + zeros, "--output", str(tmp_path / "o.csv")) == 0
         assert np.all(read_grid_csv(str(tmp_path / "o.csv")).values == 0.0)
+
+    def test_caputo_builds_the_catalog_entry_once(self, tmp_path, monkeypatch):
+        # The Taylor data come from the entry the grid was sampled from.
+        calls = []
+        builtin = catalog.builtin
+        monkeypatch.setattr(catalog, "builtin", lambda *args: calls.append(args) or builtin(*args))
+        assert run_cli("transform", "--fn", "power:p=2", "--op", "cD", "--alpha", "1.5",
+                       "--output", str(tmp_path / "o.csv")) == 0
+        assert len(calls) == 1
+
+    def test_huge_caputo_order_refused_before_any_taylor_entry(self, tmp_path, capsys):
+        # Order 999999.5 on 1025 nodes fails the node count before any of the 10**6 Taylor
+        # entries of p = 2e6 is made.
+        tracemalloc.start()
+        try:
+            code = run_cli("transform", "--fn", "power:p=2e6", "--op", "cD", "--alpha", "999999.5",
+                           "--output", str(tmp_path / "o.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert "order 999999.5 needs ceil(order) + 2 nodes to difference, got 1025" in capsys.readouterr().err
+        assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_caputo_order_refused_before_taylor_inference(self, tmp_path, capsys, alpha):
+        # Catalog and CSV input alike: a usage error (2), not a traceback from ceil(order).
+        src = tmp_path / "f.csv"
+        write_grid_csv(str(src), fc.GridFunction(0.0, 1.0, np.linspace(0.0, 1.0, 65)))
+        for given in (["--fn", "power:p=2"], ["--input", str(src)]):
+            assert run_cli("transform", *given, "--op", "cD", "--alpha", alpha,
+                           "--output", str(tmp_path / "o.csv")) == 2
+            assert f"order must be finite and >= 0, got {alpha}" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -466,8 +466,8 @@ class TestDifferenceStencil:
 
 
 class TestOutputArrays:
-    # Operators hand their new arrays to the result without the constructor's copy and checks; the
-    # result must still hold the invariants the constructor gives.
+    # Every operator output goes through the GridFunction constructor, which copies and checks it:
+    # the result holds the constructor's invariants.
     @pytest.mark.parametrize("n", [65, 2049])  # direct and FFT convolution
     @pytest.mark.parametrize("shape", ["scalar", "stacked"])
     @pytest.mark.parametrize(
@@ -510,9 +510,9 @@ class TestOutputArrays:
 
 class TestCaputoWithManyTaylorEntries:
     def test_taylor_polynomial_bits_below_171_entries(self, monkeypatch):
-        # The residual handed to rl_derivative is g minus sum_j c_j / j! t^j with j! as a float.
+        # The residual handed to the derivative route is g minus sum_j c_j / j! t^j with j! as a float.
         seen = []
-        monkeypatch.setattr(operators, "rl_derivative", lambda g, o, m=None: seen.append(g.values) or g)
+        monkeypatch.setattr(operators, "_rl", lambda g, v, a, method: seen.append(v) or g)
         rng = np.random.default_rng(171)
         t = np.linspace(0.0, 1.0, 257)
         g = _grid(np.exp(t))
@@ -542,7 +542,7 @@ class TestCaputoWithManyTaylorEntries:
     def test_entry_past_170_keeps_its_size(self, monkeypatch):
         # 1e308 / 171! = 0.0806..., although 171! is not a float.
         seen = []
-        monkeypatch.setattr(operators, "rl_derivative", lambda g, o, m=None: seen.append(g.values) or g)
+        monkeypatch.setattr(operators, "_rl", lambda g, v, a, method: seen.append(v) or g)
         t = np.linspace(0.0, 1.0, 257)
         fc.caputo_derivative(_grid(np.zeros(257)), 171.5, [0.0] * 171 + [1e308])
         coeff = float(Fraction(1e308) / math.factorial(171))
