@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical-precondition
 error.  CSV files are UTF-8 with LF endings, header ``t,value``, 17
 significant digits (lossless float round-trip), and the token ``sing`` for a
 singular index-0 value.  They hold scalar data only: writing data of d
-components is a data error.  All file writes go through a temp file + rename.
+components is a data error.  All file writes go through a temp file + rename,
+and a path that cannot be written is a data error too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__, catalog
 from .errors import DataError, FracCalcError, PreconditionError, UsageError
 from .grid import GridFunction, as_order
-from .harness import SuiteConfig, resolve_check_ids, run_suite
+from .harness import SuiteConfig, run_suite
 from .operators import DerivativeMethod, caputo_derivative, frac_integral, leibniz_rl, rl_derivative
 
 _SING = "sing"
@@ -30,17 +31,17 @@ _SING = "sing"
 
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fraccalc-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fraccalc-")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def write_grid_csv(path: str, g: GridFunction) -> None:
@@ -140,32 +141,33 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 def _transform_input(args: argparse.Namespace) -> tuple[GridFunction, catalog.AnalyticFunction | None]:
     if args.input:
-        for flag in ("n", "t0", "t1"):
+        for flag in ("n", "t1"):
             if getattr(args, flag) is not None:
                 raise UsageError(f"--{flag} only applies to --fn inputs")
         return read_grid_csv(args.input), None
     entry = _parse_fn_spec(args.fn)
     n = args.n if args.n is not None else 1025
-    t0 = args.t0 if args.t0 is not None else entry.base_point
     t1 = args.t1 if args.t1 is not None else entry.base_point + 1.0
-    return catalog.sample(entry, t0, t1, n), entry
+    return catalog.sample(entry, entry.base_point, t1, n), entry
+
+
+# The optional flags each --op reads; giving one to an op that does not read it is a usage error.
+_OP_FLAGS = {"J": (), "D": ("method",), "cD": ("method", "taylor"), "leibniz": ("fn2",)}
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
+    for flag in ("fn2", "method", "taylor"):
+        if getattr(args, flag) is not None and flag not in _OP_FLAGS[args.op]:
+            raise UsageError(f"--{flag} does not apply to --op {args.op}")
     if args.op == "leibniz":
         if not (args.fn and args.fn2):
             raise UsageError("--op leibniz needs --fn and --fn2 (catalog factors on a shared grid)")
         u, _ = _transform_input(args)
-        entry2 = _parse_fn_spec(args.fn2)
-        v = catalog.sample(entry2, u.t0, u.t1, u.n)
+        v = catalog.sample(_parse_fn_spec(args.fn2), u.t0, u.t1, u.n)
         out = leibniz_rl(u, v, args.alpha)
     else:
-        if args.fn2:
-            raise UsageError("--fn2 only applies to --op leibniz")
         g, entry = _transform_input(args)
         if args.op == "J":
-            if args.method:
-                raise UsageError("--method only applies to derivative ops")
             out = frac_integral(g, args.alpha)
         elif args.op == "D":
             out = rl_derivative(g, args.alpha, args.method)
@@ -187,8 +189,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ids = resolve_check_ids(args.suite)
-    reports = run_suite(SuiteConfig(n=args.n, seed=args.seed, checks=tuple(ids)))
+    config = SuiteConfig(n=args.n, seed=args.seed, checks=tuple(args.suite))
+    reports = run_suite(config)
     aggregate = all(r.passed for r in reports)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -198,7 +200,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         document = {
             "schema": 2,
             "tool_version": __version__,
-            "config_echo": {"suite": ids, "n": args.n, "seed": args.seed},
+            "config_echo": {"suite": list(config.checks), "n": config.n, "seed": config.seed},
             "reports": [r.to_dict() for r in reports],
             "aggregate_pass": aggregate,
         }
@@ -222,13 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("transform", help="apply a fractional operator to a grid function")
     src = p_tr.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="input CSV (header 't,value')")
-    src.add_argument("--fn", help="catalog spec, e.g. power:p=0.5")
+    src.add_argument("--fn", help="catalog spec, e.g. power:p=0.5; its grid starts at the spec's t0=")
     p_tr.add_argument("--fn2", help="second factor for --op leibniz, same syntax as --fn")
-    p_tr.add_argument("--op", required=True, choices=["J", "D", "cD", "leibniz"])
+    p_tr.add_argument("--op", required=True, choices=list(_OP_FLAGS))
     p_tr.add_argument("--alpha", required=True, type=float)
-    p_tr.add_argument("--method", choices=[m.value for m in DerivativeMethod])
+    p_tr.add_argument("--method", choices=[m.value for m in DerivativeMethod], help="route for --op D and cD")
     p_tr.add_argument("--n", type=int, help="grid nodes for --fn sampling (default 1025)")
-    p_tr.add_argument("--t0", type=float, help="grid start for --fn sampling (default: base point)")
     p_tr.add_argument("--t1", type=float, help="grid end for --fn sampling (default: base point + 1)")
     p_tr.add_argument("--taylor", help="comma-separated Taylor data at t0 for --op cD")
     p_tr.add_argument("--output", required=True, help="output CSV path")

@@ -165,11 +165,34 @@ class TestTransformCommand:
     def test_custom_interval(self, tmp_path):
         out = tmp_path / "o.csv"
         assert run_cli("transform", "--fn", "power:p=1,t0=1", "--op", "J",
-                       "--alpha", "1", "--t0", "1", "--t1", "2",
+                       "--alpha", "1", "--t1", "2",
                        "--n", "129", "--output", str(out)) == 0
         g = read_grid_csv(str(out))
         assert g.t0 == 1.0 and g.t1 == 2.0
         assert g.values[-1] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("op", ["J", "D", "cD", "leibniz"])
+    @pytest.mark.parametrize("flag, value", [("fn2", "power:p=0.8"), ("method", "integral_then_difference"),
+                                             ("taylor", "0")])
+    def test_op_admits_only_the_flags_it_reads(self, tmp_path, capsys, op, flag, value):
+        reads = {"J": (), "D": ("method",), "cD": ("method", "taylor"), "leibniz": ("fn2",)}[op]
+        given = ["--fn2", "power:p=0.8"] if op == "leibniz" else []
+        if flag != "fn2" or op != "leibniz":
+            given += [f"--{flag}", value]
+        out = tmp_path / "o.csv"
+        code = run_cli("transform", "--fn", "power:p=0.6", "--op", op, "--alpha", "0.5", "--n", "129",
+                       *given, "--output", str(out))
+        if flag in reads:
+            assert code == 0
+        else:
+            assert code == 2
+            assert f"--{flag} does not apply to --op {op}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_grid_start_comes_from_the_spec(self, tmp_path, capsys):
+        assert run_cli("transform", "--fn", "power:p=1,t0=1", "--op", "J", "--alpha", "1",
+                       "--t0", "1", "--output", str(tmp_path / "o.csv")) == 2
+        assert "unrecognized arguments: --t0" in capsys.readouterr().err
 
     def test_leibniz(self, tmp_path):
         out = tmp_path / "l.csv"
@@ -218,6 +241,15 @@ class TestTransformCommand:
     def test_every_derivative_method_is_a_choice(self, tmp_path, method):
         assert run_cli("transform", "--fn", "power:p=0.5", "--op", "D", "--alpha", "0.5",
                        "--method", method.value, "--output", str(tmp_path / "o.csv")) == 0
+
+    @pytest.mark.parametrize("target", ["missing/o.csv", "taken"])
+    def test_unwritable_output_exits_3(self, tmp_path, capsys, target):
+        # A missing directory fails the temp file; a directory at the path fails the rename.
+        (tmp_path / "taken").mkdir()
+        assert run_cli("transform", "--fn", "power:p=0.5", "--op", "J", "--alpha", "0.5", "--n", "65",
+                       "--output", str(tmp_path / target)) == 3
+        assert f"cannot write {tmp_path / target}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_missing_input_file_exits_3(self, tmp_path, capsys):
         assert run_cli("transform", "--input", str(tmp_path / "missing.csv"), "--op", "J",
@@ -338,6 +370,20 @@ class TestVerifyCommand:
 
     def test_unknown_check_exits_2(self):
         assert run_cli("verify", "--suite", "nope") == 2
+
+    def test_negative_seed_exits_2_before_any_check(self, tmp_path, capsys):
+        assert run_cli("verify", "--seed", "-1", "--json", str(tmp_path / "r.json")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed >= 0" in captured.err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_unwritable_json_exits_3(self, tmp_path, capsys):
+        # Exit 1 would say a check failed.
+        assert run_cli("verify", "--suite", "semigroup", "--n", "129",
+                       "--json", str(tmp_path / "missing" / "r.json")) == 3
+        assert "cannot write" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_defaults_come_from_the_suite_config(self):
         args = build_parser().parse_args(["verify"])

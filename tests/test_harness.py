@@ -23,7 +23,6 @@ from fraccalc.harness import (
     check_semigroup,
     check_vanishing_at_start,
     check_weierstrass_nonmembership,
-    resolve_check_ids,
     run_suite,
 )
 
@@ -84,18 +83,26 @@ def test_reports_are_immutable(full_suite):
 
 class TestResolution:
     def test_all_token(self):
-        assert resolve_check_ids(["all"]) == REGISTRY_ORDER
-        assert resolve_check_ids(["semigroup", "all"]) == REGISTRY_ORDER
+        assert SuiteConfig(checks=("all",)).checks == tuple(REGISTRY_ORDER)
+        assert SuiteConfig(checks=("semigroup", "all")).checks == tuple(REGISTRY_ORDER)
 
     def test_prefix_and_dedupe(self):
-        assert resolve_check_ids(["check_semigroup", "semigroup", "inversion"]) == [
+        assert SuiteConfig(checks=("check_semigroup", "semigroup", "inversion")).checks == (
             "semigroup",
             "inversion",
-        ]
+        )
 
     def test_unknown_raises(self):
         with pytest.raises(UnknownNameError):
-            resolve_check_ids(["nope"])
+            SuiteConfig(checks=("nope",))
+
+    def test_no_selection_means_every_check(self):
+        assert SuiteConfig().checks == tuple(REGISTRY_ORDER)
+
+    @pytest.mark.parametrize("tokens", [("nope", "all"), ("check_all",), (7,)])
+    def test_every_token_is_admitted(self, tokens):
+        with pytest.raises(UnknownNameError):
+            SuiteConfig(checks=tokens)
 
     def test_subset_runs_in_given_order(self):
         reports = run_suite(SuiteConfig(checks=("inversion", "semigroup")))
@@ -104,6 +111,19 @@ class TestResolution:
     def test_config_validation(self):
         with pytest.raises(Exception):
             SuiteConfig(n=64)
+
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.5}, {"n": 2049.5}, {"n": "2049"}])
+    def test_config_refuses_bad_n_and_seed(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            SuiteConfig(**kwargs)
+
+    def test_config_takes_numpy_integers(self):
+        config = SuiteConfig(n=np.int64(2049), seed=np.int64(3))
+        assert (config.n, config.seed) == (2049, 3)
+        assert type(config.n) is int and type(config.seed) is int
+
+    def test_empty_selection_runs_nothing(self):
+        assert run_suite(SuiteConfig(checks=())) == []
 
 
 class TestDeterminism:
