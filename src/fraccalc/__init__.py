@@ -24,10 +24,9 @@ from .errors import (
     UnknownNameError,
     UsageError,
 )
-from .grid import FracOrder, GridFunction
+from .grid import GridFunction
 from .harness import CheckReport, SuiteConfig, check_ids, run_suite
 from .operators import (
-    DerivativeMethod,
     caputo_derivative,
     frac_integral,
     leibniz_caputo,
@@ -50,9 +49,7 @@ __all__ = [
     "CheckReport",
     "ConstantInputError",
     "DataError",
-    "DerivativeMethod",
     "FracCalcError",
-    "FracOrder",
     "GridFunction",
     "HolderEstimate",
     "InvalidParameterError",

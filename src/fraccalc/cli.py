@@ -5,18 +5,20 @@ error.  CSV files are UTF-8 with LF endings, header ``t,value``, 17
 significant digits (lossless float round-trip), and the token ``sing`` for a
 singular index-0 value.  They hold scalar data only: writing data of d
 components is a data error.  All file writes go through a temp file + rename,
-and a path that cannot be written is a data error too.
+and a path that cannot be written is a data error, for ``verify`` before any check.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
 import tempfile
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -24,24 +26,26 @@ from . import __version__, catalog
 from .errors import DataError, FracCalcError, PreconditionError, UsageError
 from .grid import GridFunction, as_order
 from .harness import SuiteConfig, run_suite
-from .operators import DerivativeMethod, caputo_derivative, frac_integral, leibniz_rl, rl_derivative
+from .operators import caputo_derivative, frac_integral, leibniz_rl, rl_derivative
 
 _SING = "sing"
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+@contextlib.contextmanager
+def _atomic_write(path: str) -> Iterator[TextIO]:
+    # A temp file beside ``path``, made on entry and renamed onto it when the block, which should
+    # only write to it, ends without an error.  An OSError in any of these steps is a DataError.
+    tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fraccalc-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".fraccalc-")
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def write_grid_csv(path: str, g: GridFunction) -> None:
@@ -53,7 +57,8 @@ def write_grid_csv(path: str, g: GridFunction) -> None:
     table = ("%.17g,%.17g\n" * g.n) % tuple(cells)
     if g.singular_start:
         table = table.replace(",nan\n", f",{_SING}\n", 1)
-    _atomic_write(path, "t,value\n" + table)
+    with _atomic_write(path) as fh:
+        fh.write("t,value\n" + table)
 
 
 def read_grid_csv(path: str) -> GridFunction:
@@ -152,11 +157,11 @@ def _transform_input(args: argparse.Namespace) -> tuple[GridFunction, catalog.An
 
 
 # The optional flags each --op reads; giving one to an op that does not read it is a usage error.
-_OP_FLAGS = {"J": (), "D": ("method",), "cD": ("method", "taylor"), "leibniz": ("fn2",)}
+_OP_FLAGS = {"J": (), "D": (), "cD": ("taylor",), "leibniz": ("fn2",)}
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    for flag in ("fn2", "method", "taylor"):
+    for flag in ("fn2", "taylor"):
         if getattr(args, flag) is not None and flag not in _OP_FLAGS[args.op]:
             raise UsageError(f"--{flag} does not apply to --op {args.op}")
     if args.op == "leibniz":
@@ -170,9 +175,9 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         if args.op == "J":
             out = frac_integral(g, args.alpha)
         elif args.op == "D":
-            out = rl_derivative(g, args.alpha, args.method)
+            out = rl_derivative(g, args.alpha)
         else:  # cD
-            m = as_order(args.alpha).ceil_alpha  # the order is refused before any Taylor data is read
+            m = math.ceil(as_order(args.alpha))  # the order is refused before any Taylor data is read
             if args.taylor is not None:
                 taylor = _parse_taylor(args.taylor)
             elif entry is not None:
@@ -183,28 +188,29 @@ def _cmd_transform(args: argparse.Namespace) -> int:
                 raise UsageError(f"--taylor is required for CSV input with order {args.alpha}")
             else:
                 taylor = (float(g.values[0]),) if m == 1 else ()
-            out = caputo_derivative(g, args.alpha, taylor, args.method)
+            out = caputo_derivative(g, args.alpha, taylor)
     write_grid_csv(args.output, out)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = SuiteConfig(n=args.n, seed=args.seed, checks=tuple(args.suite))
-    reports = run_suite(config)
-    aggregate = all(r.passed for r in reports)
+    with _atomic_write(args.json) if args.json else contextlib.nullcontext() as report:
+        reports = run_suite(config)
+        aggregate = all(r.passed for r in reports)
+        if report is not None:
+            document = {
+                "schema": 2,
+                "tool_version": __version__,
+                "config_echo": {"suite": list(config.checks), "n": config.n, "seed": config.seed},
+                "reports": [r.to_dict() for r in reports],
+                "aggregate_pass": aggregate,
+            }
+            report.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.check_id}: max_error={r.max_error:.6g} tolerance={r.tolerance:g} n={r.grid_n}")
     print(f"{'PASS' if aggregate else 'FAIL'}: {sum(r.passed for r in reports)}/{len(reports)} checks passed")
-    if args.json:
-        document = {
-            "schema": 2,
-            "tool_version": __version__,
-            "config_echo": {"suite": list(config.checks), "n": config.n, "seed": config.seed},
-            "reports": [r.to_dict() for r in reports],
-            "aggregate_pass": aggregate,
-        }
-        _atomic_write(args.json, json.dumps(document, indent=2, sort_keys=True) + "\n")
     return 0 if aggregate else 1
 
 
@@ -228,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--fn2", help="second factor for --op leibniz, same syntax as --fn")
     p_tr.add_argument("--op", required=True, choices=list(_OP_FLAGS))
     p_tr.add_argument("--alpha", required=True, type=float)
-    p_tr.add_argument("--method", choices=[m.value for m in DerivativeMethod], help="route for --op D and cD")
     p_tr.add_argument("--n", type=int, help="grid nodes for --fn sampling (default 1025)")
     p_tr.add_argument("--t1", type=float, help="grid end for --fn sampling (default: base point + 1)")
     p_tr.add_argument("--taylor", help="comma-separated Taylor data at t0 for --op cD")

@@ -1,4 +1,4 @@
-"""Uniform-grid function values and fractional orders.
+"""Uniform-grid function values and the admission of fractional orders.
 
 A :class:`GridFunction` is the package's working representation of a function
 on ``[t0, t1]``: values at ``n`` equally spaced nodes.  Index 0 is special —
@@ -13,6 +13,7 @@ under the sup norm; time is always the last axis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,25 +21,14 @@ import numpy as np
 from .errors import DataError, InvalidParameterError
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """A fractional order alpha >= 0 together with its integer ceiling."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        a = float(self.alpha)
-        if not (math.isfinite(a) and a >= 0.0):
-            raise InvalidParameterError(f"order must be finite and >= 0, got {self.alpha}")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def ceil_alpha(self) -> int:
-        return math.ceil(self.alpha)
-
-
-def as_order(order: FracOrder | float) -> FracOrder:
-    return order if isinstance(order, FracOrder) else FracOrder(float(order))
+def as_order(order: float) -> float:
+    """The one admission of a fractional order: a real number, finite and >= 0, as a float."""
+    if not isinstance(order, numbers.Real):
+        raise InvalidParameterError(f"order must be a real number, got {order!r}")
+    a = float(order)
+    if not (math.isfinite(a) and a >= 0.0):
+        raise InvalidParameterError(f"order must be finite and >= 0, got {a}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -90,8 +80,8 @@ class GridFunction:
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.n)
 
-    def with_values(self, values: np.ndarray, singular_start: bool = False) -> "GridFunction":
-        """Same grid, new data."""
+    def with_values(self, values: np.ndarray) -> "GridFunction":
+        """Same grid, new data, finite at every node."""
         if np.asarray(values).shape != self.values.shape:
             raise DataError("with_values requires data of identical shape")
-        return GridFunction(self.t0, self.t1, values, singular_start)
+        return GridFunction(self.t0, self.t1, values)

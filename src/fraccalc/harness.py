@@ -446,15 +446,16 @@ def check_weierstrass_nonmembership() -> CheckReport:
 @dataclass(frozen=True)
 class SuiteConfig:
     """Frozen parameters for a reproducible suite run, admitted here.  ``checks`` takes ids,
-    ``check_``-prefixed ids and ``all`` (None: all) and keeps registry ids without repeats;
-    ``n`` must be an integer >= 65 and ``seed`` an integer >= 0."""
+    ``check_``-prefixed ids and ``all`` (None: all; a bare string is one of them) and keeps
+    registry ids without repeats; ``n`` must be an integer >= 65 and ``seed`` an integer >= 0."""
 
     n: int = 2049
     seed: int = 7
     checks: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        tokens = ("all",) if self.checks is None else tuple(self.checks)
+        checks = (self.checks,) if isinstance(self.checks, str) else self.checks
+        tokens = ("all",) if checks is None else tuple(checks)
         for t in tokens:
             if t != "all" and not (isinstance(t, str) and t.removeprefix("check_") in _REGISTRY):
                 raise UnknownNameError(f"unknown check id {t!r}; known: all, {', '.join(check_ids())}")

@@ -35,7 +35,6 @@ marked singular at the start when any component's probe detects a blow-up.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Sequence
 
@@ -48,11 +47,10 @@ from .errors import (
     TaylorMismatchError,
     UnintegrableSingularityError,
 )
-from .grid import FracOrder, GridFunction, as_order
+from .grid import GridFunction, as_order
 from .special import gamma, rgamma
 
 __all__ = [
-    "DerivativeMethod",
     "frac_integral",
     "rl_derivative",
     "marchaud_derivative",
@@ -69,29 +67,23 @@ _PROBE_GROWTH = 1.15
 # FFT at n = 256, 51 against 55 at n = 512, 169 against 66 at n = 1024.
 _FFT_MIN_NODES = 512
 _Moments = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # mu0, mu1, mu2, tail of _cell_moments
+_ROUTES = ("marchaud", "integral_then_difference")
 
 
-class DerivativeMethod(str, enum.Enum):
-    MARCHAUD = "marchaud"
-    INTEGRAL_THEN_DIFFERENCE = "integral_then_difference"
-
-
-def _as_method(method: DerivativeMethod | str | None, order: FracOrder, n: int) -> DerivativeMethod:
+def _is_marchaud(method: str | None, a: float, n: int) -> bool:
+    # Admits the route ``method`` (None: the one order a picks) for order a on n nodes; True for Marchaud.
     if method is None:
-        method = DerivativeMethod.MARCHAUD if order.alpha < 1.0 else DerivativeMethod.INTEGRAL_THEN_DIFFERENCE
-    try:
-        meth = DerivativeMethod(method)
-    except ValueError:
-        choices = ", ".join(m.value for m in DerivativeMethod)
-        raise InvalidParameterError(f"unknown derivative method {method!r}; known: {choices}") from None
-    if meth is DerivativeMethod.MARCHAUD and not 0.0 < order.alpha < 1.0:
-        raise PreconditionError(f"the Marchaud form requires 0 < order < 1, got {order.alpha}; "
-                                "use integral_then_difference")
+        method = "marchaud" if a < 1.0 else "integral_then_difference"
+    if method not in _ROUTES:
+        raise InvalidParameterError(f"unknown derivative method {method!r}; known: {', '.join(_ROUTES)}")
+    marchaud = method == "marchaud"
+    if marchaud and not 0.0 < a < 1.0:
+        raise PreconditionError(f"the Marchaud form requires 0 < order < 1, got {a}; use integral_then_difference")
     # Refused before any of the ceil(order) difference passes, which a huge order would run
     # for ever.  The probe's subgrids hold >= 4 nodes, the 3 a pass needs and more.
-    if meth is DerivativeMethod.INTEGRAL_THEN_DIFFERENCE and order.ceil_alpha > n - 2:
-        raise PreconditionError(f"order {order.alpha} needs ceil(order) + 2 nodes to difference, got {n}")
-    return meth
+    if not marchaud and math.ceil(a) > n - 2:
+        raise PreconditionError(f"order {a} needs ceil(order) + 2 nodes to difference, got {n}")
+    return marchaud
 
 
 def _result(g: GridFunction, vals: np.ndarray, singular_start: bool = False) -> GridFunction:
@@ -204,20 +196,20 @@ def _frac_integral_singular(g: GridFunction, a: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def frac_integral(g: GridFunction, order: FracOrder | float) -> GridFunction:
+def frac_integral(g: GridFunction, order: float) -> GridFunction:
     """Fractional integral of ``g`` of the given order (order 0 is identity).
 
     Output index 0 is exactly 0 (the integral vanishes at t0).  Data marked
     singular at the start is accepted as long as the fitted decay is milder
     than (t-t0)^-1; otherwise :class:`UnintegrableSingularityError` is raised.
     """
-    o = as_order(order)
-    if o.alpha == 0.0:
+    a = as_order(order)
+    if a == 0.0:
         return g
     if g.singular_start:
-        vals = _frac_integral_singular(g, o.alpha)
+        vals = _frac_integral_singular(g, a)
     else:
-        vals = _frac_integral_values(g.values, g.h, o.alpha)
+        vals = _frac_integral_values(g.values, g.h, a)
     return _result(g, vals)
 
 
@@ -315,8 +307,8 @@ def _diff_once(v: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _rl_values(v: np.ndarray, h: float, a: float, method: DerivativeMethod) -> np.ndarray:
-    if method is DerivativeMethod.MARCHAUD:
+def _rl_values(v: np.ndarray, h: float, a: float, marchaud: bool) -> np.ndarray:
+    if marchaud:
         return _marchaud_values(v, h, a)
     m = math.ceil(a)
     w = v if a == m else _frac_integral_values(v, h, m - a)
@@ -325,9 +317,9 @@ def _rl_values(v: np.ndarray, h: float, a: float, method: DerivativeMethod) -> n
     return w
 
 
-def _first_node_estimates(v: np.ndarray, h: float, a: float, method: DerivativeMethod) -> Sequence[np.ndarray]:
+def _first_node_estimates(v: np.ndarray, h: float, a: float, marchaud: bool) -> Sequence[np.ndarray]:
     # |index 1| of the derivative of each row of v on its stride-4, stride-2 and stride-1 subgrids.
-    if method is DerivativeMethod.MARCHAUD:
+    if marchaud:
         # That of a 3-node _marchaud_values, by its operations: ((g0 - g1) mu1[0]) (-a r (h s)**-a) + ((h s)**-a r) g1.
         r = rgamma(1.0 - a)
         scale = np.array([-a * r * (h * s) ** -a for s in (4, 2, 1)])  # Python's power, as the pass's
@@ -336,25 +328,25 @@ def _first_node_estimates(v: np.ndarray, h: float, a: float, method: DerivativeM
         return np.moveaxis(np.abs(((g0 - g1) * (1.0 / (1.0 - a))) * scale + start * g1), -1, 0)
     # Index 1 depends only on the first ceil(a) + 2 nodes: the subgrids are cut to those.
     nodes = math.ceil(a) + 2
-    return [np.abs(_rl_values(v[..., ::s][..., :nodes], h * s, a, method)[..., 1]) for s in (4, 2, 1)]
+    return [np.abs(_rl_values(v[..., ::s][..., :nodes], h * s, a, marchaud)[..., 1]) for s in (4, 2, 1)]
 
 
-def _probe_singular_start(v: np.ndarray, h: float, a: float, method: DerivativeMethod) -> bool:
+def _probe_singular_start(v: np.ndarray, h: float, a: float, marchaud: bool) -> bool:
     # Re-estimate the first-node derivative on stride-4 and stride-2 subgrids.
     # A genuine (t-t0)^-a blow-up makes the estimate grow like 2**a per
     # halving; bounded derivatives keep it flat or shrinking.  Components are
     # probed separately, and one blow-up marks the whole output.
     if v.shape[-1] < 13:
         return False
-    e4, e2, e1 = _first_node_estimates(v, h, a, method)
+    e4, e2, e1 = _first_node_estimates(v, h, a, marchaud)
     with np.errstate(divide="ignore", invalid="ignore"):
         grows = (e4 > 0.0) & (e2 > 0.0) & (e2 / e4 >= _PROBE_GROWTH) & (e1 / e2 >= _PROBE_GROWTH)
     return bool(np.any(grows))
 
 
-def _rl(g: GridFunction, v: np.ndarray, a: float, method: DerivativeMethod) -> GridFunction:
+def _rl(g: GridFunction, v: np.ndarray, a: float, marchaud: bool) -> GridFunction:
     # The derivative of the data v on g's grid, marked when the probe sees it blow up at t0.
-    return _result(g, _rl_values(v, g.h, a, method), _probe_singular_start(v, g.h, a, method))
+    return _result(g, _rl_values(v, g.h, a, marchaud), _probe_singular_start(v, g.h, a, marchaud))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -364,26 +356,22 @@ def marchaud_derivative(g: GridFunction, alpha: float) -> GridFunction:
     No singularity probe is applied here — use :func:`rl_derivative` for the
     marker-aware entry point.
     """
-    o = as_order(alpha)
-    _as_method(DerivativeMethod.MARCHAUD, o, g.n)
+    a = as_order(alpha)
+    _is_marchaud("marchaud", a, g.n)
     if g.singular_start:
         raise PreconditionError("cannot differentiate data marked singular at the start")
-    return _result(g, _marchaud_values(g.values, g.h, o.alpha))
+    return _result(g, _marchaud_values(g.values, g.h, a))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def rl_derivative(
-    g: GridFunction,
-    order: FracOrder | float,
-    method: DerivativeMethod | str | None = None,
-) -> GridFunction:
+def rl_derivative(g: GridFunction, order: float, method: str | None = None) -> GridFunction:
     """Riemann-Liouville derivative of ``g``.
 
-    The default route is the Marchaud form for orders below 1 and
-    integrate-then-difference otherwise; requesting the Marchaud form with an
-    order >= 1 raises :class:`PreconditionError`.  When the first-node probe
-    detects divergence under refinement, the output carries
-    ``singular_start=True`` instead of an unreliable index-0 value.
+    ``method`` names the route, ``"marchaud"`` or ``"integral_then_difference"``;
+    the default is the first for orders below 1 and the second otherwise, and
+    the Marchaud form with an order >= 1 raises :class:`PreconditionError`.
+    When the first-node probe detects divergence under refinement, the output
+    carries ``singular_start=True`` instead of an unreliable index-0 value.
 
     Known defect: for orders in (2, 3), integrate-then-difference leaves an
     O(1) error on the last three nodes that does not shrink with n, because
@@ -392,43 +380,36 @@ def rl_derivative(
     while nodes 8 to n - 4 are within 8.6e-5 and 1.1e-5.  ROADMAP item 1
     tracks the end formulas.
     """
-    o = as_order(order)
+    a = as_order(order)
     if g.singular_start:
         raise PreconditionError("cannot differentiate data marked singular at the start")
-    if o.alpha == 0.0:
+    if a == 0.0:
         return g
-    return _rl(g, g.values, o.alpha, _as_method(method, o, g.n))
+    return _rl(g, g.values, a, _is_marchaud(method, a, g.n))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def caputo_derivative(
-    g: GridFunction,
-    order: FracOrder | float,
-    taylor: Sequence[float],
-    method: DerivativeMethod | str | None = None,
-) -> GridFunction:
+def caputo_derivative(g: GridFunction, order: float, taylor: Sequence[float]) -> GridFunction:
     """Caputo derivative: subtract the Taylor polynomial at t0, then apply the
-    Riemann-Liouville derivative.
+    Riemann-Liouville derivative by the route its order picks.
 
     ``taylor`` must hold exactly ceil(order) derivatives (f(t0), f'(t0), ...);
     for data of d components each entry is a scalar, shared by all of them,
     or a length-d vector.  Wrong Taylor data does not crash: the residual
     behaves like a function with f(t0) != 0 and typically surfaces as the
     singular-start marker.  Refusals come before any work on the entries:
-    the Taylor length, then the method, order and node count, then each
-    entry's shape and finiteness.
+    the Taylor length, then the order and node count, then each entry's
+    shape and finiteness.
     """
-    o = as_order(order)
+    a = as_order(order)
     if g.singular_start:
         raise PreconditionError("cannot differentiate data marked singular at the start")
-    m = o.ceil_alpha
+    m = math.ceil(a)
     if len(taylor) != m:
-        raise TaylorMismatchError(
-            f"order {o.alpha} needs exactly {m} Taylor coefficient(s), got {len(taylor)}"
-        )
+        raise TaylorMismatchError(f"order {a} needs exactly {m} Taylor coefficient(s), got {len(taylor)}")
     if m == 0:
         return g
-    meth = _as_method(method, o, g.n)
+    marchaud = _is_marchaud(None, a, g.n)
     # Each entry as a column: a scalar, or one value per component.
     coeffs = [np.asarray(c, dtype=float)[..., None] for c in taylor]
     if any(c.shape not in ((1,), g.values.shape[:-1] + (1,)) for c in coeffs):
@@ -442,7 +423,7 @@ def caputo_derivative(
         factorial *= max(j, 1)  # past the float range (j >= 171) scaled by 2**-e, which c takes exactly
         e = max(factorial.bit_length() - 1023, 0)
         poly += (np.ldexp(c, -e) / (factorial >> e)) * t_rel**j
-    return _rl(g, g.values - poly, o.alpha, meth)
+    return _rl(g, g.values - poly, a, marchaud)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +474,7 @@ def _leibniz(u: GridFunction, v: GridFunction, alpha: float, caputo: bool) -> Gr
     # The Caputo formula, with factor derivatives taken as Marchaud values of
     # the start-shifted factors; its last term cancels the correction's
     # k**-a part.  The Riemann-Liouville output adds u0 v0 (t-t0)^(-a) / Gamma(1-a).
-    a = as_order(alpha).alpha
+    a = as_order(alpha)
     if not 0.0 < a < 1.0:
         raise PreconditionError(f"the product formula requires 0 < order < 1, got {a}")
     _require_same_grid(u, v)

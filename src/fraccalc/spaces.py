@@ -15,12 +15,13 @@ component, and data is continuous at the start when every component is.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstantInputError, InvalidParameterError, MembershipError, PreconditionError
-from .grid import FracOrder, GridFunction, as_order
+from .grid import GridFunction, as_order
 from .operators import caputo_derivative, rl_derivative
 
 __all__ = [
@@ -217,6 +218,8 @@ def holder_seminorm(g: GridFunction, gamma: float) -> HolderEstimate:
     Values more than the float range apart give ``value`` = inf, without a
     warning.
     """
+    if not isinstance(gamma, numbers.Real):
+        raise InvalidParameterError(f"gamma must be a real number, got {gamma!r}")
     if not 0.0 < gamma <= 1.0:
         raise InvalidParameterError(f"need 0 < gamma <= 1, got {gamma}")
     if g.singular_start:
@@ -291,25 +294,23 @@ def continuous_at_start(g: GridFunction) -> bool:
     return not np.any(jumps & (scale > 0.0))
 
 
-def _space_norm(g: GridFunction, order: FracOrder | float, name: str, derivative) -> float:
-    # The checks and sup formula of rl_norm and c_norm; ``derivative(o)`` is called only once the
+def _space_norm(g: GridFunction, order: float, name: str, derivative) -> float:
+    # The checks and sup formula of rl_norm and c_norm; ``derivative(a)`` is called only once the
     # order and the data have passed theirs.
-    o = as_order(order)
-    if not 0.0 < o.alpha < 1.0:
-        raise InvalidParameterError(f"space norms are defined here for 0 < order < 1, got {o.alpha}")
+    a = as_order(order)
+    if not 0.0 < a < 1.0:
+        raise InvalidParameterError(f"space norms are defined here for 0 < order < 1, got {a}")
     if g.singular_start:
         raise MembershipError("data marked singular at the start has no finite norm")
-    d = derivative(o)
+    d = derivative(a)
     if d.singular_start:
-        raise MembershipError(f"{name} of order {o.alpha} diverges at the start; not a member")
+        raise MembershipError(f"{name} of order {a} diverges at the start; not a member")
     if not continuous_at_start(d):
-        raise MembershipError(
-            f"{name} of order {o.alpha} fails the continuity-at-start test; not a member"
-        )
+        raise MembershipError(f"{name} of order {a} fails the continuity-at-start test; not a member")
     return float(np.max(np.abs(g.values)) + np.max(np.abs(d.values[..., EXCLUDED_START_NODES:])))
 
 
-def rl_norm(g: GridFunction, order: FracOrder | float) -> float:
+def rl_norm(g: GridFunction, order: float) -> float:
     """sup|f| + sup|Df| when the Riemann-Liouville derivative is continuous.
 
     Each sup is taken over nodes and components.
@@ -318,13 +319,13 @@ def rl_norm(g: GridFunction, order: FracOrder | float) -> float:
     the start or fails the continuity classifier — the function is then not a
     member of the order-``order`` space, and it has no finite norm.
     """
-    return _space_norm(g, order, "derivative", lambda o: rl_derivative(g, o))
+    return _space_norm(g, order, "derivative", lambda a: rl_derivative(g, a))
 
 
-def c_norm(g: GridFunction, order: FracOrder | float, taylor) -> float:
+def c_norm(g: GridFunction, order: float, taylor) -> float:
     """sup|f| + sup|cDf| when the Caputo derivative is continuous.
 
     Same membership rules as :func:`rl_norm`, with the Caputo derivative built
     from the supplied Taylor data.
     """
-    return _space_norm(g, order, "Caputo derivative", lambda o: caputo_derivative(g, o, taylor))
+    return _space_norm(g, order, "Caputo derivative", lambda a: caputo_derivative(g, a, taylor))

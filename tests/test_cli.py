@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fraccalc as fc
-from fraccalc import catalog
+from fraccalc import catalog, cli
 from fraccalc.cli import build_parser, main, read_grid_csv, write_grid_csv
 
 GAMMA_3_2 = 0.8862269254527580136
@@ -175,7 +175,7 @@ class TestTransformCommand:
     @pytest.mark.parametrize("flag, value", [("fn2", "power:p=0.8"), ("method", "integral_then_difference"),
                                              ("taylor", "0")])
     def test_op_admits_only_the_flags_it_reads(self, tmp_path, capsys, op, flag, value):
-        reads = {"J": (), "D": ("method",), "cD": ("method", "taylor"), "leibniz": ("fn2",)}[op]
+        reads = {"J": (), "D": (), "cD": ("taylor",), "leibniz": ("fn2",)}[op]
         given = ["--fn2", "power:p=0.8"] if op == "leibniz" else []
         if flag != "fn2" or op != "leibniz":
             given += [f"--{flag}", value]
@@ -186,7 +186,8 @@ class TestTransformCommand:
             assert code == 0
         else:
             assert code == 2
-            assert f"--{flag} does not apply to --op {op}" in capsys.readouterr().err
+            refusal = "unrecognized arguments: --method" if flag == "method" else f"--{flag} does not apply to --op {op}"
+            assert refusal in capsys.readouterr().err
             assert not out.exists()
 
     def test_grid_start_comes_from_the_spec(self, tmp_path, capsys):
@@ -237,10 +238,13 @@ class TestTransformCommand:
                        "--n", "257", "--output", str(out)) == 0
         assert np.max(np.abs(read_grid_csv(str(out)).values[8:])) <= 1e-9
 
-    @pytest.mark.parametrize("method", list(fc.DerivativeMethod))
-    def test_every_derivative_method_is_a_choice(self, tmp_path, method):
+    @pytest.mark.parametrize("method", ["marchaud", "integral_then_difference"])
+    def test_no_derivative_method_flag(self, tmp_path, capsys, method):
+        # The route is the one the order picks.
         assert run_cli("transform", "--fn", "power:p=0.5", "--op", "D", "--alpha", "0.5",
-                       "--method", method.value, "--output", str(tmp_path / "o.csv")) == 0
+                       "--method", method, "--output", str(tmp_path / "o.csv")) == 2
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("target", ["missing/o.csv", "taken"])
     def test_unwritable_output_exits_3(self, tmp_path, capsys, target):
@@ -270,10 +274,12 @@ class TestTransformCommand:
         assert run_cli("transform", "--input", str(src), "--op", "cD", "--alpha", "1.3",
                        "--taylor", "0,0", "--output", str(tmp_path / "o.csv")) == 0
 
-    def test_precondition_errors_exit_4(self, tmp_path):
-        # Marchaud outside (0, 1)
+    def test_precondition_errors_exit_4(self, tmp_path, capsys):
+        # No route flag: Marchaud outside (0, 1) cannot be asked for
         assert run_cli("transform", "--fn", "power:p=0.5", "--op", "D", "--alpha", "1.5",
-                       "--method", "marchaud", "--output", str(tmp_path / "o.csv")) == 4
+                       "--method", "marchaud", "--output", str(tmp_path / "o.csv")) == 2
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
         # Taylor data of the wrong length for the requested order
         assert run_cli("transform", "--fn", "power:p=0.5", "--op", "cD", "--alpha", "0.5",
                        "--taylor", "0,1", "--output", str(tmp_path / "o.csv")) == 4
@@ -383,6 +389,17 @@ class TestVerifyCommand:
         assert run_cli("verify", "--suite", "semigroup", "--n", "129",
                        "--json", str(tmp_path / "missing" / "r.json")) == 3
         assert "cannot write" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_json_exits_3_before_any_check(self, tmp_path, capsys, monkeypatch):
+        def no_suite(config):
+            raise AssertionError("run_suite called for an unwritable --json path")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        assert run_cli("verify", "--json", str(tmp_path / "missing" / "r.json")) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {tmp_path / 'missing' / 'r.json'}" in captured.err
         assert list(tmp_path.iterdir()) == []
 
     def test_defaults_come_from_the_suite_config(self):

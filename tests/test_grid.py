@@ -5,27 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from fraccalc import DataError, FracOrder, GridFunction, InvalidParameterError
+from fraccalc import DataError, GridFunction, InvalidParameterError
 from fraccalc.grid import as_order
 
 
-class TestFracOrder:
-    def test_basic(self):
-        a = FracOrder(0.5)
-        assert a.alpha == 0.5
-        assert a.ceil_alpha == 1
-        assert FracOrder(0.0).ceil_alpha == 0
+class TestAsOrder:
+    def test_returns_a_float(self):
+        assert as_order(0.5) == 0.5 and type(as_order(0.5)) is float
+        assert as_order(2) == 2.0 and type(as_order(2)) is float
+        assert as_order(0.0) == 0.0
+        # numpy real scalars keep the bits float() gives them
+        assert as_order(np.float32(0.3)) == float(np.float32(0.3)) and type(as_order(np.int64(3))) is float
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            FracOrder(-0.5)
+            as_order(-0.5)
         with pytest.raises(InvalidParameterError):
-            FracOrder(math.inf)
-
-    def test_coercion(self):
-        assert as_order(0.7).alpha == 0.7
-        o = FracOrder(0.7)
-        assert as_order(o) is o
+            as_order(math.inf)
 
 
 class TestGridFunction:

@@ -96,6 +96,12 @@ class TestResolution:
         with pytest.raises(UnknownNameError):
             SuiteConfig(checks=("nope",))
 
+    def test_bare_string_is_one_token(self):
+        assert SuiteConfig(checks="semigroup").checks == ("semigroup",)
+        assert SuiteConfig(checks="all").checks == tuple(REGISTRY_ORDER)
+        with pytest.raises(UnknownNameError, match="'sem'"):
+            SuiteConfig(checks="sem")
+
     def test_no_selection_means_every_check(self):
         assert SuiteConfig().checks == tuple(REGISTRY_ORDER)
 

@@ -257,7 +257,7 @@ class TestSingularStartDetection:
         # node 2 is not: the estimate is 0 and the probe gives no verdict.
         v = np.zeros(13)
         v[2] = 1.0
-        assert operators._probe_singular_start(v, 1.0 / 12, 0.5, fc.DerivativeMethod.MARCHAUD) is False
+        assert operators._probe_singular_start(v, 1.0 / 12, 0.5, True) is False
         assert not fc.rl_derivative(_grid(v), 0.5).singular_start
 
     def test_order_zero_identity(self):
@@ -547,3 +547,37 @@ class TestCaputoWithManyTaylorEntries:
         fc.caputo_derivative(_grid(np.zeros(257)), 171.5, [0.0] * 171 + [1e308])
         coeff = float(Fraction(1e308) / math.factorial(171))
         assert -seen[-1] == pytest.approx(coeff * t**171, rel=1e-15, abs=0.0)
+
+
+class TestRealArguments:
+    # Orders and Hölder exponents are real numbers; anything else is a usage error, not a TypeError.
+    _CALLS = {
+        "frac_integral": lambda g, x: fc.frac_integral(g, x),
+        "rl_derivative": lambda g, x: fc.rl_derivative(g, x),
+        "caputo_derivative": lambda g, x: fc.caputo_derivative(g, x, (0.0,)),
+        "leibniz_rl": lambda g, x: fc.leibniz_rl(g, g, x),
+        "rl_norm": lambda g, x: fc.rl_norm(g, x),
+        "holder_seminorm": lambda g, x: fc.holder_seminorm(g, x),
+    }
+
+    @pytest.mark.parametrize("value", [None, "0.5", 0.5 + 0j, [0.5], (0.5,), np.array([0.5])],
+                             ids=["None", "str", "complex", "list", "tuple", "array"])
+    @pytest.mark.parametrize("call", list(_CALLS))
+    def test_non_real_is_refused(self, call, value):
+        g = _grid(np.linspace(0.0, 1.0, 65) ** 2)
+        with pytest.raises(fc.InvalidParameterError, match="must be a real number"):
+            self._CALLS[call](g, value)
+
+    @pytest.mark.parametrize(
+        "call, value",
+        [(c, v) for c in _CALLS for v in (np.float64(0.5), np.float32(0.5))]
+        + [(c, v) for c in ("frac_integral", "rl_derivative", "holder_seminorm") for v in (1, np.int64(1))],
+    )
+    def test_ints_and_numpy_scalars_keep_their_bits(self, call, value):
+        g = _grid(np.linspace(0.0, 1.0, 257) ** 2)
+        got, want = self._CALLS[call](g, value), self._CALLS[call](g, float(value))
+        if call == "holder_seminorm":
+            got, want = got.value, want.value
+        elif call != "rl_norm":
+            got, want = got.values, want.values
+        assert np.array_equal(got, want)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraccalc as fc
-from fraccalc.operators import _PROBE_GROWTH, DerivativeMethod, _first_node_estimates, _marchaud_values, _rl_values
+from fraccalc.operators import _PROBE_GROWTH, _first_node_estimates, _marchaud_values, _rl_values
 
 
 def _round_trip(g: fc.GridFunction, alpha: float) -> tuple[bool, float]:
@@ -51,8 +51,8 @@ def _expected_marker(alpha: float, p: float) -> bool:
 
 
 _ORDERS = {
-    DerivativeMethod.MARCHAUD: st.floats(0.05, 0.95),
-    DerivativeMethod.INTEGRAL_THEN_DIFFERENCE: st.floats(1.05, 1.95),
+    "marchaud": st.floats(0.05, 0.95),
+    "integral_then_difference": st.floats(1.05, 1.95),
 }
 
 
@@ -84,22 +84,16 @@ class TestMarkerIndependentOfGrid:
 
 class TestProbePrefix:
     @pytest.mark.parametrize(
-        "alpha,method",
-        [
-            (0.5, DerivativeMethod.MARCHAUD),
-            (0.5, DerivativeMethod.INTEGRAL_THEN_DIFFERENCE),
-            (1.5, DerivativeMethod.INTEGRAL_THEN_DIFFERENCE),
-            (2.5, DerivativeMethod.INTEGRAL_THEN_DIFFERENCE),
-            (12.0, DerivativeMethod.INTEGRAL_THEN_DIFFERENCE),
-        ],
+        "alpha,marchaud",
+        [(0.5, True), (0.5, False), (1.5, False), (2.5, False), (12.0, False)],
     )
-    def test_prefix_gives_the_whole_grid_estimate(self, alpha, method):
+    def test_prefix_gives_the_whole_grid_estimate(self, alpha, marchaud):
         # The probe cuts each subgrid to its first ceil(alpha) + 2 nodes.
         t = np.linspace(0.0, 1.0, 2049)
         v = np.exp(-t) + t**0.3
         h = t[1]
-        whole = _rl_values(v, h, alpha, method)[1]
-        prefix = _rl_values(v[: math.ceil(alpha) + 2], h, alpha, method)[1]
+        whole = _rl_values(v, h, alpha, marchaud)[1]
+        prefix = _rl_values(v[: math.ceil(alpha) + 2], h, alpha, marchaud)[1]
         assert prefix == pytest.approx(whole, rel=1e-11)
 
 
@@ -111,7 +105,7 @@ class TestClosedFormEstimates:
         return [np.abs(_marchaud_values(v[..., ::s][..., :3], h * s, alpha)[..., 1]) for s in (4, 2, 1)]
 
     def _assert_bitwise(self, v, h, alpha):
-        got = _first_node_estimates(v, h, alpha, DerivativeMethod.MARCHAUD)
+        got = _first_node_estimates(v, h, alpha, True)
         for e, want in zip(got, self._pass_estimates(v, h, alpha)):
             assert e.shape == want.shape
             assert np.array_equal(e.view(np.int64), want.view(np.int64))
