@@ -39,6 +39,8 @@ def _atomic_write(path: str) -> Iterator[TextIO]:
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".fraccalc-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.umask(umask := os.umask(0))  # only setting the umask reads it
+            os.chmod(tmp, 0o666 & ~umask)  # the mode a plain open gives, not mkstemp's 0600
             yield fh
         os.replace(tmp, path)
     except OSError as exc:
@@ -135,13 +137,8 @@ def _parse_taylor(text: str) -> tuple[float, ...]:
         raise UsageError(f"bad --taylor value {text!r}; expected comma-separated numbers") from None
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
-    if args.action == "list":
-        for name in catalog.builtin_names():
-            print(name)
-        return 0
-    print(catalog.describe_builtin(args.id))
-    return 0
+def _cmd_catalog(args: argparse.Namespace) -> tuple[int, str]:
+    return 0, "\n".join(catalog.builtin_names()) if args.action == "list" else catalog.describe_builtin(args.id)
 
 
 def _transform_input(args: argparse.Namespace) -> tuple[GridFunction, catalog.AnalyticFunction | None]:
@@ -160,7 +157,7 @@ def _transform_input(args: argparse.Namespace) -> tuple[GridFunction, catalog.An
 _OP_FLAGS = {"J": (), "D": (), "cD": ("taylor",), "leibniz": ("fn2",)}
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
+def _cmd_transform(args: argparse.Namespace) -> tuple[int, str]:
     for flag in ("fn2", "taylor"):
         if getattr(args, flag) is not None and flag not in _OP_FLAGS[args.op]:
             raise UsageError(f"--{flag} does not apply to --op {args.op}")
@@ -190,10 +187,10 @@ def _cmd_transform(args: argparse.Namespace) -> int:
                 taylor = (float(g.values[0]),) if m == 1 else ()
             out = caputo_derivative(g, args.alpha, taylor)
     write_grid_csv(args.output, out)
-    return 0
+    return 0, ""
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     config = SuiteConfig(n=args.n, seed=args.seed, checks=tuple(args.suite))
     with _atomic_write(args.json) if args.json else contextlib.nullcontext() as report:
         reports = run_suite(config)
@@ -207,11 +204,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "aggregate_pass": aggregate,
             }
             report.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.check_id}: max_error={r.max_error:.6g} tolerance={r.tolerance:g} n={r.grid_n}")
-    print(f"{'PASS' if aggregate else 'FAIL'}: {sum(r.passed for r in reports)}/{len(reports)} checks passed")
-    return 0 if aggregate else 1
+    verdict = {True: "PASS", False: "FAIL"}
+    lines = [f"[{verdict[r.passed]}] {r.check_id}: max_error={r.max_error:.6g} tolerance={r.tolerance:g} n={r.grid_n}"
+             for r in reports]
+    lines.append(f"{verdict[aggregate]}: {sum(r.passed for r in reports)}/{len(reports)} checks passed")
+    return (0 if aggregate else 1), "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,15 +252,20 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # Each command returns its exit code and the text for stdout, which is printed last.
+    command = {"catalog": _cmd_catalog, "transform": _cmd_transform, "verify": _cmd_verify}[args.command]
     try:
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        if args.command == "transform":
-            return _cmd_transform(args)
-        return _cmd_verify(args)
+        code, text = command(args)
     except FracCalcError as exc:
         print(f"fraccalc: error: {exc}", file=sys.stderr)
         return exc.exit_code
+    try:
+        if text:
+            print(text, flush=True)
+    except BrokenPipeError:
+        # A reader that closed stdout (``| head``) ends the output; the rest goes to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -181,14 +181,14 @@ def check_integral_shift(n: int) -> CheckReport:
 
 
 def check_derivative_commute(n: int) -> CheckReport:
-    """d/dt of J^0.5 f, by the difference pass of rl_derivative at order 1,
+    """d/dt of J^0.5 f, by the difference stencil of rl_derivative at order 1,
     versus J^0.5 f', f = t^2."""
     _require_n("check_derivative_commute", n)
     alpha = 0.5
     lhs = rl_derivative(frac_integral(_power(2.0, n), alpha), 1).values
     rhs = frac_integral(_power(1.0, n, scale=2.0), alpha).values
-    # The difference pass runs a one-sided stencil at the ends; exclude those
-    # nodes along with the start window.
+    # The stencil is one-sided at the ends; exclude those nodes along with
+    # the start window.
     err = _sup(lhs[_W : n - 2] - rhs[_W : n - 2])
     return _report(
         "derivative_commute",

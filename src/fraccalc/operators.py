@@ -1,5 +1,5 @@
-"""Grid operators: fractional integral, two Riemann-Liouville derivative
-routes, Caputo derivative, and product (Leibniz) formulas.
+"""Grid operators: fractional integral, Riemann-Liouville and Caputo
+derivatives, and product (Leibniz) formulas.
 
 All operators use product integration on the uniform grid: the integrand's
 kernel factor is kept exact inside each cell and the data factor is
@@ -11,7 +11,8 @@ quadratic through three neighbouring nodes (anchored so the increment is
 exactly zero at s = t), which is what keeps the scheme's error at the first
 non-excluded nodes within tolerance; a piecewise-linear rule would plateau
 near 5e-3 at node 8 no matter the grid, since for self-similar data the node-k
-error is independent of h.
+error is independent of h.  Above order 1 one second-order difference stencil
+takes the k = floor(alpha)-th derivative of the Marchaud pass of order alpha - k.
 
 Every operator reduces to causal convolutions with a translation-invariant
 kernel plus O(1) per-row edge terms.  They share one primitive that sums
@@ -24,8 +25,8 @@ derivative of any function with f(t0) != 0 behaves like (t-t0)^-alpha).  The
 first-node estimates are probed on stride-4/2/1 subgrids, and if they grow by
 >= 1.15x at each halving the output carries the singular-start marker instead
 of a meaningless number.  The probe reads only the first ceil(alpha) + 2
-nodes of each subgrid, so it works for any n >= 13 and its cost does not
-depend on n.
+nodes of each subgrid, so its cost does not depend on n; it gives no verdict
+when the stride-4 subgrid has fewer than max(4, ceil(alpha) + 2) nodes.
 
 Data of shape (d, n) holds d components (X = R^d with the sup norm).  Every
 operator acts on each component as on scalar data, with the same bits, and
@@ -71,17 +72,12 @@ _ROUTES = ("marchaud", "integral_then_difference")
 
 
 def _is_marchaud(method: str | None, a: float, n: int) -> bool:
-    # Admits the route ``method`` (None: the one order a picks) for order a on n nodes; True for Marchaud.
-    if method is None:
-        method = "marchaud" if a < 1.0 else "integral_then_difference"
-    if method not in _ROUTES:
+    # Admits the route ``method`` (None: Marchaud) for order a on n nodes; True for Marchaud.
+    if method not in (None, *_ROUTES):
         raise InvalidParameterError(f"unknown derivative method {method!r}; known: {', '.join(_ROUTES)}")
-    marchaud = method == "marchaud"
-    if marchaud and not 0.0 < a < 1.0:
-        raise PreconditionError(f"the Marchaud form requires 0 < order < 1, got {a}; use integral_then_difference")
-    # Refused before any of the ceil(order) difference passes, which a huge order would run
-    # for ever.  The probe's subgrids hold >= 4 nodes, the 3 a pass needs and more.
-    if not marchaud and math.ceil(a) > n - 2:
+    marchaud = method != "integral_then_difference"
+    # Refused before any difference, which a huge order would take for ever; the probe reads ceil(a) + 2 nodes.
+    if (a >= 1.0 or not marchaud) and math.ceil(a) + 2 > n:
         raise PreconditionError(f"order {a} needs ceil(order) + 2 nodes to difference, got {n}")
     return marchaud
 
@@ -299,27 +295,35 @@ def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None
     return out
 
 
-def _diff_once(v: np.ndarray, h: float) -> np.ndarray:
-    d = np.empty_like(v)
-    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
-    d[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
-    d[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
-    return d
+def _derivative(w: np.ndarray, h: float, k: int) -> np.ndarray:
+    # The k-th derivative (k >= 1) of each row of w (k + 2 or more nodes) by one second-order
+    # stencil, central inside.  Each difference is divided by h as it is taken, so h**k is never formed.
+    d = w
+    for _ in range(k - 1):
+        d = np.diff(d) / h
+    dk = np.diff(d) / h  # the k-th differences
+    out = np.empty_like(w)
+    c = (k + 1) // 2  # the central stencil reaches nodes c to n - 1 - c
+    out[..., c:-c] = (d[..., 2:] - d[..., :-2]) / (2.0 * h) if k % 2 else dk
+    # End node s takes the k-th derivative of the degree-(k + 1) polynomial through the k + 2
+    # end nodes: the k-th difference plus (s - k/2) times the (k + 1)-th.
+    for s in range(c):
+        out[..., s] = dk[..., 0] + (s - k / 2) * (dk[..., 1] - dk[..., 0])
+        out[..., -1 - s] = dk[..., -1] - (s - k / 2) * (dk[..., -1] - dk[..., -2])
+    return out
 
 
 def _rl_values(v: np.ndarray, h: float, a: float, marchaud: bool) -> np.ndarray:
-    if marchaud:
-        return _marchaud_values(v, h, a)
-    m = math.ceil(a)
-    w = v if a == m else _frac_integral_values(v, h, m - a)
-    for _ in range(m):
-        w = _diff_once(w, h)
-    return w
+    # D^a = (d/dt)^k of one fractional pass: the Marchaud form of order a - floor(a), or J^(ceil(a) - a).
+    k = math.floor(a) if marchaud else math.ceil(a)
+    if a != k:
+        v = _marchaud_values(v, h, a - k) if marchaud else _frac_integral_values(v, h, k - a)
+    return _derivative(v, h, k) if k else v
 
 
 def _first_node_estimates(v: np.ndarray, h: float, a: float, marchaud: bool) -> Sequence[np.ndarray]:
     # |index 1| of the derivative of each row of v on its stride-4, stride-2 and stride-1 subgrids.
-    if marchaud:
+    if marchaud and a < 1.0:
         # That of a 3-node _marchaud_values, by its operations: ((g0 - g1) mu1[0]) (-a r (h s)**-a) + ((h s)**-a r) g1.
         r = rgamma(1.0 - a)
         scale = np.array([-a * r * (h * s) ** -a for s in (4, 2, 1)])  # Python's power, as the pass's
@@ -332,11 +336,11 @@ def _first_node_estimates(v: np.ndarray, h: float, a: float, marchaud: bool) -> 
 
 
 def _probe_singular_start(v: np.ndarray, h: float, a: float, marchaud: bool) -> bool:
-    # Re-estimate the first-node derivative on stride-4 and stride-2 subgrids.
-    # A genuine (t-t0)^-a blow-up makes the estimate grow like 2**a per
-    # halving; bounded derivatives keep it flat or shrinking.  Components are
-    # probed separately, and one blow-up marks the whole output.
-    if v.shape[-1] < 13:
+    # Re-estimate the first-node derivative on stride-4 and stride-2 subgrids.  A genuine
+    # (t-t0)^-a blow-up makes the estimate grow like 2**a per halving; bounded derivatives keep it
+    # flat or shrinking.  Components are probed separately, and one blow-up marks the whole output.
+    # No verdict when the stride-4 subgrid is shorter than 4 nodes or than the ceil(a) + 2 read.
+    if (v.shape[-1] - 1) // 4 + 1 < max(4, math.ceil(a) + 2):
         return False
     e4, e2, e1 = _first_node_estimates(v, h, a, marchaud)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -357,7 +361,8 @@ def marchaud_derivative(g: GridFunction, alpha: float) -> GridFunction:
     marker-aware entry point.
     """
     a = as_order(alpha)
-    _is_marchaud("marchaud", a, g.n)
+    if not 0.0 < a < 1.0:
+        raise PreconditionError(f"the Marchaud form requires 0 < order < 1, got {a}; use integral_then_difference")
     if g.singular_start:
         raise PreconditionError("cannot differentiate data marked singular at the start")
     return _result(g, _marchaud_values(g.values, g.h, a))
@@ -365,20 +370,13 @@ def marchaud_derivative(g: GridFunction, alpha: float) -> GridFunction:
 
 @np.errstate(over="ignore", invalid="ignore")
 def rl_derivative(g: GridFunction, order: float, method: str | None = None) -> GridFunction:
-    """Riemann-Liouville derivative of ``g``.
+    """Riemann-Liouville derivative of ``g``: the k-th derivative of one fractional pass.
 
-    ``method`` names the route, ``"marchaud"`` or ``"integral_then_difference"``;
-    the default is the first for orders below 1 and the second otherwise, and
-    the Marchaud form with an order >= 1 raises :class:`PreconditionError`.
-    When the first-node probe detects divergence under refinement, the output
-    carries ``singular_start=True`` instead of an unreliable index-0 value.
-
-    Known defect: for orders in (2, 3), integrate-then-difference leaves an
-    O(1) error on the last three nodes that does not shrink with n, because
-    the third difference pass amplifies the one-sided end formulas.  D^2.5 of
-    t^4 is off there by 2.26, 6.77 and 11.3 at both n = 1025 and n = 4097,
-    while nodes 8 to n - 4 are within 8.6e-5 and 1.1e-5.  ROADMAP item 1
-    tracks the end formulas.
+    ``method`` names the pass: ``"marchaud"`` (the default) takes k = floor(order) and the
+    Marchaud form of order order - k, none at an integer order; ``"integral_then_difference"``
+    takes k = ceil(order) and J^(k - order).  Either needs ceil(order) + 2 nodes from order 1 on.
+    When the first-node probe detects divergence under refinement, the output carries
+    ``singular_start=True`` instead of an unreliable index-0 value.
     """
     a = as_order(order)
     if g.singular_start:
@@ -391,7 +389,7 @@ def rl_derivative(g: GridFunction, order: float, method: str | None = None) -> G
 @np.errstate(over="ignore", invalid="ignore")
 def caputo_derivative(g: GridFunction, order: float, taylor: Sequence[float]) -> GridFunction:
     """Caputo derivative: subtract the Taylor polynomial at t0, then apply the
-    Riemann-Liouville derivative by the route its order picks.
+    Riemann-Liouville derivative by its default route.
 
     ``taylor`` must hold exactly ceil(order) derivatives (f(t0), f'(t0), ...);
     for data of d components each entry is a scalar, shared by all of them,

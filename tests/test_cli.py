@@ -3,6 +3,8 @@ and the verification subcommand's JSON document."""
 
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -126,6 +128,15 @@ class TestTransformCommand:
         # With alpha = 0.7 the first derivative does not exist at 0.
         assert run_cli("transform", "--fn", "ml_exp:alpha=0.7", "--op", "cD",
                        "--alpha", "1.5", "--output", str(out)) == 2
+
+    def test_caputo_of_ml_exp_above_order_two(self, tmp_path):
+        # 1.2e-6 measured; three composed difference passes left 0.53 on the last nodes.
+        out = tmp_path / "c.csv"
+        assert run_cli("transform", "--fn", "ml_exp:alpha=2", "--op", "cD", "--alpha", "2.5",
+                       "--output", str(out)) == 0
+        g = read_grid_csv(str(out))
+        want = catalog.builtin("ml_exp", {"alpha": 2.0}).caputo_derivative(2.5, g.times())
+        assert np.max(np.abs(g.values[8:] - want[8:])) <= 1e-4
 
     def test_order_zero_identity_bytes(self, tmp_path):
         src = tmp_path / "in.csv"
@@ -422,6 +433,16 @@ class TestVerifyCommand:
         for r in doc["reports"]:
             assert r["passed"] is True
 
+    def test_closed_stdout_keeps_the_verdict(self, monkeypatch):
+        # The reader has gone before the first line: the exit code is still the failed check's 1.
+        failed = fc.CheckReport("semigroup", "", 65, 2.0, 1.0, False, {})
+        monkeypatch.setattr(cli, "run_suite", lambda config: [failed])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert run_cli("verify", "--suite", "semigroup") == 1
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -441,3 +462,31 @@ def test_import_loads_no_package_metadata():
     )
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_closed_stdout_ends_the_output():
+    # As `fraccalc catalog describe constant | head -c 10`: the reader closes the pipe before
+    # the text is written, and the command exits 0 without a traceback.
+    src = str(Path(fc.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fraccalc", "catalog", "describe", "constant"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    # 0o666 less the umask, not the 0o600 of the temp file they are written through.
+    old = os.umask(umask)
+    try:
+        assert run_cli("transform", "--fn", "power:p=0.5", "--op", "J", "--alpha", "0.5", "--n", "65",
+                       "--output", str(tmp_path / "o.csv")) == 0
+        assert run_cli("verify", "--suite", "semigroup", "--n", "129", "--json", str(tmp_path / "r.json")) == 0
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("o.csv", "r.json")] == [mode, mode]

@@ -10,7 +10,7 @@ import pytest
 
 import fraccalc as fc
 from fraccalc import operators
-from fraccalc.operators import _diff_once, _frac_integral_values
+from fraccalc.operators import _derivative, _frac_integral_values
 from fraccalc.special import rgamma
 
 GAMMA_3_2 = 0.8862269254527580136
@@ -189,19 +189,44 @@ class TestMarchaudDerivative:
 class TestIntegralThenDifference:
     def test_order_above_one(self):
         g = fc.sample(fc.builtin("power", {"p": 1.4}), 0.0, 1.0, 2049)
-        d = fc.rl_derivative(g, 1.3)  # defaults to the integral route
+        d = fc.rl_derivative(g, 1.3)  # defaults to the Marchaud route
         closed = fc.builtin("power", {"p": 1.4}).rl_derivative(1.3, g.times())
         assert np.max(np.abs(d.values[8:] - closed[8:])) <= 6e-4
+
+    @staticmethod
+    def _power_error(p, order, n):
+        g = fc.sample(fc.builtin("power", {"p": p}), 0.0, 1.0, n)
+        closed = fc.builtin("power", {"p": p}).rl_derivative(order, g.times())
+        return np.abs(fc.rl_derivative(g, order).values - closed), g.times()
+
+    @pytest.mark.parametrize("p, order", [(4.0, 2.5), (3.5, 2.2)])
+    def test_last_three_nodes_above_order_two(self, p, order):
+        # One stencil, no composed one-sided passes: 1.2e-5 and 3.4e-6 at n = 1025, where three
+        # composed passes left 11.3 and 6.2 at every n.
+        errs = [self._power_error(p, order, n)[0][-3:].max() for n in (1025, 4097, 16385)]
+        assert max(errs) <= 1e-4 and errs[1] < errs[0]
+
+    def test_last_two_nodes_converge_at_second_order_between_orders_one_and_two(self):
+        # 1.2e-7, 3.8e-9 and 1.2e-10 at n = 257, 1025 and 4097; first order would gain only 4x.
+        errs = [self._power_error(2.5, 1.5, n)[0][-2:].max() for n in (257, 1025, 4097)]
+        assert errs[0] >= 16.0 * errs[1] and errs[1] >= 16.0 * errs[2]
+
+    @pytest.mark.parametrize("n", [4097, 16385, 65537])
+    def test_interior_between_orders_one_and_two(self, n):
+        # t >= 1/4 without the last three nodes: 9.5e-10, 2.5e-10 and 2.1e-9, where differencing
+        # the rounded J^0.5 values read 1.8e-9, 4.4e-8 and 7.3e-7.
+        err, t = self._power_error(2.5, 1.5, n)
+        assert np.max(err[t >= 0.25][:-3]) <= 1e-8
 
     def test_integer_order_reduces_to_difference(self):
         t = np.linspace(0.0, 1.0, 257)
         d = fc.rl_derivative(_grid(t**2), 1.0)
         assert d.values[1:] == pytest.approx(2.0 * t[1:], rel=1e-10, abs=1e-11)
 
-    def test_marchaud_refuses_orders_past_one(self):
+    def test_marchaud_is_the_default_past_order_one(self):
         g = _grid(np.linspace(0.0, 1.0, 65) ** 1.4)
-        with pytest.raises(fc.PreconditionError):
-            fc.rl_derivative(g, 1.3, "marchaud")
+        named, default = fc.rl_derivative(g, 1.3, "marchaud"), fc.rl_derivative(g, 1.3)
+        assert np.array_equal(named.values.view(np.int64), default.values.view(np.int64))
 
     def test_unknown_method_is_a_parameter_error(self):
         with pytest.raises(fc.InvalidParameterError):
@@ -213,8 +238,8 @@ class TestIntegralThenDifference:
 
     @pytest.mark.parametrize("order", [1e308, 2e4, 1024.0, 1023.5])
     def test_order_past_the_node_count_is_refused_at_once(self, order):
-        # ceil(order) difference passes need ceil(order) + 2 nodes; past that
-        # the call is refused before any pass, so it cannot run for ever.
+        # The stencil and the probe need ceil(order) + 2 nodes; past that the
+        # call is refused before any difference, so it cannot run for ever.
         g = _grid(np.linspace(0.0, 1.0, 1025) ** 0.5)
         start = time.perf_counter()
         with pytest.raises(fc.PreconditionError, match="ceil"):
@@ -222,7 +247,7 @@ class TestIntegralThenDifference:
         assert time.perf_counter() - start < 1.0
 
     def test_order_at_the_node_count_is_computed(self):
-        # ceil(order) = n - 2 is the largest order differenced: 6 passes on 8 nodes.
+        # ceil(order) = n - 2 is the largest order differenced: a 5th derivative on 8 nodes.
         d = fc.rl_derivative(_grid(np.linspace(0.0, 1.0, 8) ** 2), 5.5)
         assert d.n == 8 and np.all(np.isfinite(d.values))
 
@@ -268,6 +293,12 @@ class TestSingularStartDetection:
     def test_probe_needs_thirteen_nodes(self, n, marked):
         # The probe runs from 13 nodes on; below that a constant's D^0.5 stays unmarked.
         assert fc.rl_derivative(_grid(np.ones(n)), 0.5).singular_start is marked
+
+    def test_probe_skips_a_stride_four_subgrid_shorter_than_it_reads(self):
+        # At order 2.5 the probe reads 5 nodes of each subgrid; on 13 nodes the stride-4 one has 4.
+        d = fc.rl_derivative(_grid(np.ones(13)), 2.5)
+        assert not d.singular_start and np.all(np.isfinite(d.values))
+        assert fc.rl_derivative(_grid(np.ones(17)), 2.5).singular_start
 
 
 class TestCaputo:
@@ -459,10 +490,15 @@ class TestOverflow:
 
 
 class TestDifferenceStencil:
-    def test_exact_on_quadratics(self):
-        t = np.linspace(0.0, 1.0, 129)
-        d = _diff_once(3.0 * t**2 - t + 2.0, t[1] - t[0])
-        assert d == pytest.approx(6.0 * t - 1.0, rel=1e-10, abs=1e-10)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_exact_on_polynomials_of_degree_k_plus_one(self, k):
+        # Second order at every node, both ends included: on a polynomial of degree k + 1 only
+        # rounding is left, which k differences amplify to a few 2**k eps max|p| / h**k.
+        t = np.linspace(0.3, 1.1, 33)
+        h = t[1] - t[0]
+        p = np.polynomial.Polynomial(np.random.default_rng(k).uniform(-2.0, 2.0, k + 2))
+        got = _derivative(p(t), h, k)
+        assert np.max(np.abs(got - p.deriv(k)(t))) <= 4**k * _EPS * np.max(np.abs(p(t))) / h**k
 
 
 class TestOutputArrays:
