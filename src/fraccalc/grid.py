@@ -40,6 +40,10 @@ class GridFunction:
     ``values[..., 1:]`` must be finite.  If ``singular_start`` is set,
     ``values[..., 0]`` is normalized to NaN and means "unbounded as t -> t0";
     otherwise ``values[..., 0]`` must be finite as well.
+
+    ``values`` is always a read-only array of the instance's own.  A caller's
+    array is copied, writeable or not, and never written to or frozen; only an
+    operator's fresh result, handed over as ``_Owned``, is adopted uncopied.
     """
 
     t0: float
@@ -50,7 +54,7 @@ class GridFunction:
     def __post_init__(self) -> None:
         t0 = float(self.t0)
         t1 = float(self.t1)
-        vals = np.array(self.values, dtype=float, copy=True)
+        vals = self.values.array if isinstance(self.values, _Owned) else np.array(self.values, dtype=float, copy=True)
         if vals.ndim not in (1, 2) or vals.shape[-1] < 2 or vals.size < 2:
             raise DataError(f"values must have shape (n,) or (d, n) with n >= 2 and d >= 1, got shape {vals.shape}")
         n = vals.shape[-1]
@@ -85,3 +89,9 @@ class GridFunction:
         if np.asarray(values).shape != self.values.shape:
             raise DataError("with_values requires data of identical shape")
         return GridFunction(self.t0, self.t1, values)
+
+
+class _Owned:
+    # An operator's fresh float64 result, referenced nowhere else: GridFunction adopts it without the copy.
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array

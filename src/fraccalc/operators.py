@@ -48,7 +48,7 @@ from .errors import (
     TaylorMismatchError,
     UnintegrableSingularityError,
 )
-from .grid import GridFunction, as_order
+from .grid import GridFunction, _Owned, as_order
 from .special import gamma, rgamma
 
 __all__ = [
@@ -83,9 +83,10 @@ def _is_marchaud(method: str | None, a: float, n: int) -> bool:
 
 
 def _result(g: GridFunction, vals: np.ndarray, singular_start: bool = False) -> GridFunction:
-    # The constructor refuses only non-finite values on g's grid: an overflow, under the callers' np.errstate.
+    # vals is fresh and owns its memory, so the constructor adopts it.  It refuses only non-finite
+    # values on g's grid: an overflow, under the callers' np.errstate.
     try:
-        return GridFunction(g.t0, g.t1, vals, singular_start)
+        return GridFunction(g.t0, g.t1, _Owned(vals), singular_start)
     except DataError:
         raise PreconditionError("the computation overflows the float range") from None
 
@@ -97,16 +98,26 @@ def _fft_size(m: int) -> int:
 
 
 def _causal_convolve(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """First n terms of the linear convolutions of the rows of ``g`` (shape (..., n)) with ``kernel``."""
+    """First n terms of the linear convolutions of the rows of ``g`` (shape (..., n)) with ``kernel``.
+
+    The result is a new C-contiguous array of exactly ``g.shape`` that owns its memory: the FFT
+    path cuts its longer ``irfft`` buffer down in place rather than returning a view into it.
+    """
     n = g.shape[-1]
     kernel = kernel[:n]
     if n < _FFT_MIN_NODES:
-        return np.array([np.convolve(row, kernel)[:n] for row in g.reshape(-1, n)]).reshape(g.shape)
-    # Length >= n + k - 2 wraps only the last linear term, onto index 0 (set below); >= n keeps all.
-    size = _fft_size(max(n, n + kernel.size - 2))
-    spec = np.fft.rfft(g, size)
-    spec *= np.fft.rfft(kernel, size)
-    out = np.fft.irfft(spec, size)[..., :n]
+        out = np.array([np.convolve(row, kernel)[:n] for row in g.reshape(-1, n)])
+    else:
+        # Length >= n + k - 2 wraps only the last linear term, onto index 0 (set below); >= n keeps all.
+        size = _fft_size(max(n, n + kernel.size - 2))
+        spec = np.fft.rfft(g, size)
+        spec *= np.fft.rfft(kernel, size)
+        out = np.fft.irfft(spec, size)
+        flat = out.reshape(-1)  # row i's first n entries move down to i * n: a forward 1-D copy, no temporary
+        for i in range(1, g.size // n):
+            flat[i * n : (i + 1) * n] = flat[i * size : i * size + n]
+        del flat  # resize refuses while a view holds the buffer
+    out.resize(g.shape)  # in place, to the first g.size entries; reshape would return a view
     out[..., 0] = g[..., 0] * kernel[0]
     return out
 
@@ -362,7 +373,7 @@ def marchaud_derivative(g: GridFunction, alpha: float) -> GridFunction:
     """
     a = as_order(alpha)
     if not 0.0 < a < 1.0:
-        raise PreconditionError(f"the Marchaud form requires 0 < order < 1, got {a}; use integral_then_difference")
+        raise PreconditionError(f"the Marchaud form requires 0 < order < 1, got {a}; use rl_derivative")
     if g.singular_start:
         raise PreconditionError("cannot differentiate data marked singular at the start")
     return _result(g, _marchaud_values(g.values, g.h, a))

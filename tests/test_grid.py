@@ -36,6 +36,22 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             g.values[0] = 1.0
 
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_caller_arrays_are_copied(self, writeable):
+        # A caller's array is never adopted, written to or frozen, writeable or not.
+        data = np.array([[5.0, 1.0, 2.0], [6.0, 3.0, 4.0]])
+        bits = data.tobytes()
+        data.flags.writeable = writeable
+        g = GridFunction(0.0, 1.0, data)
+        assert not np.shares_memory(g.values, data) and g.values.base is None
+        assert data.flags.writeable == writeable and not g.values.flags.writeable
+        marked = GridFunction(0.0, 1.0, data, singular_start=True)
+        assert np.isnan(marked.values[:, 0]).all() and not np.shares_memory(marked.values, data)
+        assert data.tobytes() == bits and data.flags.writeable == writeable
+        if writeable:
+            data[0, 1] = 9.0
+            assert g.values[0, 1] == 1.0
+
     def test_marker_normalizes_first_value(self):
         g = GridFunction(0.0, 1.0, np.array([123.0, 1.0, 1.0]), singular_start=True)
         assert math.isnan(g.values[0])

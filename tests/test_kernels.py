@@ -116,7 +116,9 @@ class TestCausalConvolve:
         rows = rng.standard_normal((2, 3, n))
         for g in (rows[0, 0], rows[0], rows):
             got = _causal_convolve(g, kernel)
-            assert got.shape == g.shape
+            assert got.shape == g.shape and got.flags.c_contiguous
+            # Its own memory of exactly g's size, never a view into the FFT's longer buffer.
+            assert got.base is None and got.flags.owndata and got.nbytes == 8 * g.size
             ref = np.array([np.convolve(row, kernel)[:n] for row in g.reshape(-1, n)]).reshape(g.shape)
             if n < _FFT_MIN_NODES:
                 assert np.array_equal(got, ref)

@@ -3,6 +3,7 @@ convergence, exactness classes, and the singular-start bookkeeping."""
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -174,8 +175,9 @@ class TestMarchaudDerivative:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.2])
     def test_order_range_enforced(self, alpha):
+        # The advice names the entry point that serves every order.
         g = _grid(np.linspace(0.0, 1.0, 65))
-        with pytest.raises(fc.PreconditionError):
+        with pytest.raises(fc.PreconditionError, match=r"requires 0 < order < 1, got .*; use rl_derivative$"):
             fc.marchaud_derivative(g, alpha)
 
     def test_rejects_marked_input(self):
@@ -502,26 +504,32 @@ class TestDifferenceStencil:
 
 
 class TestOutputArrays:
-    # Every operator output goes through the GridFunction constructor, which copies and checks it:
-    # the result holds the constructor's invariants.
+    # Every operator output goes through the GridFunction constructor, which checks it and adopts the
+    # operator's fresh array uncopied: the result holds the constructor's invariants in one buffer of its own.
     @pytest.mark.parametrize("n", [65, 2049])  # direct and FFT convolution
     @pytest.mark.parametrize("shape", ["scalar", "stacked"])
     @pytest.mark.parametrize(
         "op",
         [
             lambda g: fc.frac_integral(g, 0.5),
+            lambda g: fc.frac_integral(g, 1.5),
+            lambda g: fc.frac_integral(g, 2.5),
             lambda g: fc.frac_integral(fc.rl_derivative(g, 0.5), 0.5),  # integrates marked data
             lambda g: fc.rl_derivative(g, 0.5),
             lambda g: fc.rl_derivative(g, 0.5, "integral_then_difference"),
             lambda g: fc.rl_derivative(g, 1.5),
             lambda g: fc.rl_derivative(g, 2.0),
+            lambda g: fc.rl_derivative(g, 2.5),
             lambda g: fc.marchaud_derivative(g, 0.3),
             lambda g: fc.caputo_derivative(g, 0.5, (1.0,)),
             lambda g: fc.caputo_derivative(g, 0.5, (0.0,)),
             lambda g: fc.leibniz_rl(g, g, 0.5),
             lambda g: fc.leibniz_caputo(g, g, 0.5),
         ],
-        ids=["J", "J_marked", "D", "D_itd", "D_1.5", "D_2", "marchaud", "cD", "cD_marked", "leibniz_rl", "leibniz_caputo"],
+        ids=[
+            "J", "J_1.5", "J_2.5", "J_marked", "D", "D_itd", "D_1.5", "D_2", "D_2.5",
+            "marchaud", "cD", "cD_marked", "leibniz_rl", "leibniz_caputo",
+        ],
     )
     def test_fresh_read_only_float64_marked_by_nan(self, op, shape, n):
         t = np.linspace(0.0, 1.0, n)
@@ -530,6 +538,8 @@ class TestOutputArrays:
         out = op(g)
         v = out.values
         assert v.dtype == np.float64 and v.shape == g.values.shape
+        # Its own buffer of exactly its values, not a view into a longer work array.
+        assert v.base is None and v.flags.owndata and v.nbytes == 8 * v.size
         assert not v.flags.writeable
         with pytest.raises(ValueError):
             v[..., -1] = 0.0
@@ -542,6 +552,26 @@ class TestOutputArrays:
         t = np.linspace(0.0, 1.0, 65)
         assert fc.rl_derivative(_grid(1.0 + t), 0.5).singular_start
         assert not fc.rl_derivative(_grid(t), 0.5).singular_start
+
+    @pytest.mark.parametrize(
+        "op", [lambda g: fc.rl_derivative(g, 0.5), lambda g: fc.frac_integral(g, 0.7)], ids=["D", "J"]
+    )
+    def test_retains_only_its_values(self, op):
+        # The FFT path's work buffer holds 2n - 2 entries at n = 2**k + 1; an output that kept it
+        # alive would retain another 256 KiB here.  Warmed up first, so no first-call state counts.
+        g = _grid(np.linspace(0.0, 1.0, 32769) ** 1.3)
+        op(g)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op(g)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert retained - out.values.nbytes < 64 * 1024
 
 
 class TestCaputoWithManyTaylorEntries:
