@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -37,10 +36,11 @@ def _atomic_write(path: str) -> Iterator[TextIO]:
     # only write to it, ends without an error.  An OSError in any of these steps is a DataError.
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".fraccalc-")
+        name = os.path.join(os.path.dirname(os.path.abspath(path)), f".fraccalc-{os.urandom(8).hex()}")
+        # A fresh file of mode 0o666 less the umask, which the kernel applies: what a plain open gives.
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            os.umask(umask := os.umask(0))  # only setting the umask reads it
-            os.chmod(tmp, 0o666 & ~umask)  # the mode a plain open gives, not mkstemp's 0600
             yield fh
         os.replace(tmp, path)
     except OSError as exc:

@@ -105,19 +105,21 @@ def _causal_convolve(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """
     n = g.shape[-1]
     kernel = kernel[:n]
+    rows = g.reshape(-1, n)
     if n < _FFT_MIN_NODES:
-        out = np.array([np.convolve(row, kernel)[:n] for row in g.reshape(-1, n)])
+        out = np.array([np.convolve(row, kernel)[:n] for row in rows])
     else:
         # Length >= n + k - 2 wraps only the last linear term, onto index 0 (set below); >= n keeps all.
         size = _fft_size(max(n, n + kernel.size - 2))
-        spec = np.fft.rfft(g, size)
+        spec = np.fft.rfft(rows, size)
         spec *= np.fft.rfft(kernel, size)
         out = np.fft.irfft(spec, size)
-        flat = out.reshape(-1)  # row i's first n entries move down to i * n: a forward 1-D copy, no temporary
-        for i in range(1, g.size // n):
-            flat[i * n : (i + 1) * n] = flat[i * size : i * size + n]
-        del flat  # resize refuses while a view holds the buffer
-    out.resize(g.shape)  # in place, to the first g.size entries; reshape would return a view
+        for i in range(1, len(rows)):  # row i's first n entries move down to i * n: a forward 1-D copy
+            out.reshape(-1)[i * n : (i + 1) * n] = out[i, :n]
+    # In place, to the first g.size entries; reshape would return a view.  Every view of out above
+    # dies with its statement, so no reference check: it would count the extra reference that a
+    # tracer's or profiler's call path holds, and refuse.
+    out.resize(g.shape, refcheck=False)
     out[..., 0] = g[..., 0] * kernel[0]
     return out
 

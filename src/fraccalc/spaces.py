@@ -255,7 +255,9 @@ def holder_exponent(g: GridFunction) -> float:
             moduli.append(w)
     if len(moduli) < 2:
         raise ConstantInputError("data shows no variation; Hölder exponent is undefined")
-    slope = float(np.polyfit(np.log(scales), np.log(moduli), 1)[0])
+    x, y = np.log(scales), np.log(moduli)
+    x -= x.mean()  # centred, the least-squares slope is a ratio of two sums: no linear solve
+    slope = float(np.sum(x * (y - y.mean())) / np.sum(x * x))
     return float(min(max(slope, 1e-6), 1.0))
 
 

@@ -481,7 +481,7 @@ def test_closed_stdout_ends_the_output():
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_written_files_take_the_mode_of_a_plain_open(tmp_path, umask, mode):
-    # 0o666 less the umask, not the 0o600 of the temp file they are written through.
+    # 0o666 less the umask, as a plain open gives.
     old = os.umask(umask)
     try:
         assert run_cli("transform", "--fn", "power:p=0.5", "--op", "J", "--alpha", "0.5", "--n", "65",
@@ -490,3 +490,15 @@ def test_written_files_take_the_mode_of_a_plain_open(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("o.csv", "r.json")] == [mode, mode]
+
+
+def test_writes_leave_the_umask_alone(tmp_path, monkeypatch):
+    # Setting the process-wide umask, even to read it, would race with files other threads create.
+    def refuse(mask):
+        raise AssertionError("umask set")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    assert run_cli("transform", "--fn", "power:p=0.5", "--op", "J", "--alpha", "0.5", "--n", "65",
+                   "--output", str(tmp_path / "o.csv")) == 0
+    assert run_cli("verify", "--suite", "semigroup", "--n", "129", "--json", str(tmp_path / "r.json")) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "r.json"]

@@ -4,6 +4,9 @@ behaves the way the tolerances were justified."""
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +142,18 @@ class TestDeterminism:
         assert a == b
 
 
+def test_suite_loads_no_numpy_random():
+    # The embedding check's data comes from the standard library's generator: loading numpy.random
+    # for it would add about 5.5 MB to a suite run's footprint.
+    src = str(Path(hz.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fraccalc; "
+        "assert all(r.passed for r in fraccalc.run_suite()); print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_crashed_check_becomes_failed_report(monkeypatch):
     def boom(config):
         raise RuntimeError("synthetic failure")
@@ -272,7 +287,16 @@ class TestIndividualChecks:
     def test_embedding_constant_frozen_ratio(self):
         rep = hz.check_embedding_constant(7)
         assert rep.passed
-        assert rep.details["worst_ratio"] == pytest.approx(0.6262820573621694, abs=1e-9)
+        assert rep.details["worst_ratio"] == pytest.approx(0.5511735841339029, abs=1e-9)
+
+    def test_embedding_constant_holds_for_many_seeds(self):
+        reports = [hz.check_embedding_constant(seed) for seed in range(50)]
+        assert all(rep.passed and rep.details["worst_ratio"] <= 1.05 for rep in reports)
+
+    def test_embedding_constant_refuses_a_negative_seed(self):
+        # random.Random would take -7 for 7.
+        with pytest.raises(InvalidParameterError, match="seed >= 0"):
+            hz.check_embedding_constant(-7)
 
     def test_banach_algebra_details(self):
         rep = hz.check_banach_algebra(2049)

@@ -109,6 +109,33 @@ class TestHolderExponent:
         w = fc.sample(fc.builtin("weierstrass_shifted"), 0.0, 1.0, 1025)
         assert holder_exponent(w) == pytest.approx(0.5018847171520358, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _sqrt_grid,
+            lambda: fc.GridFunction(0.0, 1.0, np.linspace(0.0, 1.0, 1025)),
+            lambda: fc.sample(fc.builtin("step", {"t_jump": 0.5}), 0.0, 1.0, 1025),
+            lambda: fc.frac_integral(fc.sample(fc.builtin("step", {"t_jump": 0.5}), 0.0, 1.0, 2049), 0.5),
+            lambda: fc.sample(fc.builtin("weierstrass_shifted"), 0.0, 1.0, 1025),
+            lambda: fc.sample(fc.builtin("weierstrass_shifted"), 0.0, 1.0, 4097),
+        ],
+        ids=["sqrt", "linear", "jump", "smoothed_jump", "lacunary", "lacunary_4097"],
+    )
+    def test_fit_needs_no_linear_solve(self, monkeypatch, make):
+        # The slope of the least-squares line, in closed form; np.polyfit on the same points is the oracle.
+        g = make()
+        lags = [1 << k for k in range(((g.n - 1) // 4).bit_length())]
+        moduli = [np.max(np.abs(g.values[..., lag:] - g.values[..., :-lag])) for lag in lags]
+        x, y = zip(*[(lag * g.h, w) for lag, w in zip(lags, moduli) if w > 0.0])
+        want = min(max(float(np.polyfit(np.log(x), np.log(y), 1)[0]), 1e-6), 1.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("linear solve called")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        assert abs(holder_exponent(g) - want) <= 4 * np.spacing(want)
+
     def test_constant_raises(self):
         g = fc.GridFunction(0.0, 1.0, np.ones(65))
         with pytest.raises(fc.ConstantInputError):
