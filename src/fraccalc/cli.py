@@ -43,6 +43,7 @@ def _atomic_write(path: str) -> Iterator[TextIO]:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         os.replace(tmp, path)
+        tmp = None  # renamed: no temp file is left to look for
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:

@@ -134,30 +134,37 @@ def _integral_kernel(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     # With phi0 = int tau^(a-1), phi1 = int tau^a over [m-1, m]:
     #   A(m) = m*phi0 - phi1   weights the node at tau = m-1,
     #   B(m) = phi1 - (m-1)*phi0 weights the node at tau = m.
+    # Built in place, four arrays of n at most: the kernel takes phi0's buffer and B phi1's.
     m = np.arange(n + 1, dtype=float)
-    pa, pa1 = m**a, m ** (a + 1.0)
-    phi0 = (pa[1:] - pa[:-1]) / a
-    phi1 = (pa1[1:] - pa1[:-1]) / (a + 1.0)
-    A = m[1:] * phi0 - phi1
-    B = phi1 - m[:-1] * phi0
-    kernel = np.empty(n)
+    phi0 = np.diff(m**a)
+    phi0 /= a
+    phi1 = np.diff(m ** (a + 1.0))
+    phi1 /= a + 1.0
+    A = m[1:] * phi0
+    A -= phi1
+    phi0 *= m[:-1]
+    B = np.subtract(phi1, phi0, out=phi1)
+    kernel = phi0
     kernel[0] = A[0]
-    kernel[1:] = A[1:] + B[:-1]
+    np.add(A[1:], B[:-1], out=kernel[1:])
     return kernel, A
 
 
 def _frac_integral_values(g: np.ndarray, h: float, a: float) -> np.ndarray:
-    # Rows of ``g`` (shape (..., n)) are integrated independently, sharing the kernel.
-    n = g.shape[-1]
-    out = np.zeros(g.shape)
-    kernel, A = _integral_kernel(n, a)
-    conv = _causal_convolve(g, kernel)
-    # The full convolution pretends the data extends past node 0; remove the
-    # phantom left-neighbour contribution A(k+1) * g[0] from each row.
-    out[..., 1:] = (conv[..., 1:] - g[..., :1] * A[1:]) * h**a * rgamma(a)
+    # Rows of ``g`` (shape (..., n)) are integrated independently, sharing the kernel.  The
+    # convolution's own buffer becomes the output, so no other array of g's size is made.
+    kernel, A = _integral_kernel(g.shape[-1], a)
+    out = _causal_convolve(g, kernel)
     # Data near the float range overflow the convolution first: rescale each such row exactly, by a
     # power of two of its own, so that a small row stacked with it keeps its bits.
-    bad = ~np.isfinite(conv).all(axis=-1)
+    bad = ~np.isfinite(out).all(axis=-1)
+    # The full convolution pretends the data extends past node 0; remove the
+    # phantom left-neighbour contribution A(k+1) * g[0] from each row.
+    body = out[..., 1:]
+    body -= g[..., :1] * A[1:]
+    body *= h**a
+    body *= rgamma(a)
+    out[..., 0] = 0.0
     if bad.any():
         e = np.frexp(np.max(np.abs(g), axis=-1))[1]
         redo = bad & (e > 0)
@@ -254,7 +261,9 @@ def _cell_moments(nmax: int, a: float) -> _Moments:
     return mu0, mu1, mu2, tail
 
 
-def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None = None) -> np.ndarray:
+def _marchaud_values(
+    g: np.ndarray, h: float, a: float, moments: _Moments | None = None, d: np.ndarray | None = None
+) -> np.ndarray:
     """Marchaud-form derivative values on the grid (index 0 left at zero).
 
     D f(t) = (-a / Gamma(1-a)) * int_{t0}^{t} (t-s)^(-a-1) [f(s) - f(t)] ds
@@ -269,14 +278,17 @@ def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None
     summed by parts: the increments d[i] = g[i-1] - g[i] (d[0] = 0) are convolved
     with the tails T_j of one translation-invariant kernel, so rounding scales
     with the increments, not the values, and two per-row edge terms remain.
-    Stacked rows of ``g`` share the kernel; ``moments`` is ``_cell_moments(n + 1, a)``.
+    Stacked rows of ``g`` share the kernel; ``moments`` is ``_cell_moments(n + 1, a)``,
+    and ``d``, when given, holds the increments and is only read.
     """
     n = g.shape[-1]
     mu0, mu1, mu2, tail = _cell_moments(n + 1, a) if moments is None else moments
     r = rgamma(1.0 - a)
-    # First-cell weights for the anchored parabola through (0,0), (1,G1), (2,G2).
+    # First-cell weights for the anchored parabola through (0,0), (1,G1), (2,G2); with the cell
+    # [1, 2] they give the weights of rows 1 and 2.
     s1 = 2.0 * mu1[0] - mu2[0]
     s2 = (mu2[0] - mu1[0]) / 2.0
+    w1, w21, w20 = mu1[0], s1 + (mu0[1] - mu2[1]), s2 + (mu2[1] + mu1[1]) / 2.0
     if n > 3:
         # Cell [i, i+1] (table index i) takes the parabola through tau = i, i+1, i+2 with
         # weights wR, wM, wL adding up to mu0.  The tails are T_0 = s1 + s2 + 1/a and
@@ -288,21 +300,25 @@ def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None
         tj = np.add(tail[: n - 1], wL[: n - 1], out=T[1:])
         tj -= wL[1:]  # less wR = mu0 - mu1 + wL
         tj -= mu0[1:n] - mu1[1:n]
-        d = np.zeros(g.shape)
-        np.subtract(g[..., :-1], g[..., 1:], out=d[..., 1:])
+        # Rows 3.. read only wL(k-1) and tail[k-1] after the convolution, so that a table built
+        # for this call is freed before it.
+        wL, start = wL[2 : n - 1], tail[2 : n - 1].copy()
+        del mu0, mu1, mu2, tail
+        if d is None:
+            d = np.zeros(g.shape)
+            np.subtract(g[..., :-1], g[..., 1:], out=d[..., 1:])
         out = _causal_convolve(d, T)
         # On row k the cell [k-1, k] takes the parabola through tau = k-2, k-1, k
         # (tau = k+1 is past t0).  With the T_k g[0] left by the summation, that
         # leaves -wL(k-1) (d[2] - 2 d[1]) and the start term -tail[k-1] g[0].
         body = out[..., 3:]
-        body -= wL[2 : n - 1] * (d[..., 2, None] - 2.0 * d[..., 1, None])
-        body -= tail[2 : n - 1] * g[..., 0, None]
+        body -= wL * (d[..., 2, None] - 2.0 * d[..., 1, None])
+        body -= start * g[..., 0, None]
     else:
         out = np.zeros(g.shape)
-    out[..., 1] = (g[..., 0] - g[..., 1]) * mu1[0]  # index 0 stays d[0] T_0 = 0
+    out[..., 1] = (g[..., 0] - g[..., 1]) * w1  # index 0 stays d[0] T_0 = 0
     if n > 2:
-        e1, e0 = mu0[1] - mu2[1], (mu2[1] + mu1[1]) / 2.0  # the cell [1, 2] on row 2
-        out[..., 2] = (s1 + e1) * (g[..., 1] - g[..., 2]) + (s2 + e0) * (g[..., 0] - g[..., 2])
+        out[..., 2] = w21 * (g[..., 1] - g[..., 2]) + w20 * (g[..., 0] - g[..., 2])
     out[..., 1:] *= -a * r * h**-a
     out[..., 1:3] += (np.arange(1, min(n, 3)) * h) ** -a * r * g[..., 1:3]
     return out
@@ -389,7 +405,9 @@ def rl_derivative(g: GridFunction, order: float, method: str | None = None) -> G
     Marchaud form of order order - k, none at an integer order; ``"integral_then_difference"``
     takes k = ceil(order) and J^(k - order).  Either needs ceil(order) + 2 nodes from order 1 on.
     When the first-node probe detects divergence under refinement, the output carries
-    ``singular_start=True`` instead of an unreliable index-0 value.
+    ``singular_start=True`` instead of an unreliable index-0 value.  Its error cannot go below
+    the conditioning floor c * eps * h**-order * sup|f| that no grid derivative of float data
+    beats: data off by one ulp move the output by about that much.
     """
     a = as_order(order)
     if g.singular_start:
@@ -410,7 +428,8 @@ def caputo_derivative(g: GridFunction, order: float, taylor: Sequence[float]) ->
     behaves like a function with f(t0) != 0 and typically surfaces as the
     singular-start marker.  Refusals come before any work on the entries:
     the Taylor length, then the order and node count, then each entry's
-    shape and finiteness.
+    shape and finiteness.  As for :func:`rl_derivative`, the error cannot go
+    below the conditioning floor c * eps * h**-order * sup|f|.
     """
     a = as_order(order)
     if g.singular_start:
@@ -428,13 +447,14 @@ def caputo_derivative(g: GridFunction, order: float, taylor: Sequence[float]) ->
     if not all(np.isfinite(c).all() for c in coeffs):
         raise TaylorMismatchError("Taylor coefficients must be finite")
     t_rel = g.times() - g.t0
-    poly = np.zeros(g.values.shape)
+    res = np.zeros(g.values.shape)  # the Taylor polynomial, then the residual in its buffer
     factorial = 1
     for j, c in enumerate(coeffs):
         factorial *= max(j, 1)  # past the float range (j >= 171) scaled by 2**-e, which c takes exactly
         e = max(factorial.bit_length() - 1023, 0)
-        poly += (np.ldexp(c, -e) / (factorial >> e)) * t_rel**j
-    return _rl(g, g.values - poly, a, marchaud)
+        res += (np.ldexp(c, -e) / (factorial >> e)) * t_rel**j
+    del t_rel  # only the residual is alive through the pass
+    return _rl(g, np.subtract(g.values, res, out=res), a, marchaud)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +469,17 @@ def _require_same_grid(u: GridFunction, v: GridFunction) -> None:
         raise PreconditionError("product formulas need factors finite at the start")
 
 
-def _product_correction(u: np.ndarray, v: np.ndarray, a: float, moments: _Moments) -> np.ndarray:
+def _start_shifted(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The factors shifted to start at 0, stacked as (2, ..., n), and a (3, ..., n) stack whose first
+    # two rows hold their increments d[i] = f[i-1] - f[i] (d[0] = 0): the Marchaud pass and the
+    # product correction share both, and the correction fills the third row.
+    s = np.stack((u - u[..., :1], v - v[..., :1]))
+    x = np.zeros((3,) + u.shape)
+    np.subtract(s[..., :-1], s[..., 1:], out=x[:2, ..., 1:])
+    return s, x
+
+
+def _product_correction(s: np.ndarray, x: np.ndarray, moments: _Moments) -> np.ndarray:
     # I[k] ~ int_0^k tau**(-a-1) [u(t-tau h) - u(t)] [v(t-tau h) - v(t)] dtau with
     # both increments piecewise linear per cell.  On cell m (left node i = k-m)
     # the increment U(xi) = UR + du xi (xi = tau - (m-1)) has UR = u[i+1] - u[k]
@@ -465,17 +495,16 @@ def _product_correction(u: np.ndarray, v: np.ndarray, a: float, moments: _Moment
     # is I[k] + U V k**-a / a (U = u[k] - u[0], V = v[k] - v[0]); the Caputo
     # formula's last term cancels that part.  Pairing the u and v terms as
     # (A_u + A_v) makes a u, v swap bit-identical.  ``moments`` needs >= n - 1 entries.
-    # Rows of u and v (shape (..., n)) pair up componentwise.
-    n = u.shape[-1]
-    u = u - u[..., :1]
-    v = v - v[..., :1]
+    # ``s`` and ``x`` are _start_shifted(u, v); rows of u and v (shape (..., n)) pair up componentwise.
+    n = s.shape[-1]
     _, mu1, mu2, T = (m[: n - 1] for m in moments)
-    ur, vr = u[..., 1:], v[..., 1:]
-    du = u[..., :-1] - ur
-    dv = v[..., :-1] - vr
-    from_u, from_v, cross = _causal_convolve(np.stack((du, dv, ur * dv + vr * du)), mu1 + T)
-    pair = _causal_convolve(du * dv, mu2 + T)
-    out = np.zeros(u.shape)
+    ur, vr = s[..., 1:]
+    du, dv, third = x[..., 1:]
+    np.multiply(ur, dv, out=third)
+    third += vr * du
+    from_u, from_v, cross = _causal_convolve(x[..., 1:], mu1 + T)
+    pair = _causal_convolve(np.multiply(du, dv, out=third), mu2 + T)  # the third row, spent, takes du dv
+    out = np.zeros(s.shape[1:])
     out[..., 1:] = cross + pair - (ur * from_v + vr * from_u)
     return out
 
@@ -492,9 +521,12 @@ def _leibniz(u: GridFunction, v: GridFunction, alpha: float, caputo: bool) -> Gr
     h, uu, vv = u.h, u.values, v.values
     u0, v0 = uu[..., :1], vv[..., :1]
     moments = _cell_moments(u.n + 1, a)
-    du, dv = _marchaud_values(np.stack((uu - u0, vv - v0)), h, a, moments)
+    s, x = _start_shifted(uu, vv)
+    du, dv = _marchaud_values(s, h, a, moments, x[:2])
+    out = uu * dv + vv * du
+    del du, dv  # the factor derivatives are spent
     q = a * rgamma(1.0 - a) * h**-a
-    out = uu * dv + vv * du - q * _product_correction(uu, vv, a, moments)
+    out -= q * _product_correction(s, x, moments)
     out[..., 0] = 0.0  # not -0.0 when both factors start negative
     if not caputo:
         out[..., 1:] += u0 * v0 * q * moments[3][: u.n - 1]  # (t-t0)**-a = a h**-a tail

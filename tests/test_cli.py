@@ -266,6 +266,15 @@ class TestTransformCommand:
         assert f"cannot write {tmp_path / target}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
+    def test_successful_write_looks_for_no_temp_file(self, tmp_path, monkeypatch):
+        # Once the temp file is renamed onto the target, its name is gone: no stat of it is needed.
+        calls = []
+        exists = os.path.exists
+        monkeypatch.setattr(os.path, "exists", lambda p: calls.append(p) or exists(p))
+        write_grid_csv(str(tmp_path / "o.csv"), fc.GridFunction(0.0, 1.0, np.ones(65)))
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv"]
+
     def test_missing_input_file_exits_3(self, tmp_path, capsys):
         assert run_cli("transform", "--input", str(tmp_path / "missing.csv"), "--op", "J",
                        "--alpha", "0.5", "--output", str(tmp_path / "o.csv")) == 3

@@ -15,6 +15,7 @@ from fraccalc.operators import (
     _integral_kernel,
     _marchaud_values,
     _product_correction,
+    _start_shifted,
 )
 
 
@@ -148,7 +149,7 @@ class TestProductCorrection:
         # loop's sum to its caller, where the Caputo formula cancels it.
         k = np.maximum(np.arange(n), 1.0)
         ref = _product_correction_loop(u, v, a) + (u - u[0]) * (v - v[0]) * k**-a / a
-        got = _product_correction(u, v, a, _cell_moments(n + 1, a))
+        got = _product_correction(*_start_shifted(u, v), _cell_moments(n + 1, a))
         # The sum depends only on increments, so its rounding scale is set by
         # the ranges of the data, not by their offsets.
         scale = max(np.ptp(u) * np.ptp(v), 1e-300)
@@ -157,13 +158,14 @@ class TestProductCorrection:
 
     def test_constant_factor_gives_zero(self):
         u = np.sqrt(np.linspace(0.0, 1.0, 700))
-        assert np.all(_product_correction(u, np.full(700, 3.0), 0.5, _cell_moments(701, 0.5)) == 0.0)
+        assert np.all(_product_correction(*_start_shifted(u, np.full(700, 3.0)), _cell_moments(701, 0.5)) == 0.0)
 
     @pytest.mark.parametrize("n", [129, 1025])
     def test_symmetric_bit_for_bit(self, n):
         u, v = _factor_pairs(n)["random"]
         moments = _cell_moments(n + 1, 0.4)
-        assert np.array_equal(_product_correction(u, v, 0.4, moments), _product_correction(v, u, 0.4, moments))
+        swapped = _product_correction(*_start_shifted(v, u), moments)
+        assert np.array_equal(_product_correction(*_start_shifted(u, v), moments), swapped)
 
 
 @pytest.mark.parametrize("n", [257, 1025, 4097])

@@ -256,6 +256,25 @@ class TestIntegralThenDifference:
         assert d.n == 8 and np.all(np.isfinite(d.values))
 
 
+class TestConditioningFloor:
+    # No grid derivative of float data beats c eps h**-order sup|f|: data off by one ulp move the
+    # output by about that much.  On t >= 1/4 without the last three nodes the error stays at or
+    # below the output's response to a seeded +-1 ulp perturbation of the data.
+    @pytest.mark.parametrize(
+        "p, order, n", [(4.0, 2.5, 4097), (4.0, 2.5, 16385), (3.5, 2.2, 4097), (3.5, 2.2, 16385), (2.5, 1.5, 16385)]
+    )
+    def test_interior_error_within_the_response_to_one_ulp(self, p, order, n):
+        entry = fc.builtin("power", {"p": p})
+        g = fc.sample(entry, 0.0, 1.0, n)
+        t = g.times()
+        inner = (t >= 0.25) & (np.arange(n) < n - 3)
+        d = fc.rl_derivative(g, order).values
+        err = np.max(np.abs(d - entry.rl_derivative(order, t))[inner])
+        ulp = np.random.default_rng(0).choice([-1.0, 1.0], n) * np.spacing(g.values)
+        response = np.max(np.abs(fc.rl_derivative(_grid(g.values + ulp), order).values - d)[inner])
+        assert err <= response
+
+
 class TestSingularStartDetection:
     def test_constant_gets_marked(self):
         d = fc.rl_derivative(_grid(np.ones(257)), 0.5)
@@ -604,6 +623,60 @@ class TestOutputArrays:
                 install(old)
         for want, got in zip(ops(), traced, strict=True):
             assert got.tobytes() == want.tobytes()
+
+
+class TestWorkingMemory:
+    # The tracemalloc peak of one call, output included, in arrays of n float64.  At n = 2**k + 1 the
+    # spectra of the data and of the kernel take two arrays of n each.  A few KiB of Python objects and
+    # array headers come on top, the same at every n; OBJECTS allows for them.
+    N = 32769
+    OBJECTS = 16 * 1024
+    OPS = {
+        "J": lambda g: fc.frac_integral(g, 0.5),
+        "D_0.5": lambda g: fc.rl_derivative(g, 0.5),
+        "D_1.5": lambda g: fc.rl_derivative(g, 1.5),
+        "D_itd": lambda g: fc.rl_derivative(g, 0.5, "integral_then_difference"),
+        "cD": lambda g: fc.caputo_derivative(g, 0.5, (1.0,)),
+        "leibniz_rl": lambda g: fc.leibniz_rl(g, g, 0.5),
+        "leibniz_caputo": lambda g: fc.leibniz_caputo(g, g, 0.5),
+    }
+
+    @classmethod
+    def _peak_per_row(cls, op, rows):
+        t = np.linspace(0.0, 1.0, cls.N)
+        g = _grid(np.array([1.0 + t ** (1.3 + 0.1 * i) for i in range(rows)]) if rows else 1.0 + t**1.3)
+        op(g)  # warmed up, so no first-call state counts
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            op(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return (peak - cls.OBJECTS) / (8 * cls.N * max(rows, 1))
+
+    @pytest.mark.parametrize(
+        "name, arrays",
+        [("J", 6), ("D_0.5", 8), ("D_1.5", 8), ("D_itd", 6), ("cD", 9), ("leibniz_rl", 24), ("leibniz_caputo", 24)],
+    )
+    def test_scalar_call(self, name, arrays):
+        # Only the spectra, the kernel and the edge terms live through the convolutions: 10, 11, 11,
+        # 10, 14, 27 and 27 arrays when the kernel tables, the Taylor polynomial and the shifted
+        # factors stayed alive through them.
+        assert self._peak_per_row(self.OPS[name], 0) <= arrays
+
+    @pytest.mark.parametrize(
+        "name, arrays",
+        [("J", 5.5), ("D_0.5", 6.5), ("D_1.5", 6.5), ("D_itd", 5.5), ("cD", 8.8), ("leibniz_rl", 23.3), ("leibniz_caputo", 23.3)],
+    )
+    def test_four_rows_per_row(self, name, arrays):
+        # Stacked rows share the kernel tables; per row no call needs more than it did while they
+        # stayed alive through the convolutions.
+        assert self._peak_per_row(self.OPS[name], 4) <= arrays
 
 
 class TestCaputoWithManyTaylorEntries:

@@ -22,7 +22,14 @@ import fraccalc as fc
 import fraccalc.harness as hz
 from fraccalc import catalog, cli, spaces
 from fraccalc.harness import check_weierstrass_nonmembership
-from fraccalc.operators import _causal_convolve, _cell_moments, _marchaud_values, _product_correction, marchaud_derivative
+from fraccalc.operators import (
+    _causal_convolve,
+    _cell_moments,
+    _marchaud_values,
+    _product_correction,
+    _start_shifted,
+    marchaud_derivative,
+)
 from fraccalc.spaces import HolderEstimate, holder_exponent, holder_seminorm
 from fraccalc.special import mittag_leffler, rgamma, weierstrass
 
@@ -1023,6 +1030,6 @@ def test_product_correction_matches_long_double(a, n, kind):
     # The correction leaves the (u - u0)(v - v0) k**-a / a part to its caller.
     ref = _correction_ld(u.astype(_LD), v.astype(_LD), a, _cell_moments_ld(n + 1, a))
     ref += (u - u[0]) * (v - v[0]) * k.astype(_LD) ** -a / a
-    got = _product_correction(u, v, a, _cell_moments(n + 1, a))
+    got = _product_correction(*_start_shifted(u, v), _cell_moments(n + 1, a))
     move = np.max(np.abs(got[8:] - ref[8:])) / np.max(np.abs(ref[8:]))
     assert move <= 2e-14, float(move)
