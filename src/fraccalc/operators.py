@@ -68,14 +68,13 @@ _PROBE_GROWTH = 1.15
 # FFT at n = 256, 51 against 55 at n = 512, 169 against 66 at n = 1024.
 _FFT_MIN_NODES = 512
 _Moments = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # mu0, mu1, mu2, tail of _cell_moments
-_ROUTES = ("marchaud", "integral_then_difference")
 
 
 def _is_marchaud(method: str | None, a: float, n: int) -> bool:
     # Admits the route ``method`` (None: Marchaud) for order a on n nodes; True for Marchaud.
-    if method not in (None, *_ROUTES):
-        raise InvalidParameterError(f"unknown derivative method {method!r}; known: {', '.join(_ROUTES)}")
-    marchaud = method != "integral_then_difference"
+    if method not in (None, "integral_then_difference"):
+        raise InvalidParameterError(f"unknown derivative method {method!r}; known: integral_then_difference")
+    marchaud = method is None
     # Refused before any difference, which a huge order would take for ever; the probe reads ceil(a) + 2 nodes.
     if (a >= 1.0 or not marchaud) and math.ceil(a) + 2 > n:
         raise PreconditionError(f"order {a} needs ceil(order) + 2 nodes to difference, got {n}")
@@ -104,7 +103,6 @@ def _causal_convolve(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     path cuts its longer ``irfft`` buffer down in place rather than returning a view into it.
     """
     n = g.shape[-1]
-    kernel = kernel[:n]
     rows = g.reshape(-1, n)
     if n < _FFT_MIN_NODES:
         out = np.array([np.convolve(row, kernel)[:n] for row in rows])
@@ -289,33 +287,30 @@ def _marchaud_values(
     s1 = 2.0 * mu1[0] - mu2[0]
     s2 = (mu2[0] - mu1[0]) / 2.0
     w1, w21, w20 = mu1[0], s1 + (mu0[1] - mu2[1]), s2 + (mu2[1] + mu1[1]) / 2.0
-    if n > 3:
-        # Cell [i, i+1] (table index i) takes the parabola through tau = i, i+1, i+2 with
-        # weights wR, wM, wL adding up to mu0.  The tails are T_0 = s1 + s2 + 1/a and
-        # T_j = j**-a / a + wL(j-1) - wR(j), with the first cell's s2 for wL(0).
-        wL = (mu2[:n] - mu1[:n]) / 2.0
-        wL[0] = s2
-        T = np.empty(n)
-        T[0] = s1 + s2 + 1.0 / a
-        tj = np.add(tail[: n - 1], wL[: n - 1], out=T[1:])
-        tj -= wL[1:]  # less wR = mu0 - mu1 + wL
-        tj -= mu0[1:n] - mu1[1:n]
-        # Rows 3.. read only wL(k-1) and tail[k-1] after the convolution, so that a table built
-        # for this call is freed before it.
-        wL, start = wL[2 : n - 1], tail[2 : n - 1].copy()
-        del mu0, mu1, mu2, tail
-        if d is None:
-            d = np.zeros(g.shape)
-            np.subtract(g[..., :-1], g[..., 1:], out=d[..., 1:])
-        out = _causal_convolve(d, T)
-        # On row k the cell [k-1, k] takes the parabola through tau = k-2, k-1, k
-        # (tau = k+1 is past t0).  With the T_k g[0] left by the summation, that
-        # leaves -wL(k-1) (d[2] - 2 d[1]) and the start term -tail[k-1] g[0].
-        body = out[..., 3:]
-        body -= wL * (d[..., 2, None] - 2.0 * d[..., 1, None])
-        body -= start * g[..., 0, None]
-    else:
-        out = np.zeros(g.shape)
+    # Cell [i, i+1] (table index i) takes the parabola through tau = i, i+1, i+2 with
+    # weights wR, wM, wL adding up to mu0.  The tails are T_0 = s1 + s2 + 1/a and
+    # T_j = j**-a / a + wL(j-1) - wR(j), with the first cell's s2 for wL(0).
+    wL = (mu2[:n] - mu1[:n]) / 2.0
+    wL[0] = s2
+    T = np.empty(n)
+    T[0] = s1 + s2 + 1.0 / a
+    tj = np.add(tail[: n - 1], wL[: n - 1], out=T[1:])
+    tj -= wL[1:]  # less wR = mu0 - mu1 + wL
+    tj -= mu0[1:n] - mu1[1:n]
+    # Rows 3.. read only wL(k-1) and tail[k-1] after the convolution, so that a table built
+    # for this call is freed before it.
+    wL, start = wL[2 : n - 1], tail[2 : n - 1].copy()
+    del mu0, mu1, mu2, tail
+    if d is None:
+        d = np.zeros(g.shape)
+        np.subtract(g[..., :-1], g[..., 1:], out=d[..., 1:])
+    out = _causal_convolve(d, T)
+    # On row k the cell [k-1, k] takes the parabola through tau = k-2, k-1, k
+    # (tau = k+1 is past t0).  With the T_k g[0] left by the summation, that
+    # leaves -wL(k-1) (d[2] - 2 d[1]) and the start term -tail[k-1] g[0].
+    body = out[..., 3:]
+    body -= wL * (d[..., 2:3] - 2.0 * d[..., 1:2])  # empty on n <= 3 nodes
+    body -= start * g[..., 0, None]
     out[..., 1] = (g[..., 0] - g[..., 1]) * w1  # index 0 stays d[0] T_0 = 0
     if n > 2:
         out[..., 2] = w21 * (g[..., 1] - g[..., 2]) + w20 * (g[..., 0] - g[..., 2])
@@ -401,8 +396,8 @@ def marchaud_derivative(g: GridFunction, alpha: float) -> GridFunction:
 def rl_derivative(g: GridFunction, order: float, method: str | None = None) -> GridFunction:
     """Riemann-Liouville derivative of ``g``: the k-th derivative of one fractional pass.
 
-    ``method`` names the pass: ``"marchaud"`` (the default) takes k = floor(order) and the
-    Marchaud form of order order - k, none at an integer order; ``"integral_then_difference"``
+    By default (``method=None``) the pass takes k = floor(order) and the Marchaud form of order
+    order - k, none at an integer order; ``"integral_then_difference"``, the one string accepted,
     takes k = ceil(order) and J^(k - order).  Either needs ceil(order) + 2 nodes from order 1 on.
     When the first-node probe detects divergence under refinement, the output carries
     ``singular_start=True`` instead of an unreliable index-0 value.  Its error cannot go below

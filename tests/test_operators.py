@@ -13,7 +13,7 @@ import pytest
 
 import fraccalc as fc
 from fraccalc import operators
-from fraccalc.operators import _derivative, _frac_integral_values
+from fraccalc.operators import _derivative, _frac_integral_values, _marchaud_values
 from fraccalc.special import rgamma
 
 GAMMA_3_2 = 0.8862269254527580136
@@ -160,7 +160,7 @@ class TestMarchaudDerivative:
     def test_agrees_with_integral_route(self, p, tol):
         # Two structurally different discretizations of the same operator.
         g = fc.sample(fc.builtin("power", {"p": p}), 0.0, 1.0, 1025)
-        dm = fc.rl_derivative(g, 0.5, "marchaud").values
+        dm = fc.rl_derivative(g, 0.5).values
         di = fc.rl_derivative(g, 0.5, "integral_then_difference").values
         assert np.max(np.abs(dm[8:] - di[8:])) <= tol
 
@@ -228,13 +228,20 @@ class TestIntegralThenDifference:
         assert d.values[1:] == pytest.approx(2.0 * t[1:], rel=1e-10, abs=1e-11)
 
     def test_marchaud_is_the_default_past_order_one(self):
+        # The default route differences the Marchaud pass of order 1.3 - 1 once.
         g = _grid(np.linspace(0.0, 1.0, 65) ** 1.4)
-        named, default = fc.rl_derivative(g, 1.3, "marchaud"), fc.rl_derivative(g, 1.3)
-        assert np.array_equal(named.values.view(np.int64), default.values.view(np.int64))
+        named, default = _derivative(_marchaud_values(g.values, g.h, 1.3 - 1), g.h, 1), fc.rl_derivative(g, 1.3)
+        assert np.array_equal(named.view(np.int64), default.values.view(np.int64))
 
     def test_unknown_method_is_a_parameter_error(self):
         with pytest.raises(fc.InvalidParameterError):
             fc.rl_derivative(_grid(np.linspace(0.0, 1.0, 65)), 0.5, "bogus")
+
+    @pytest.mark.parametrize("n, order", [(65, 0.5), (2, 1.5)])
+    def test_default_route_has_no_name(self, n, order):
+        # The one string accepted is the cross-check route's; the method is refused before the node count.
+        with pytest.raises(fc.InvalidParameterError, match=r"'marchaud'; known: integral_then_difference$"):
+            fc.rl_derivative(_grid(np.linspace(0.0, 1.0, n)), order, "marchaud")
 
     def test_two_nodes_are_too_few_to_difference(self):
         with pytest.raises(fc.PreconditionError):

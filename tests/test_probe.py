@@ -55,24 +55,26 @@ def _off_integers(lo: float, hi: float):
     return st.floats(lo, hi).filter(lambda a: abs(a - round(a)) >= 0.05)
 
 
-_ORDERS = {
-    None: _off_integers(0.05, 2.95),
-    "marchaud": st.floats(0.05, 0.95),
-    "integral_then_difference": _off_integers(1.05, 2.95),
-}
+# (method, orders): the default route at every order and below order 1, and the cross-check route.
+_ORDERS = [
+    (None, _off_integers(0.05, 2.95)),
+    (None, st.floats(0.05, 0.95)),
+    ("integral_then_difference", _off_integers(1.05, 2.95)),
+]
 
 
 class TestMarkerIndependentOfGrid:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(13, 4097),
-        method=st.sampled_from(list(_ORDERS)),
+        route=st.sampled_from(_ORDERS),
         data=st.data(),
         p=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
         c=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
     )
-    def test_power_marker(self, n, method, data, p, c):
-        alpha = data.draw(_ORDERS[method], label="alpha")
+    def test_power_marker(self, n, route, data, p, c):
+        method, orders = route
+        alpha = data.draw(orders, label="alpha")
         # Stay clear of the decision boundary 2^(alpha-p) = 1.15, and of grids whose stride-4
         # subgrid is shorter than the ceil(alpha) + 2 nodes the probe reads.
         assume(abs(alpha - p - math.log2(_PROBE_GROWTH)) > 1e-6)
@@ -129,9 +131,20 @@ class TestClosedFormEstimates:
             self._assert_bitwise(v[0] if d == 1 and k % 3 == 0 else v, float(rng.uniform(1e-4, 2.0)),
                                  float(rng.uniform(0.01, 0.99)))
 
-    @pytest.mark.parametrize("n", [13, 14, 20])
+    @pytest.mark.parametrize("n", range(13, 27))
     def test_coarse_mittag_leffler_keeps_its_decision(self, n):
-        # The documented miss on coarse grids: the stride-4 -> 2 growth stays below 1.15.
+        # The documented miss on coarse grids: on the default route the stride-4 -> 2 growth stays
+        # below 1.15 up to n = 26 (1.017 at 13, 1.149 at 26); the integrate-then-difference route
+        # reaches it from n = 20 (1.154), so below n = 27 the marker depends on the route.
         g = _sampled("ml_exp", {"alpha": 0.7}, n)
         self._assert_bitwise(g.values, g.h, 0.5)
         assert not fc.rl_derivative(g, 0.5).singular_start
+        assert fc.rl_derivative(g, 0.5, "integral_then_difference").singular_start == (n >= 20)
+
+    def test_coarse_start_value_marked_by_one_route(self):
+        # 1 + t^1.3 on 13 nodes: stride growths 1.142 and 1.277 on the default route, 1.187 and
+        # 1.304 on the integrate-then-difference route, which alone marks the blow-up.
+        t = np.linspace(0.0, 1.0, 13)
+        g = fc.GridFunction(0.0, 1.0, 1.0 + t**1.3)
+        assert not fc.rl_derivative(g, 0.5).singular_start
+        assert fc.rl_derivative(g, 0.5, "integral_then_difference").singular_start

@@ -866,6 +866,30 @@ class TestMarchaudWeights:
         sup = np.max(np.abs(ref[..., 1:]), axis=-1, keepdims=True)
         assert np.all(np.abs(got - ref) <= 1e-14 * sup)
 
+    @pytest.mark.parametrize("shape", [(), (2,)], ids=["scalar", "stacked"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+    def test_two_and_three_nodes(self, a, n, shape):
+        # The body that serves long grids serves 2 and 3 nodes, with no convolution term left: from
+        # the same tables the output is the reference's bit for bit, with or without the increments
+        # passed in, and from the pass's own tables it agrees to rounding.
+        g = np.random.default_rng(n).standard_normal(shape + (n,))
+        h = 1.0 / (n - 1)
+        d = np.zeros(g.shape)
+        d[..., 1:] = g[..., :-1] - g[..., 1:]
+        kept = d.copy()
+        table = _cell_moments_three_pows(n + 1, a)
+        moments = (*table, np.arange(1.0, n + 2) ** -a / a)
+        ref = _marchaud_values_weight_tables(g, h, a, table)
+        for got in (_marchaud_values(g, h, a, moments), _marchaud_values(g, h, a, moments, d)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        ref = _marchaud_values_weight_tables(g, h, a)
+        for got in (_marchaud_values(g, h, a), _marchaud_values(g, h, a, d=d)):
+            assert got.shape == ref.shape
+            assert np.all(got[..., 0] == 0.0)
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.max(np.abs(ref)))
+        assert d.tobytes() == kept.tobytes()
+
 
 def _probe_inputs():
     # The D and cD inputs of tests/test_probe.py, on fixed grids and orders.
