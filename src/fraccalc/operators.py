@@ -185,16 +185,15 @@ def _estimate_decay_exponent(g1: float, g2: float) -> float:
 
 
 def _frac_integral_singular(g: GridFunction, a: float) -> np.ndarray:
-    # Integral of data whose index-0 value is the singular marker: the cells
-    # past the first use the ordinary rule on nodes 1..n-1, while the first
+    # Integral of data whose index-0 value is the singular marker: the cells past the first use the
+    # ordinary rule on nodes 1..n-1, whose output (0 at its index 0) becomes out[1:], while the first
     # cell is modelled by the power decay fitted to the first trusted nodes.
     v = g.values
     n = g.n
     if n < 3:
         raise PreconditionError("need at least 3 nodes to integrate marked data")
     h = g.h
-    out = np.zeros(v.shape)
-    out[..., 2:] = _frac_integral_values(v[..., 1:], h, a)[..., 1:]
+    out = np.concatenate((np.zeros(v.shape[:-1] + (1,)), _frac_integral_values(v[..., 1:], h, a)), axis=-1)
     k = np.arange(1, n, dtype=float)
     first = np.empty(n - 1)
     # Each component fits its own decay.  Exact Beta-moment for the cell ending
@@ -345,28 +344,28 @@ def _rl_values(v: np.ndarray, h: float, a: float, marchaud: bool) -> np.ndarray:
     return _derivative(v, h, k) if k else v
 
 
-def _first_node_estimates(v: np.ndarray, h: float, a: float, marchaud: bool) -> Sequence[np.ndarray]:
-    # |index 1| of the derivative of each row of v on its stride-4, stride-2 and stride-1 subgrids.
+def _first_node_estimates(v: np.ndarray, a: float, marchaud: bool) -> np.ndarray:
+    # |index 1| of the derivative of each row of v on its stride-4, 2 and 1 subgrids, as one (3, ...)
+    # array: on steps h s it is (h s)**-a times its unit-step value, so one pass on unit steps over
+    # the subgrids' stacked ceil(a) + 2 node prefixes (all index 1 reads), times s**-a, reads no h.
+    p = np.stack([v[..., ::s][..., : math.ceil(a) + 2] for s in (4, 2, 1)])
     if marchaud and a < 1.0:
-        # That of a 3-node _marchaud_values, by its operations: ((g0 - g1) mu1[0]) (-a r (h s)**-a) + ((h s)**-a r) g1.
+        # Row 1 of a 3-node unit-step _marchaud_values, by its operations: ((g0 - g1) mu1[0]) (-a r) + r g1.
         r = rgamma(1.0 - a)
-        scale = np.array([-a * r * (h * s) ** -a for s in (4, 2, 1)])  # Python's power, as the pass's
-        start = (h * np.array([4.0, 2.0, 1.0])) ** -a * r  # numpy's, as the pass's
-        g0, g1 = v[..., :1], v[..., [4, 2, 1]]
-        return np.moveaxis(np.abs(((g0 - g1) * (1.0 / (1.0 - a))) * scale + start * g1), -1, 0)
-    # Index 1 depends only on the first ceil(a) + 2 nodes: the subgrids are cut to those.
-    nodes = math.ceil(a) + 2
-    return [np.abs(_rl_values(v[..., ::s][..., :nodes], h * s, a, marchaud)[..., 1]) for s in (4, 2, 1)]
+        e = ((p[..., 0] - p[..., 1]) * (1.0 / (1.0 - a))) * (-a * r) + r * p[..., 1]
+    else:
+        e = _rl_values(p, 1.0, a, marchaud)[..., 1]
+    return np.abs(e) * np.reshape([s**-a for s in (4, 2, 1)], (3,) + (1,) * (v.ndim - 1))
 
 
-def _probe_singular_start(v: np.ndarray, h: float, a: float, marchaud: bool) -> bool:
+def _probe_singular_start(v: np.ndarray, a: float, marchaud: bool) -> bool:
     # Re-estimate the first-node derivative on stride-4 and stride-2 subgrids.  A genuine
     # (t-t0)^-a blow-up makes the estimate grow like 2**a per halving; bounded derivatives keep it
     # flat or shrinking.  Components are probed separately, and one blow-up marks the whole output.
     # No verdict when the stride-4 subgrid is shorter than 4 nodes or than the ceil(a) + 2 read.
     if (v.shape[-1] - 1) // 4 + 1 < max(4, math.ceil(a) + 2):
         return False
-    e4, e2, e1 = _first_node_estimates(v, h, a, marchaud)
+    e4, e2, e1 = _first_node_estimates(v, a, marchaud)
     with np.errstate(divide="ignore", invalid="ignore"):
         grows = (e4 > 0.0) & (e2 > 0.0) & (e2 / e4 >= _PROBE_GROWTH) & (e1 / e2 >= _PROBE_GROWTH)
     return bool(np.any(grows))
@@ -374,7 +373,7 @@ def _probe_singular_start(v: np.ndarray, h: float, a: float, marchaud: bool) -> 
 
 def _rl(g: GridFunction, v: np.ndarray, a: float, marchaud: bool) -> GridFunction:
     # The derivative of the data v on g's grid, marked when the probe sees it blow up at t0.
-    return _result(g, _rl_values(v, g.h, a, marchaud), _probe_singular_start(v, g.h, a, marchaud))
+    return _result(g, _rl_values(v, g.h, a, marchaud), _probe_singular_start(v, a, marchaud))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -10,7 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraccalc as fc
-from fraccalc.operators import _PROBE_GROWTH, _first_node_estimates, _marchaud_values, _rl_values
+from fraccalc.operators import (
+    _PROBE_GROWTH,
+    _first_node_estimates,
+    _marchaud_values,
+    _probe_singular_start,
+    _rl_values,
+)
 
 
 def _round_trip(g: fc.GridFunction, alpha: float) -> tuple[bool, float]:
@@ -108,28 +114,88 @@ class TestProbePrefix:
         assert prefix == pytest.approx(whole, rel=1e-11)
 
 
-class TestClosedFormEstimates:
-    # Below order 1 the probe reads index 1 of a 3-node Marchaud pass in closed form; the pass
-    # itself, on the stride prefixes, is the oracle.
-    @staticmethod
-    def _pass_estimates(v, h, alpha):
-        return [np.abs(_marchaud_values(v[..., ::s][..., :3], h * s, alpha)[..., 1]) for s in (4, 2, 1)]
+def _seeded_rows():
+    # 2,000 rows of 1 to 3 components on 13 to 79 nodes, values from 1e-30 to 1e30: normal draws, and
+    # rounded uniform ones, whose ties make the estimates cancel.  Yields (data, step, order < 1).
+    rng = np.random.default_rng(21)
+    for k in range(2000):
+        d = int(rng.integers(1, 4))
+        n = int(rng.integers(13, 80))
+        scale = 10.0 ** rng.uniform(-30, 30)
+        v = scale * (rng.standard_normal((d, n)) if k % 2 else np.round(rng.uniform(-3.0, 3.0, (d, n))))
+        yield v[0] if d == 1 and k % 3 == 0 else v, float(rng.uniform(1e-4, 2.0)), float(rng.uniform(0.01, 0.99))
 
-    def _assert_bitwise(self, v, h, alpha):
-        got = _first_node_estimates(v, h, alpha, True)
-        for e, want in zip(got, self._pass_estimates(v, h, alpha)):
+
+def _generic_rows():
+    # Data for the probe's generic branch, at orders 1, 1.5, 2.5 and 12 on both routes, scalar and
+    # (2, n): powers c t**p, which grow by 2**(alpha - p) per halving, with or without noise, and
+    # normal draws.  Every stride-4 subgrid holds 4 nodes and the ceil(alpha) + 2 the probe reads.
+    rng = np.random.default_rng(30)
+    for alpha in (1.0, 1.5, 2.5, 12.0):
+        for marchaud in (True, False):
+            for d in (0, 2):
+                for k in range(100):
+                    n = int(rng.integers(max(13, 4 * math.ceil(alpha) + 5), 200))
+                    h = float(rng.uniform(1e-4, 2.0))
+                    t = h * np.arange(n)
+                    shape = (d, n) if d else (n,)
+                    p = rng.uniform(0.0, alpha + 1.0, shape[:-1] + (1,))
+                    v = rng.uniform(-10.0, 10.0, p.shape) * t**p
+                    if k % 3 == 1:
+                        v += 1e-3 * rng.standard_normal(shape)
+                    elif k % 3 == 2:
+                        v = rng.standard_normal(shape)
+                    yield v, h, alpha, marchaud
+
+
+def _oracle_decision(v, h, alpha, marchaud):
+    # The probe as it was defined on steps h s: three passes, one per stride, of the derivative on
+    # the subgrid's first ceil(alpha) + 2 nodes.  Returns the verdict, and whether a growth ratio
+    # lies within 1e-9 of the threshold, where the rounding of the steps may tip it.
+    nodes = math.ceil(alpha) + 2
+    e4, e2, e1 = (np.abs(_rl_values(v[..., ::s][..., :nodes], h * s, alpha, marchaud)[..., 1]) for s in (4, 2, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.array([e2 / e4, e1 / e2])
+        grows = (e4 > 0.0) & (e2 > 0.0) & (ratios[0] >= _PROBE_GROWTH) & (ratios[1] >= _PROBE_GROWTH)
+        near = np.abs(ratios / _PROBE_GROWTH - 1.0) <= 1e-9
+    return bool(np.any(grows)), bool(np.any(near))
+
+
+class TestClosedFormEstimates:
+    # Below order 1 the probe reads index 1 of a 3-node Marchaud pass in closed form, on unit steps
+    # and times stride**-alpha; that pass itself, on the stride prefixes, is the oracle.
+    @staticmethod
+    def _pass_estimates(v, alpha):
+        return [np.abs(_marchaud_values(v[..., ::s][..., :3], 1.0, alpha)[..., 1]) * s**-alpha for s in (4, 2, 1)]
+
+    def _assert_bitwise(self, v, alpha):
+        got = _first_node_estimates(v, alpha, True)
+        assert len(got) == 3
+        for e, want in zip(got, self._pass_estimates(v, alpha)):
             assert e.shape == want.shape
             assert np.array_equal(e.view(np.int64), want.view(np.int64))
 
     def test_bitwise_on_random_rows(self):
-        rng = np.random.default_rng(21)
-        for k in range(2000):
-            d = int(rng.integers(1, 4))
-            n = int(rng.integers(13, 80))
-            scale = 10.0 ** rng.uniform(-30, 30)
-            v = scale * (rng.standard_normal((d, n)) if k % 2 else np.round(rng.uniform(-3.0, 3.0, (d, n))))
-            self._assert_bitwise(v[0] if d == 1 and k % 3 == 0 else v, float(rng.uniform(1e-4, 2.0)),
-                                 float(rng.uniform(0.01, 0.99)))
+        for v, _, alpha in _seeded_rows():
+            self._assert_bitwise(v, alpha)
+
+    def test_decision_on_random_rows_matches_the_stepped_passes(self):
+        self._assert_decisions((v, h, alpha, True) for v, h, alpha in _seeded_rows())
+
+    def test_decision_on_generic_rows_matches_the_stepped_passes(self):
+        self._assert_decisions(_generic_rows())
+
+    @staticmethod
+    def _assert_decisions(cases):
+        # The verdict reads no step, and matches the stepped one away from the threshold; the
+        # estimates themselves differ by rounding, most where index 1 nearly cancels.
+        verdicts = set()
+        for v, h, alpha, marchaud in cases:
+            want, near = _oracle_decision(v, h, alpha, marchaud)
+            if not near:
+                assert _probe_singular_start(v, alpha, marchaud) is want, (v, h, alpha, marchaud)
+                verdicts.add(want)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("n", range(13, 27))
     def test_coarse_mittag_leffler_keeps_its_decision(self, n):
@@ -137,7 +203,7 @@ class TestClosedFormEstimates:
         # below 1.15 up to n = 26 (1.017 at 13, 1.149 at 26); the integrate-then-difference route
         # reaches it from n = 20 (1.154), so below n = 27 the marker depends on the route.
         g = _sampled("ml_exp", {"alpha": 0.7}, n)
-        self._assert_bitwise(g.values, g.h, 0.5)
+        self._assert_bitwise(g.values, 0.5)
         assert not fc.rl_derivative(g, 0.5).singular_start
         assert fc.rl_derivative(g, 0.5, "integral_then_difference").singular_start == (n >= 20)
 
