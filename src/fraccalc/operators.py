@@ -258,9 +258,7 @@ def _cell_moments(nmax: int, a: float) -> _Moments:
     return mu0, mu1, mu2, tail
 
 
-def _marchaud_values(
-    g: np.ndarray, h: float, a: float, moments: _Moments | None = None, d: np.ndarray | None = None
-) -> np.ndarray:
+def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None = None) -> np.ndarray:
     """Marchaud-form derivative values on the grid (index 0 left at zero).
 
     D f(t) = (-a / Gamma(1-a)) * int_{t0}^{t} (t-s)^(-a-1) [f(s) - f(t)] ds
@@ -275,8 +273,7 @@ def _marchaud_values(
     summed by parts: the increments d[i] = g[i-1] - g[i] (d[0] = 0) are convolved
     with the tails T_j of one translation-invariant kernel, so rounding scales
     with the increments, not the values, and two per-row edge terms remain.
-    Stacked rows of ``g`` share the kernel; ``moments`` is ``_cell_moments(n + 1, a)``,
-    and ``d``, when given, holds the increments and is only read.
+    Stacked rows of ``g`` share the kernel; ``moments`` is ``_cell_moments(n + 1, a)``.
     """
     n = g.shape[-1]
     mu0, mu1, mu2, tail = _cell_moments(n + 1, a) if moments is None else moments
@@ -300,9 +297,8 @@ def _marchaud_values(
     # for this call is freed before it.
     wL, start = wL[2 : n - 1], tail[2 : n - 1].copy()
     del mu0, mu1, mu2, tail
-    if d is None:
-        d = np.zeros(g.shape)
-        np.subtract(g[..., :-1], g[..., 1:], out=d[..., 1:])
+    d = np.zeros(g.shape)
+    np.subtract(g[..., :-1], g[..., 1:], out=d[..., 1:])
     out = _causal_convolve(d, T)
     # On row k the cell [k-1, k] takes the parabola through tau = k-2, k-1, k
     # (tau = k+1 is past t0).  With the T_k g[0] left by the summation, that
@@ -463,67 +459,54 @@ def _require_same_grid(u: GridFunction, v: GridFunction) -> None:
         raise PreconditionError("product formulas need factors finite at the start")
 
 
-def _start_shifted(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The factors shifted to start at 0, stacked as (2, ..., n), and a (3, ..., n) stack whose first
-    # two rows hold their increments d[i] = f[i-1] - f[i] (d[0] = 0): the Marchaud pass and the
-    # product correction share both, and the correction fills the third row.
-    s = np.stack((u - u[..., :1], v - v[..., :1]))
-    x = np.zeros((3,) + u.shape)
-    np.subtract(s[..., :-1], s[..., 1:], out=x[:2, ..., 1:])
-    return s, x
-
-
-def _product_correction(s: np.ndarray, x: np.ndarray, moments: _Moments) -> np.ndarray:
-    # I[k] ~ int_0^k tau**(-a-1) [u(t-tau h) - u(t)] [v(t-tau h) - v(t)] dtau with
-    # both increments piecewise linear per cell.  On cell m (left node i = k-m)
-    # the increment U(xi) = UR + du xi (xi = tau - (m-1)) has UR = u[i+1] - u[k]
-    # and du = u[i] - u[i+1], which does not depend on k; products integrate
-    # against the mu moments, mu0 from the second cell on (UR = VR = 0 on the
-    # first).  With the data shifted to start at 0 (no increment changes),
-    # ur = u[1:] = -cumsum(du) and ur vr = -cumsum(ur dv + vr du + du dv), so
-    # summing by parts moves every mu0 term onto these increment rows with the
-    # kernel -cumsum(mu0[1:]) = T - 1/a, T = tail being the mu0 mass past cell
-    # j+1.  Expanding UR and VR, the 1/a parts cancel, one coming from
-    # u[k] v[k] sum(mu0[1:k]) = u[k] v[k] (1 - k**-a)/a, and every convolution
-    # takes increments and one decaying kernel, mu1 + T or mu2 + T.  The result
-    # is I[k] + U V k**-a / a (U = u[k] - u[0], V = v[k] - v[0]); the Caputo
-    # formula's last term cancels that part.  Pairing the u and v terms as
-    # (A_u + A_v) makes a u, v swap bit-identical.  ``moments`` needs >= n - 1 entries.
-    # ``s`` and ``x`` are _start_shifted(u, v); rows of u and v (shape (..., n)) pair up componentwise.
-    n = s.shape[-1]
-    _, mu1, mu2, T = (m[: n - 1] for m in moments)
-    ur, vr = s[..., 1:]
-    du, dv, third = x[..., 1:]
-    np.multiply(ur, dv, out=third)
-    third += vr * du
-    from_u, from_v, cross = _causal_convolve(x[..., 1:], mu1 + T)
-    pair = _causal_convolve(np.multiply(du, dv, out=third), mu2 + T)  # the third row, spent, takes du dv
-    out = np.zeros(s.shape[1:])
-    out[..., 1:] = cross + pair - (ur * from_v + vr * from_u)
-    return out
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _leibniz(u: GridFunction, v: GridFunction, alpha: float, caputo: bool) -> GridFunction:
-    # The Caputo formula, with factor derivatives taken as Marchaud values of
-    # the start-shifted factors; its last term cancels the correction's
-    # k**-a part.  The Riemann-Liouville output adds u0 v0 (t-t0)^(-a) / Gamma(1-a).
+    # The Caputo formula is u D(v - v0) + v D(u - u0) - q I: D is the Marchaud pass, q = a h**-a /
+    # Gamma(1-a), and I is the kernel integral of the product of the increments, piecewise linear per
+    # cell, less the part the formula's last term cancels.  Both are sums by parts over the increments
+    # d[i] = f[i-1] - f[i] (d[0] = 0).  On row k >= 3, D g = -q (d * T - wL(k-1) e) with the pass's
+    # kernel T, its left weights wL = (mu2 - mu1) / 2 and e = d[2] - 2 d[1]; with s = f - f(t0) and
+    # K = mu1 + tail, I convolves s_u d_v + s_v d_u against K and d_u d_v against mu2 + tail, less
+    # s_u (d_v * K) + s_v (d_u * K).  As tail[j] - tail[j-1] = -mu0[j], K - T = grad wL (grad wL[j] =
+    # wL[j] - wL[j-1], wL[-1] = 0), so the convolutions against T and K cancel down to
+    #   q [u (d_v * grad wL) + v (d_u * grad wL) - d_uv * K - 2 cumsum(d_u d_v) * grad wL
+    #      + wL(k-1) (u e_v + v e_u)],
+    # where d_uv = u d_v + v d_u + d_u d_v are the increments of u v, taken from the factors' so that
+    # the rounding of u v does not enter, and the d_u d_v term meets mu2 - mu1 = 2 wL, summed by parts
+    # onto grad wL.  Row 2, whose pass takes its own weights, comes out the same, and row 1 takes
+    # -d[1] for e.  Pairing the u and v terms as (A_u + A_v) makes a u, v swap bit-identical.  The
+    # Riemann-Liouville output adds u0 v0 (t-t0)**-a / Gamma(1-a) = q u0 v0 tail[k-1].
     a = as_order(alpha)
     if not 0.0 < a < 1.0:
         raise PreconditionError(f"the product formula requires 0 < order < 1, got {a}")
     _require_same_grid(u, v)
-    h, uu, vv = u.h, u.values, v.values
-    u0, v0 = uu[..., :1], vv[..., :1]
-    moments = _cell_moments(u.n + 1, a)
-    s, x = _start_shifted(uu, vv)
-    du, dv = _marchaud_values(s, h, a, moments, x[:2])
-    out = uu * dv + vv * du
-    del du, dv  # the factor derivatives are spent
-    q = a * rgamma(1.0 - a) * h**-a
-    out -= q * _product_correction(s, x, moments)
-    out[..., 0] = 0.0  # not -0.0 when both factors start negative
-    if not caputo:
-        out[..., 1:] += u0 * v0 * q * moments[3][: u.n - 1]  # (t-t0)**-a = a h**-a tail
+    h, n, uu, vv = u.h, u.n, u.values, v.values
+    x = np.zeros((3,) + uu.shape)  # d_u, d_v, and 2 cumsum(d_u d_v)
+    np.subtract(uu[..., :-1], uu[..., 1:], out=x[0, ..., 1:])
+    np.subtract(vv[..., :-1], vv[..., 1:], out=x[1, ..., 1:])
+    du, dv, pairs = x
+    np.multiply(du, dv, out=pairs)
+    duv = uu * dv + vv * du + pairs
+    np.cumsum(pairs, axis=-1, out=pairs)
+    pairs *= 2.0
+    # The kernels and the edge terms of rows 1.. are taken from the moment table, which then dies.
+    mu1, mu2, tail = _cell_moments(n + 1, a)[1:]
+    wL = (mu2[:n] - mu1[:n]) / 2.0
+    eu, ev = x[:2, ..., 2:3] - 2.0 * x[:2, ..., 1:2]  # empty on 2 nodes
+    edge = np.zeros(uu.shape[:-1] + (n - 1,)) if caputo else (uu[..., :1] * vv[..., :1]) * tail[: n - 1]
+    edge[..., 0] -= wL[0] * (uu[..., 1] * dv[..., 1] + vv[..., 1] * du[..., 1])
+    edge[..., 1:] += wL[1 : n - 1] * (uu[..., 2:] * ev + vv[..., 2:] * eu)
+    K, grad = mu1[:n] + tail[:n], np.diff(wL, prepend=0.0)
+    del mu1, mu2, tail, wL, du, dv, pairs
+    out = _causal_convolve(duv, K)
+    out[..., 1:] -= edge
+    del duv, K, edge
+    cu, cv, cp = _causal_convolve(x, grad)
+    del x
+    np.subtract(uu * cv + vv * cu, out, out=out)
+    out -= cp
+    out *= a * rgamma(1.0 - a) * h**-a
+    out[..., 0] = 0.0  # not -0.0
     return _result(u, out)
 
 

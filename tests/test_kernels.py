@@ -1,7 +1,7 @@
 """Oracle tests for the convolution kernels under the grid operators: the
 moment and kernel tables against 60-digit closed forms, the direct/FFT causal
-convolution, the convolution form of the Leibniz correction, and the Leibniz
-error against closed forms."""
+convolution, the product formulas against the row loop of their correction,
+and the Leibniz error against closed forms."""
 
 import mpmath
 import numpy as np
@@ -14,9 +14,8 @@ from fraccalc.operators import (
     _cell_moments,
     _integral_kernel,
     _marchaud_values,
-    _product_correction,
-    _start_shifted,
 )
+from fraccalc.special import rgamma
 
 
 def _product_correction_loop(u: np.ndarray, v: np.ndarray, a: float) -> np.ndarray:
@@ -139,40 +138,53 @@ def _factor_pairs(n):
     }
 
 
+def _caputo_rule_from_loop(u: np.ndarray, v: np.ndarray, a: float) -> tuple[np.ndarray, float]:
+    # The Caputo product rule u cD v + v cD u - q I on [0, 1], I from the row loop with the
+    # (u - u0)(v - v0) k**-a / a part the rule's last term cancels, the factor derivatives from the
+    # public Marchaud pass; and q = a h**-a / Gamma(1 - a), which takes I to the rule's scale.
+    n = u.size
+    k = np.maximum(np.arange(n), 1.0)
+    correction = _product_correction_loop(u, v, a) + (u - u[0]) * (v - v[0]) * k**-a / a
+    q = a * rgamma(1.0 - a) * (n - 1.0) ** a
+    du, dv = (fc.marchaud_derivative(fc.GridFunction(0.0, 1.0, f - f[0]), a).values for f in (u, v))
+    return u * dv + v * du - q * correction, q
+
+
 class TestProductCorrection:
     @pytest.mark.parametrize("n", [2, 3, 5, 64, 600, 1025])
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.9])
     @pytest.mark.parametrize("data", ["random", "smooth", "offset"])
     def test_matches_row_loop(self, n, a, data):
         u, v = _factor_pairs(n)[data]
-        # The correction leaves the (u - u0)(v - v0) k**-a / a part of the
-        # loop's sum to its caller, where the Caputo formula cancels it.
-        k = np.maximum(np.arange(n), 1.0)
-        ref = _product_correction_loop(u, v, a) + (u - u[0]) * (v - v[0]) * k**-a / a
-        got = _product_correction(*_start_shifted(u, v), _cell_moments(n + 1, a))
-        # The sum depends only on increments, so its rounding scale is set by
-        # the ranges of the data, not by their offsets.
+        ref, q = _caputo_rule_from_loop(u, v, a)
+        got = fc.leibniz_caputo(fc.GridFunction(0.0, 1.0, u), fc.GridFunction(0.0, 1.0, v), a).values
+        # The correction depends only on increments, so its rounding scale is set by the ranges of
+        # the data, not by their offsets; q takes it to the rule's.
         scale = max(np.ptp(u) * np.ptp(v), 1e-300)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(got - ref)) <= 1e-12 * q * scale
         assert got[0] == 0.0
 
-    def test_constant_factor_gives_zero(self):
+    def test_constant_factor_adds_no_correction(self):
+        # With v = 3 the rule is 3 cD u, as the loop's correction is exactly 0: to the rounding of
+        # one Marchaud pass, since the rule sums the factor term in its own order.
         u = np.sqrt(np.linspace(0.0, 1.0, 700))
-        assert np.all(_product_correction(*_start_shifted(u, np.full(700, 3.0)), _cell_moments(701, 0.5)) == 0.0)
+        ref, _ = _caputo_rule_from_loop(u, np.full(700, 3.0), 0.5)
+        got = fc.leibniz_caputo(fc.GridFunction(0.0, 1.0, u), fc.GridFunction(0.0, 1.0, np.full(700, 3.0)), 0.5)
+        assert np.max(np.abs(got.values - ref)) <= 4.0 * _EPS * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [129, 1025])
-    def test_symmetric_bit_for_bit(self, n):
-        u, v = _factor_pairs(n)["random"]
-        moments = _cell_moments(n + 1, 0.4)
-        swapped = _product_correction(*_start_shifted(v, u), moments)
-        assert np.array_equal(_product_correction(*_start_shifted(u, v), moments), swapped)
+    @pytest.mark.parametrize("data", ["random", "offset"])
+    def test_symmetric_bit_for_bit(self, n, data):
+        u, v = (fc.GridFunction(0.0, 1.0, f) for f in _factor_pairs(n)[data])
+        for formula in (fc.leibniz_rl, fc.leibniz_caputo):
+            assert np.array_equal(formula(u, v, 0.4).values, formula(v, u, 0.4).values)
 
 
 @pytest.mark.parametrize("n", [257, 1025, 4097])
 @pytest.mark.parametrize("a", [0.3, 0.9])
 def test_stacked_marchaud_matches_per_factor_calls(n, a):
-    # The RL product formula takes both factor derivatives from one stacked
-    # call that shares the moments, kernel and kernel spectrum.
+    # Stacked rows share the moments, kernel and kernel spectrum, and keep
+    # the bits of one call per row.
     u, v = _factor_pairs(n)["smooth"]
     h = 1.0 / (n - 1)
     both = _marchaud_values(np.stack((u, v)), h, a, _cell_moments(n + 1, a))

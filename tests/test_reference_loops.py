@@ -26,8 +26,6 @@ from fraccalc.operators import (
     _causal_convolve,
     _cell_moments,
     _marchaud_values,
-    _product_correction,
-    _start_shifted,
     marchaud_derivative,
 )
 from fraccalc.spaces import HolderEstimate, holder_exponent, holder_seminorm
@@ -871,24 +869,19 @@ class TestMarchaudWeights:
     @pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
     def test_two_and_three_nodes(self, a, n, shape):
         # The body that serves long grids serves 2 and 3 nodes, with no convolution term left: from
-        # the same tables the output is the reference's bit for bit, with or without the increments
-        # passed in, and from the pass's own tables it agrees to rounding.
+        # the same tables the output is the reference's bit for bit, and from the pass's own tables
+        # it agrees to rounding.
         g = np.random.default_rng(n).standard_normal(shape + (n,))
         h = 1.0 / (n - 1)
-        d = np.zeros(g.shape)
-        d[..., 1:] = g[..., :-1] - g[..., 1:]
-        kept = d.copy()
         table = _cell_moments_three_pows(n + 1, a)
-        moments = (*table, np.arange(1.0, n + 2) ** -a / a)
         ref = _marchaud_values_weight_tables(g, h, a, table)
-        for got in (_marchaud_values(g, h, a, moments), _marchaud_values(g, h, a, moments, d)):
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        got = _marchaud_values(g, h, a, (*table, np.arange(1.0, n + 2) ** -a / a))
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         ref = _marchaud_values_weight_tables(g, h, a)
-        for got in (_marchaud_values(g, h, a), _marchaud_values(g, h, a, d=d)):
-            assert got.shape == ref.shape
-            assert np.all(got[..., 0] == 0.0)
-            assert np.all(np.abs(got - ref) <= 1e-14 * np.max(np.abs(ref)))
-        assert d.tobytes() == kept.tobytes()
+        got = _marchaud_values(g, h, a)
+        assert got.shape == ref.shape
+        assert np.all(got[..., 0] == 0.0)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.max(np.abs(ref)))
 
 
 def _probe_inputs():
@@ -1031,7 +1024,9 @@ def _leibniz_factors(kind, n):
 @pytest.mark.parametrize("a", [0.5, 0.9])
 def test_leibniz_matches_long_double_two_branch_formulas(a, n, kind):
     # One body, Caputo terms plus the RL start term, against both formulas
-    # as two branches evaluated in long double with direct sums.
+    # as two branches evaluated in long double with direct sums.  Rows 1 to
+    # 7, whose edge terms the body takes apart from the rest, to rounding of
+    # the sup.
     u, v = _leibniz_factors(kind, n)
     U, V = fc.GridFunction(0.0, 1.0, u), fc.GridFunction(0.0, 1.0, v)
     for formula, caputo in ((fc.leibniz_rl, False), (fc.leibniz_caputo, True)):
@@ -1040,20 +1035,24 @@ def test_leibniz_matches_long_double_two_branch_formulas(a, n, kind):
         assert got[0] == 0.0
         move = np.max(np.abs(got[8:] - ref[8:])) / np.max(np.abs(ref[8:]))
         assert move <= (2e-12 if a > 0.7 else 2e-13), (formula.__name__, float(move))
+        move = np.max(np.abs(got[1:8] - ref[1:8])) / np.max(np.abs(ref[1:]))
+        assert move <= 1e-14, (formula.__name__, float(move))
 
 
 @pytest.mark.parametrize("kind", ["powers", "offset", "cos"])
 @pytest.mark.parametrize("n", [2049, 4097])
 @pytest.mark.parametrize("a", [0.5, 0.9])
 def test_product_correction_matches_long_double(a, n, kind):
-    # Summed by parts, every convolution of the correction takes increments
-    # and a decaying kernel, so its FFT rounding scales with the result, not
-    # with mu0 sums of the data's values that cancel down to it.
+    # The Caputo rule is u cD v + v cD u - q I; against the long-double two-branch formula, whose
+    # correction I has seven direct convolutions, its error past node 8 must stay within 2e-14 of
+    # q max|I| (with the (u - u0)(v - v0) k**-a / a part the rule's last term cancels) plus the
+    # rounding of the rule's own values, 4 eps of their sup: the body never forms I apart from them.
     u, v = _leibniz_factors(kind, n)
-    k = np.maximum(np.arange(n), 1.0)
-    # The correction leaves the (u - u0)(v - v0) k**-a / a part to its caller.
-    ref = _correction_ld(u.astype(_LD), v.astype(_LD), a, _cell_moments_ld(n + 1, a))
-    ref += (u - u[0]) * (v - v[0]) * k.astype(_LD) ** -a / a
-    got = _product_correction(*_start_shifted(u, v), _cell_moments(n + 1, a))
-    move = np.max(np.abs(got[8:] - ref[8:])) / np.max(np.abs(ref[8:]))
-    assert move <= 2e-14, float(move)
+    k = np.maximum(np.arange(n), 1.0).astype(_LD)
+    correction = _correction_ld(u.astype(_LD), v.astype(_LD), a, _cell_moments_ld(n + 1, a))
+    correction += (u - u[0]) * (v - v[0]) * k**-a / a
+    ref = _leibniz_two_branches_ld(u.astype(_LD), v.astype(_LD), a, caputo=True)
+    got = fc.leibniz_caputo(fc.GridFunction(0.0, 1.0, u), fc.GridFunction(0.0, 1.0, v), a).values
+    q = a * rgamma(1.0 - a) * (n - 1.0) ** a
+    bound = 2e-14 * q * np.max(np.abs(correction[8:])) + 4.0 * 2.0**-52 * np.max(np.abs(ref[8:]))
+    assert np.max(np.abs(got[8:] - ref[8:])) <= bound, float(np.max(np.abs(got[8:] - ref[8:])) / bound)
