@@ -67,7 +67,6 @@ _PROBE_GROWTH = 1.15
 # is faster.  Measured with numpy 2.4 on one core: 22 us direct against 42 us
 # FFT at n = 256, 51 against 55 at n = 512, 169 against 66 at n = 1024.
 _FFT_MIN_NODES = 512
-_Moments = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # mu0, mu1, mu2, tail of _cell_moments
 
 
 def _is_marchaud(method: str | None, a: float, n: int) -> bool:
@@ -231,7 +230,7 @@ def frac_integral(g: GridFunction, order: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _cell_moments(nmax: int, a: float) -> _Moments:
+def _cell_moments(nmax: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # mu_j(m) = int_{m-1}^{m} (tau - (m-1))**j * tau**(-a-1) dtau, j = 0,1,2, from
     # p_j = int_{m-1}^{m} tau**(j-a-1) dtau = -m**(j-a) expm1((j-a) log1p(-1/m)) / (j-a)
     # and one power table m**-a, also kept as tail[m-1] = m**-a / a.  mu0 keeps a few ulps,
@@ -258,7 +257,7 @@ def _cell_moments(nmax: int, a: float) -> _Moments:
     return mu0, mu1, mu2, tail
 
 
-def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None = None) -> np.ndarray:
+def _marchaud_values(g: np.ndarray, h: float, a: float) -> np.ndarray:
     """Marchaud-form derivative values on the grid (index 0 left at zero).
 
     D f(t) = (-a / Gamma(1-a)) * int_{t0}^{t} (t-s)^(-a-1) [f(s) - f(t)] ds
@@ -273,10 +272,10 @@ def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None
     summed by parts: the increments d[i] = g[i-1] - g[i] (d[0] = 0) are convolved
     with the tails T_j of one translation-invariant kernel, so rounding scales
     with the increments, not the values, and two per-row edge terms remain.
-    Stacked rows of ``g`` share the kernel; ``moments`` is ``_cell_moments(n + 1, a)``.
+    Stacked rows of ``g`` share the kernel.
     """
     n = g.shape[-1]
-    mu0, mu1, mu2, tail = _cell_moments(n + 1, a) if moments is None else moments
+    mu0, mu1, mu2, tail = _cell_moments(n + 1, a)
     r = rgamma(1.0 - a)
     # First-cell weights for the anchored parabola through (0,0), (1,G1), (2,G2); with the cell
     # [1, 2] they give the weights of rows 1 and 2.
@@ -293,8 +292,7 @@ def _marchaud_values(g: np.ndarray, h: float, a: float, moments: _Moments | None
     tj = np.add(tail[: n - 1], wL[: n - 1], out=T[1:])
     tj -= wL[1:]  # less wR = mu0 - mu1 + wL
     tj -= mu0[1:n] - mu1[1:n]
-    # Rows 3.. read only wL(k-1) and tail[k-1] after the convolution, so that a table built
-    # for this call is freed before it.
+    # Rows 3.. read only wL(k-1) and tail[k-1] after the convolution, so the table is freed before it.
     wL, start = wL[2 : n - 1], tail[2 : n - 1].copy()
     del mu0, mu1, mu2, tail
     d = np.zeros(g.shape)
@@ -469,25 +467,25 @@ def _leibniz(u: GridFunction, v: GridFunction, alpha: float, caputo: bool) -> Gr
     # K = mu1 + tail, I convolves s_u d_v + s_v d_u against K and d_u d_v against mu2 + tail, less
     # s_u (d_v * K) + s_v (d_u * K).  As tail[j] - tail[j-1] = -mu0[j], K - T = grad wL (grad wL[j] =
     # wL[j] - wL[j-1], wL[-1] = 0), so the convolutions against T and K cancel down to
-    #   q [u (d_v * grad wL) + v (d_u * grad wL) - d_uv * K - 2 cumsum(d_u d_v) * grad wL
-    #      + wL(k-1) (u e_v + v e_u)],
+    #   q [u grad(d_v * wL) + v grad(d_u * wL) - d_uv * K - 2 (d_u d_v) * wL + wL(k-1) (u e_v + v e_u)],
     # where d_uv = u d_v + v d_u + d_u d_v are the increments of u v, taken from the factors' so that
-    # the rounding of u v does not enter, and the d_u d_v term meets mu2 - mu1 = 2 wL, summed by parts
-    # onto grad wL.  Row 2, whose pass takes its own weights, comes out the same, and row 1 takes
-    # -d[1] for e.  Pairing the u and v terms as (A_u + A_v) makes a u, v swap bit-identical.  The
+    # the rounding of u v does not enter, grad wL * d is taken as the difference of wL * d, and the
+    # d_u d_v term meets mu2 - mu1 = 2 wL.  All three rows then share wL and stay as small as the
+    # increments: no row is a running sum, whose FFT rounding would grow with n on rough factors.
+    # Row 2, whose pass takes its own weights, comes out the same, and row 1 takes -d[1] for e.
+    # Pairing the u and v terms as (A_u + A_v) makes a u, v swap bit-identical.  The
     # Riemann-Liouville output adds u0 v0 (t-t0)**-a / Gamma(1-a) = q u0 v0 tail[k-1].
     a = as_order(alpha)
     if not 0.0 < a < 1.0:
         raise PreconditionError(f"the product formula requires 0 < order < 1, got {a}")
     _require_same_grid(u, v)
     h, n, uu, vv = u.h, u.n, u.values, v.values
-    x = np.zeros((3,) + uu.shape)  # d_u, d_v, and 2 cumsum(d_u d_v)
+    x = np.zeros((3,) + uu.shape)  # d_u, d_v, and 2 d_u d_v
     np.subtract(uu[..., :-1], uu[..., 1:], out=x[0, ..., 1:])
     np.subtract(vv[..., :-1], vv[..., 1:], out=x[1, ..., 1:])
     du, dv, pairs = x
     np.multiply(du, dv, out=pairs)
     duv = uu * dv + vv * du + pairs
-    np.cumsum(pairs, axis=-1, out=pairs)
     pairs *= 2.0
     # The kernels and the edge terms of rows 1.. are taken from the moment table, which then dies.
     mu1, mu2, tail = _cell_moments(n + 1, a)[1:]
@@ -496,14 +494,14 @@ def _leibniz(u: GridFunction, v: GridFunction, alpha: float, caputo: bool) -> Gr
     edge = np.zeros(uu.shape[:-1] + (n - 1,)) if caputo else (uu[..., :1] * vv[..., :1]) * tail[: n - 1]
     edge[..., 0] -= wL[0] * (uu[..., 1] * dv[..., 1] + vv[..., 1] * du[..., 1])
     edge[..., 1:] += wL[1 : n - 1] * (uu[..., 2:] * ev + vv[..., 2:] * eu)
-    K, grad = mu1[:n] + tail[:n], np.diff(wL, prepend=0.0)
-    del mu1, mu2, tail, wL, du, dv, pairs
+    K = mu1[:n] + tail[:n]
+    del mu1, mu2, tail, du, dv, pairs
     out = _causal_convolve(duv, K)
     out[..., 1:] -= edge
     del duv, K, edge
-    cu, cv, cp = _causal_convolve(x, grad)
+    cu, cv, cp = _causal_convolve(x, wL)
     del x
-    np.subtract(uu * cv + vv * cu, out, out=out)
+    np.subtract(uu[..., 1:] * np.diff(cv) + vv[..., 1:] * np.diff(cu), out[..., 1:], out=out[..., 1:])
     out -= cp
     out *= a * rgamma(1.0 - a) * h**-a
     out[..., 0] = 0.0  # not -0.0

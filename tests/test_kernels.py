@@ -15,7 +15,7 @@ from fraccalc.operators import (
     _integral_kernel,
     _marchaud_values,
 )
-from fraccalc.special import rgamma
+from fraccalc.special import rgamma, weierstrass
 
 
 def _product_correction_loop(u: np.ndarray, v: np.ndarray, a: float) -> np.ndarray:
@@ -135,6 +135,8 @@ def _factor_pairs(n):
         "random": tuple(rng.standard_normal((2, n))),
         "smooth": (t**0.6, np.cos(3.0 * t)),
         "offset": (100.0 + t**0.6, 50.0 + t),
+        "same": (rng.standard_normal(n),) * 2,
+        "weierstrass": (weierstrass(0.3, 2.0, t),) * 2,
     }
 
 
@@ -151,26 +153,42 @@ def _caputo_rule_from_loop(u: np.ndarray, v: np.ndarray, a: float) -> tuple[np.n
 
 
 class TestProductCorrection:
-    @pytest.mark.parametrize("n", [2, 3, 5, 64, 600, 1025])
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 600, 1025, 4097, 8193])
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.9])
-    @pytest.mark.parametrize("data", ["random", "smooth", "offset"])
+    @pytest.mark.parametrize("data", ["random", "smooth", "offset", "same", "weierstrass"])
     def test_matches_row_loop(self, n, a, data):
         u, v = _factor_pairs(n)[data]
         ref, q = _caputo_rule_from_loop(u, v, a)
         got = fc.leibniz_caputo(fc.GridFunction(0.0, 1.0, u), fc.GridFunction(0.0, 1.0, v), a).values
         # The correction depends only on increments, so its rounding scale is set by the ranges of
-        # the data, not by their offsets; q takes it to the rule's.
+        # the data, not by their offsets; q takes it to the rule's.  On rough correlated factors
+        # ("same", "weierstrass") d_u d_v is one-signed, and the bound must hold at every n.
         scale = max(np.ptp(u) * np.ptp(v), 1e-300)
         assert np.max(np.abs(got - ref)) <= 1e-12 * q * scale
         assert got[0] == 0.0
 
     def test_constant_factor_adds_no_correction(self):
-        # With v = 3 the rule is 3 cD u, as the loop's correction is exactly 0: to the rounding of
-        # one Marchaud pass, since the rule sums the factor term in its own order.
-        u = np.sqrt(np.linspace(0.0, 1.0, 700))
-        ref, _ = _caputo_rule_from_loop(u, np.full(700, 3.0), 0.5)
-        got = fc.leibniz_caputo(fc.GridFunction(0.0, 1.0, u), fc.GridFunction(0.0, 1.0, np.full(700, 3.0)), 0.5)
-        assert np.max(np.abs(got.values - ref)) <= 4.0 * _EPS * np.max(np.abs(ref))
+        # With v = 3 every term that carries the correction (v's increments, their products with
+        # u's and v's edge terms) is exactly 0, so the rule is bit for bit its factor term as the
+        # closed form sums it, q [3 grad(d_u * wL) - (3 d_u) * K + 3 wL(k-1) e_u], built here from
+        # the same tables and convolution; and that is 3 cD u to the rounding of one Marchaud pass.
+        n, a = 700, 0.5
+        u = np.sqrt(np.linspace(0.0, 1.0, n))
+        U, V = fc.GridFunction(0.0, 1.0, u), fc.GridFunction(0.0, 1.0, np.full(n, 3.0))
+        got = fc.leibniz_caputo(U, V, a).values
+        _, mu1, mu2, tail = _cell_moments(n + 1, a)
+        wL = (mu2[:n] - mu1[:n]) / 2.0
+        du = np.zeros(n)
+        du[1:] = u[:-1] - u[1:]
+        factor = _causal_convolve(3.0 * du, mu1[:n] + tail[:n])
+        factor[1] += wL[0] * (3.0 * du[1])
+        factor[2:] -= wL[1 : n - 1] * (3.0 * (du[2] - 2.0 * du[1]))
+        factor[1:] = 3.0 * np.diff(_causal_convolve(du, wL)) - factor[1:]
+        factor *= a * rgamma(1.0 - a) * U.h**-a
+        factor[0] = 0.0
+        assert got.tobytes() == factor.tobytes()
+        ref, _ = _caputo_rule_from_loop(u, np.full(n, 3.0), a)
+        assert np.max(np.abs(got - ref)) <= 4.0 * _EPS * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [129, 1025])
     @pytest.mark.parametrize("data", ["random", "offset"])
@@ -187,7 +205,7 @@ def test_stacked_marchaud_matches_per_factor_calls(n, a):
     # the bits of one call per row.
     u, v = _factor_pairs(n)["smooth"]
     h = 1.0 / (n - 1)
-    both = _marchaud_values(np.stack((u, v)), h, a, _cell_moments(n + 1, a))
+    both = _marchaud_values(np.stack((u, v)), h, a)
     assert np.array_equal(both[0], _marchaud_values(u, h, a))
     assert np.array_equal(both[1], _marchaud_values(v, h, a))
 
