@@ -20,7 +20,6 @@ from .grid import GridFunction
 from .special import gamma, mittag_leffler, rgamma, weierstrass
 
 ClosedForm = Callable[[float, np.ndarray], np.ndarray]
-_SHOWN = 8  # Taylor lists past this length print as an integer power's repr, which is O(1) in p
 
 
 @dataclass(frozen=True)
@@ -28,10 +27,10 @@ class AnalyticFunction:
     """A named scalar function with optional exact fractional transforms.
 
     ``taylor`` holds the derivatives at the base point, ``(f(t0), f'(t0), ...)``,
-    up to the highest order that exists and is known; ``None`` means no usable
-    Taylor data at all.  The closed-form slots may be ``None`` when the
-    transform has no elementary expression (or none exists, as for the RL
-    derivative of a jump).  ``anchors`` carries, per closed form, a verbatim
+    up to the highest order that exists and is known, and stops at order 170;
+    ``None`` means no usable Taylor data at all.  The closed-form slots may be
+    ``None`` when the transform has no elementary expression (or none exists,
+    as for the RL derivative of a jump).  ``anchors`` carries, per closed form, a verbatim
     quote of the identity it implements, used by the docs and the harness
     cross-reference test.
     """
@@ -57,7 +56,7 @@ class AnalyticFunction:
             pairs = ", ".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
             lines.append(f"  parameters: {pairs}")
         if self.taylor is not None:
-            lines.append(f"  taylor at start: {list(self.taylor) if len(self.taylor) <= _SHOWN else self.taylor}")
+            lines.append(f"  taylor at start: {list(self.taylor)}")
         for slot, title in (
             ("rl_integral", "fractional integral"),
             ("rl_derivative", "fractional derivative"),
@@ -128,34 +127,6 @@ def _constant(c: float, t0: float) -> dict:
     )
 
 
-class _IntegerPowerTaylor(Sequence):
-    # The derivatives at t0 of (t - t0)^p, integer p >= 1, through order max(p, 3) like the constant's: p! at
-    # order p (inf past the float range, which Caputo refuses), else 0, each made when read.  Slices stay lazy.
-    def __init__(self, p: int, orders: range | None = None) -> None:
-        self.p = p
-        self.orders = range(max(p, 3) + 1) if orders is None else orders
-
-    def __len__(self) -> int:
-        return len(self.orders)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return _IntegerPowerTaylor(self.p, self.orders[k])
-        if self.orders[k] != self.p:
-            return 0.0
-        return float(math.factorial(self.p)) if math.isfinite(gamma(self.p + 1.0)) else math.inf
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and len(other) == len(self) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        # The zeros show as a repeat count on each side of order p, so the text is O(1) in p.
-        if self.p not in self.orders:
-            return f"(0.0,) * {len(self)}"
-        k = self.orders.index(self.p)
-        return " + ".join(repr(part) for part in (self[:k], (self[k],), self[k + 1 :]) if part)
-
-
 def _power(expo: float, t0: float) -> dict:
     if expo < 0.0:
         raise InvalidParameterError(f"power: need exponent p >= 0, got {expo}")
@@ -184,9 +155,14 @@ def _power(expo: float, t0: float) -> dict:
             )
         return rl_der(order, t)
 
+    # An integer p has p! at order p and 0 elsewhere, listed through order max(p, 3) like the constant's but
+    # only up to 170: 171! is not a float, so a Caputo order past 171 finds no Taylor data and is refused.
+    taylor = (0.0,)  # f(t0) only, for a non-integer p
+    if (p := int(expo)) == expo:
+        taylor = tuple(float(math.factorial(p)) if k == p else 0.0 for k in range(max(min(p, 170), 3) + 1))
     return dict(
         eval=lambda t: _positive_power(np.asarray(t, float) - t0, expo),
-        taylor=_IntegerPowerTaylor(int(expo)) if expo == math.floor(expo) else (0.0,),  # else f(t0) only
+        taylor=taylor,
         rl_integral=rl_int,
         rl_derivative=rl_der,
         caputo_derivative=cap_der,

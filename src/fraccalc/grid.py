@@ -31,15 +31,28 @@ def as_order(order: float) -> float:
     return a
 
 
+def _real_array(values, error: type[Exception], what: str) -> np.ndarray:
+    # A new float64 array of ``values``.  Complex numbers, text and other non-real data raise ``error``,
+    # where numpy would drop an imaginary part with a warning or raise a bare ValueError or TypeError.
+    arr = np.asarray(values)
+    if arr.dtype.kind != "c":
+        try:
+            return arr.astype(float)
+        except (TypeError, ValueError):
+            pass
+    raise error(f"{what} must be real numbers, got {arr.dtype} data")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Values of a function at ``n`` uniform nodes on ``[t0, t1]``.
 
     ``values`` has shape (n,), or (d, n) for d >= 1 components.  The step
     (t1-t0)/(n-1) must be finite and above the float spacing at t0 and t1.
-    ``values[..., 1:]`` must be finite.  If ``singular_start`` is set,
-    ``values[..., 0]`` is normalized to NaN and means "unbounded as t -> t0";
-    otherwise ``values[..., 0]`` must be finite as well.
+    ``values`` must be real numbers and ``values[..., 1:]`` finite.  If
+    ``singular_start`` is set, ``values[..., 0]`` is normalized to NaN and
+    means "unbounded as t -> t0"; otherwise ``values[..., 0]`` must be finite
+    as well.
 
     ``values`` is always a read-only array of the instance's own.  A caller's
     array is copied, writeable or not, and never written to or frozen; only an
@@ -54,7 +67,7 @@ class GridFunction:
     def __post_init__(self) -> None:
         t0 = float(self.t0)
         t1 = float(self.t1)
-        vals = self.values.array if isinstance(self.values, _Owned) else np.array(self.values, dtype=float, copy=True)
+        vals = self.values.array if isinstance(self.values, _Owned) else _real_array(self.values, DataError, "values")
         if vals.ndim not in (1, 2) or vals.shape[-1] < 2 or vals.size < 2:
             raise DataError(f"values must have shape (n,) or (d, n) with n >= 2 and d >= 1, got shape {vals.shape}")
         n = vals.shape[-1]

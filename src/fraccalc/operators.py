@@ -48,7 +48,7 @@ from .errors import (
     TaylorMismatchError,
     UnintegrableSingularityError,
 )
-from .grid import GridFunction, _Owned, as_order
+from .grid import GridFunction, _Owned, _real_array, as_order
 from .special import gamma, rgamma
 
 __all__ = [
@@ -284,9 +284,8 @@ def _marchaud_values(g: np.ndarray, h: float, a: float) -> np.ndarray:
     w1, w21, w20 = mu1[0], s1 + (mu0[1] - mu2[1]), s2 + (mu2[1] + mu1[1]) / 2.0
     # Cell [i, i+1] (table index i) takes the parabola through tau = i, i+1, i+2 with
     # weights wR, wM, wL adding up to mu0.  The tails are T_0 = s1 + s2 + 1/a and
-    # T_j = j**-a / a + wL(j-1) - wR(j), with the first cell's s2 for wL(0).
+    # T_j = j**-a / a + wL(j-1) - wR(j), where wL(0) is the first cell's s2, by the same operations.
     wL = (mu2[:n] - mu1[:n]) / 2.0
-    wL[0] = s2
     T = np.empty(n)
     T[0] = s1 + s2 + 1.0 / a
     tj = np.add(tail[: n - 1], wL[: n - 1], out=T[1:])
@@ -416,8 +415,8 @@ def caputo_derivative(g: GridFunction, order: float, taylor: Sequence[float]) ->
     behaves like a function with f(t0) != 0 and typically surfaces as the
     singular-start marker.  Refusals come before any work on the entries:
     the Taylor length, then the order and node count, then each entry's
-    shape and finiteness.  As for :func:`rl_derivative`, the error cannot go
-    below the conditioning floor c * eps * h**-order * sup|f|.
+    realness, shape and finiteness.  As for :func:`rl_derivative`, the error
+    cannot go below the conditioning floor c * eps * h**-order * sup|f|.
     """
     a = as_order(order)
     if g.singular_start:
@@ -429,7 +428,7 @@ def caputo_derivative(g: GridFunction, order: float, taylor: Sequence[float]) ->
         return g
     marchaud = _is_marchaud(None, a, g.n)
     # Each entry as a column: a scalar, or one value per component.
-    coeffs = [np.asarray(c, dtype=float)[..., None] for c in taylor]
+    coeffs = [_real_array(c, TaylorMismatchError, "Taylor coefficients")[..., None] for c in taylor]
     if any(c.shape not in ((1,), g.values.shape[:-1] + (1,)) for c in coeffs):
         raise TaylorMismatchError("each Taylor entry must be a scalar or hold one value per component")
     if not all(np.isfinite(c).all() for c in coeffs):

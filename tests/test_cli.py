@@ -336,13 +336,14 @@ class TestTransformCommand:
         assert not (tmp_path / "o.csv").exists()
 
     def test_large_integer_power(self, tmp_path, capsys):
-        # p = 200: J and D run; a Caputo order above p needs 200!, which is not a float.
+        # p = 200: J, D and Caputo orders up to 171 run; past that the entry has no Taylor data,
+        # since its list stops at order 170 (171! is not a float).
         for op, alpha in (("J", "0.5"), ("D", "0.5"), ("cD", "0.5"), ("cD", "2.5")):
             assert run_cli("transform", "--fn", "power:p=200", "--op", op, "--alpha", alpha,
                            "--output", str(tmp_path / "o.csv")) == 0, (op, alpha)
         assert run_cli("transform", "--fn", "power:p=200", "--op", "cD", "--alpha", "200.5",
-                       "--output", str(tmp_path / "o.csv")) == 4
-        assert "must be finite" in capsys.readouterr().err
+                       "--output", str(tmp_path / "o.csv")) == 2
+        assert "only up to order 170" in capsys.readouterr().err
 
     def test_caputo_with_200_taylor_entries(self, tmp_path):
         # The difference passes of e^t overflow (4); the residual of the constant vanishes (0).
@@ -363,8 +364,7 @@ class TestTransformCommand:
         assert len(calls) == 1
 
     def test_huge_caputo_order_refused_before_any_taylor_entry(self, tmp_path, capsys):
-        # Order 999999.5 on 1025 nodes fails the node count before any of the 10**6 Taylor
-        # entries of p = 2e6 is made.
+        # Order 999999.5 on p = 2e6 asks for 10**6 Taylor entries of a list that stops at order 170.
         tracemalloc.start()
         try:
             code = run_cli("transform", "--fn", "power:p=2e6", "--op", "cD", "--alpha", "999999.5",
@@ -372,8 +372,8 @@ class TestTransformCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 4
-        assert "order 999999.5 needs ceil(order) + 2 nodes to difference, got 1025" in capsys.readouterr().err
+        assert code == 2
+        assert "only up to order 170, need 999999" in capsys.readouterr().err
         assert peak < 5 * 2**20
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])

@@ -72,6 +72,12 @@ class TestGridFunction:
             GridFunction(0.0, 1.0, np.array([math.nan, 1.0]))
         GridFunction(0.0, 1.0, np.array([math.nan, 1.0]), singular_start=True)
 
+    @pytest.mark.parametrize("values", [np.array([1 + 2j, 3, 5j]), ["a", "b"]], ids=["complex", "text"])
+    def test_non_real_values_are_data_errors(self, values):
+        # Not a dropped imaginary part with a ComplexWarning, nor a bare ValueError.
+        with pytest.raises(DataError, match="values must be real numbers"):
+            GridFunction(0.0, 1.0, values)
+
     def test_step_must_exceed_float_spacing(self):
         # 1e-9 / 1024 is below the spacing of floats near 1e6 (1.2e-10), so
         # the nodes would repeat; an overflowing step is refused too.

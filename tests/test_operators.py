@@ -350,6 +350,19 @@ class TestCaputo:
         with pytest.raises(fc.PreconditionError):
             fc.caputo_derivative(_grid(np.r_[np.nan, np.ones(64)], singular_start=True), 0.5, (1.0,))
 
+    @pytest.mark.parametrize("entry", ["a", 1j])
+    def test_non_real_taylor_entry_is_a_mismatch(self, entry):
+        # Not a bare ValueError or TypeError; the length, order and node-count refusals come first.
+        g = _grid(np.linspace(0.0, 1.0, 65))
+        with pytest.raises(fc.TaylorMismatchError, match="Taylor coefficients must be real numbers"):
+            fc.caputo_derivative(g, 0.5, (entry,))
+        with pytest.raises(fc.TaylorMismatchError, match="exactly 1 Taylor"):
+            fc.caputo_derivative(g, 0.5, (entry, entry))
+        with pytest.raises(fc.InvalidParameterError):
+            fc.caputo_derivative(g, -0.5, (entry,))
+        with pytest.raises(fc.PreconditionError, match="nodes"):
+            fc.caputo_derivative(_grid(np.zeros(3)), 1.5, (entry, entry))
+
     def test_order_zero_is_the_identity(self):
         # Order 0 subtracts no Taylor polynomial, so it takes an empty Taylor vector.
         g = _grid(np.cos(np.linspace(0.0, 1.0, 65)))
