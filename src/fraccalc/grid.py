@@ -32,14 +32,15 @@ def as_order(order: float) -> float:
 
 
 def _real_array(values, error: type[Exception], what: str) -> np.ndarray:
-    # A new float64 array of ``values``.  Complex numbers, text and other non-real data raise ``error``,
-    # where numpy would drop an imaginary part with a warning or raise a bare ValueError or TypeError.
-    arr = np.asarray(values)
-    if arr.dtype.kind != "c":
-        try:
+    # A new float64 array of ``values``, admitted as an order is: numpy booleans, integers and floats, or
+    # objects that are numbers.Real.  Ragged nesting, complex numbers, text, bytes, other objects and
+    # integers past the float range raise ``error``, not numpy's bare errors, warnings or parsed text.
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind in "biuf" or arr.dtype == object and all(isinstance(x, numbers.Real) for x in arr.flat):
             return arr.astype(float)
-        except (TypeError, ValueError):
-            pass
+    except (ValueError, OverflowError):
+        raise error(f"{what} must be real numbers in the float range, nested as a rectangular array") from None
     raise error(f"{what} must be real numbers, got {arr.dtype} data")
 
 
@@ -98,10 +99,11 @@ class GridFunction:
         return np.linspace(self.t0, self.t1, self.n)
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
-        """Same grid, new data, finite at every node."""
-        if np.asarray(values).shape != self.values.shape:
+        """Same grid, new data of the same shape, finite at every node."""
+        g = GridFunction(self.t0, self.t1, values)
+        if g.values.shape != self.values.shape:
             raise DataError("with_values requires data of identical shape")
-        return GridFunction(self.t0, self.t1, values)
+        return g
 
 
 class _Owned:

@@ -121,36 +121,50 @@ def _causal_convolve(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cell_moments(nmax: int, a: float, count: int) -> np.ndarray:
+    # Rows mu_0 .. mu_{count-1} and tail over the cells m = 1 .. nmax, for a real order a but 0, 1 and 2:
+    # mu_j(m) = int_{m-1}^{m} (tau - (m-1))**j * tau**(-a-1) dtau, from
+    # p_j = int_{m-1}^{m} tau**(j-a-1) dtau = -m**(j-a) expm1((j-a) log1p(-1/m)) / (j-a)
+    # and one power table m**-a, also kept as tail[m-1] = m**-a / a.  mu1 and mu2 cancel terms m and
+    # m**2 times their size: against 40 digits (m <= 32770) mu0 keeps a few ulps, mu1 6 m eps at 0 < a < 1
+    # and 3 m eps at -2.5 <= a <= -0.1, mu2 15 m**2 eps.  Where tau**(j-a-1) is not integrable, mu_j(1) = inf.
+    table = np.empty((count + 1, nmax))
+    table[:, 0] = [1.0 / (j - a) if j > a else np.inf for j in range(count)] + [1.0 / a]  # inf meets a zero weight
+    tail = table[-1]
+    m = np.arange(2, nmax + 1, dtype=float)
+    lg = np.log1p(-1.0 / m)
+    pw = m**-a
+    np.divide(pw, a, out=tail[1:])
+    for j, p in enumerate(table[:count, 1:]):
+        if j:
+            pw *= m
+        np.expm1(np.multiply(lg, j - a, out=p), out=p)
+        p *= pw
+        p /= a - j
+    # mu1 = p1 - (m-1) p0 and mu2 = p2 - (m-1) (2 p1 - (m-1) p0), in the spent pw and lg.
+    p0, p1 = table[:2, 1:]
+    m -= 1.0
+    mp0 = np.multiply(m, p0, out=pw)
+    if count > 2:
+        table[2, 1:] -= np.multiply(m, np.subtract(np.multiply(p1, 2.0, out=lg), mp0, out=lg), out=lg)
+    p1 -= mp0
+    return table
+
+
 # ---------------------------------------------------------------------------
 # fractional integral (piecewise-linear product integration)
 # ---------------------------------------------------------------------------
 
 
-def _integral_kernel(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    # Per-cell moments of tau**(a-1) against the two linear hat factors.
-    # With phi0 = int tau^(a-1), phi1 = int tau^a over [m-1, m]:
-    #   A(m) = m*phi0 - phi1   weights the node at tau = m-1,
-    #   B(m) = phi1 - (m-1)*phi0 weights the node at tau = m.
-    # Built in place, four arrays of n at most: the kernel takes phi0's buffer and B phi1's.
-    m = np.arange(n + 1, dtype=float)
-    phi0 = np.diff(m**a)
-    phi0 /= a
-    phi1 = np.diff(m ** (a + 1.0))
-    phi1 /= a + 1.0
-    A = m[1:] * phi0
-    A -= phi1
-    phi0 *= m[:-1]
-    B = np.subtract(phi1, phi0, out=phi1)
-    kernel = phi0
-    kernel[0] = A[0]
-    np.add(A[1:], B[:-1], out=kernel[1:])
-    return kernel, A
-
-
 def _frac_integral_values(g: np.ndarray, h: float, a: float) -> np.ndarray:
-    # Rows of ``g`` (shape (..., n)) are integrated independently, sharing the kernel.  The
-    # convolution's own buffer becomes the output, so no other array of g's size is made.
-    kernel, A = _integral_kernel(g.shape[-1], a)
+    # Rows of ``g`` (shape (..., n)) share the kernel.  The cell moments of tau**(a-1), at order -a, give
+    # the hat weights A(m) = mu0 - mu1 to tau = m-1 and B(m) = mu1 to tau = m.  The table dies before the
+    # convolution, whose own buffer becomes the output, so no other array of g's size is made.
+    mu0, mu1 = _cell_moments(g.shape[-1], -a, 2)[:2]
+    A = mu0 - mu1
+    kernel = A.copy()
+    kernel[1:] += mu1[:-1]
+    del mu0, mu1
     out = _causal_convolve(g, kernel)
     # Data near the float range overflow the convolution first: rescale each such row exactly, by a
     # power of two of its own, so that a small row stacked with it keeps its bits.
@@ -230,33 +244,6 @@ def frac_integral(g: GridFunction, order: float) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _cell_moments(nmax: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # mu_j(m) = int_{m-1}^{m} (tau - (m-1))**j * tau**(-a-1) dtau, j = 0,1,2, from
-    # p_j = int_{m-1}^{m} tau**(j-a-1) dtau = -m**(j-a) expm1((j-a) log1p(-1/m)) / (j-a)
-    # and one power table m**-a, also kept as tail[m-1] = m**-a / a.  mu0 keeps a few ulps,
-    # but mu1 and mu2 cancel terms m and m**2 times their size: their relative error
-    # reaches 6 m eps and 15 m**2 eps (m <= 32770, a in {0.1, 0.5, 0.9}, against 40 digits).
-    mu0, mu1, mu2, tail = table = np.empty((4, nmax))
-    table[:, 0] = np.inf, 1.0 / (1.0 - a), 1.0 / (2.0 - a), 1.0 / a  # mu0 only meets a zero weight there
-    m = np.arange(2, nmax + 1, dtype=float)
-    lg = np.log1p(-1.0 / m)
-    pw = m**-a
-    np.divide(pw, a, out=tail[1:])
-    for j, p in enumerate(table[:3, 1:]):
-        if j:
-            pw *= m
-        np.expm1(np.multiply(lg, j - a, out=p), out=p)
-        p *= pw
-        p /= a - j
-    # mu1 = p1 - (m-1) p0 and mu2 = p2 - (m-1) (2 p1 - (m-1) p0), in the spent pw and lg.
-    p0, p1, p2 = table[:3, 1:]
-    m -= 1.0
-    mp0 = np.multiply(m, p0, out=pw)
-    p2 -= np.multiply(m, np.subtract(np.multiply(p1, 2.0, out=lg), mp0, out=lg), out=lg)
-    p1 -= mp0
-    return mu0, mu1, mu2, tail
-
-
 def _marchaud_values(g: np.ndarray, h: float, a: float) -> np.ndarray:
     """Marchaud-form derivative values on the grid (index 0 left at zero).
 
@@ -275,7 +262,7 @@ def _marchaud_values(g: np.ndarray, h: float, a: float) -> np.ndarray:
     Stacked rows of ``g`` share the kernel.
     """
     n = g.shape[-1]
-    mu0, mu1, mu2, tail = _cell_moments(n + 1, a)
+    mu0, mu1, mu2, tail = _cell_moments(n + 1, a, 3)
     r = rgamma(1.0 - a)
     # First-cell weights for the anchored parabola through (0,0), (1,G1), (2,G2); with the cell
     # [1, 2] they give the weights of rows 1 and 2.
@@ -487,7 +474,7 @@ def _leibniz(u: GridFunction, v: GridFunction, alpha: float, caputo: bool) -> Gr
     duv = uu * dv + vv * du + pairs
     pairs *= 2.0
     # The kernels and the edge terms of rows 1.. are taken from the moment table, which then dies.
-    mu1, mu2, tail = _cell_moments(n + 1, a)[1:]
+    mu1, mu2, tail = _cell_moments(n + 1, a, 3)[1:]
     wL = (mu2[:n] - mu1[:n]) / 2.0
     eu, ev = x[:2, ..., 2:3] - 2.0 * x[:2, ..., 1:2]  # empty on 2 nodes
     edge = np.zeros(uu.shape[:-1] + (n - 1,)) if caputo else (uu[..., :1] * vv[..., :1]) * tail[: n - 1]

@@ -1,7 +1,10 @@
 """GridFunction and order-coercion contracts."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -72,11 +75,29 @@ class TestGridFunction:
             GridFunction(0.0, 1.0, np.array([math.nan, 1.0]))
         GridFunction(0.0, 1.0, np.array([math.nan, 1.0]), singular_start=True)
 
-    @pytest.mark.parametrize("values", [np.array([1 + 2j, 3, 5j]), ["a", "b"]], ids=["complex", "text"])
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([1 + 2j, 3, 5j]), ["a", "b"], ["1.5", "2"], [b"1", b"2"], [1.0, None], [1.0, Decimal(2)]],
+        ids=["complex", "text", "numeric text", "bytes", "None", "Decimal"],
+    )
     def test_non_real_values_are_data_errors(self, values):
-        # Not a dropped imaginary part with a ComplexWarning, nor a bare ValueError.
+        # Values are admitted as orders are: not a dropped imaginary part with a ComplexWarning, a
+        # bare ValueError, or text parsed as numbers.
         with pytest.raises(DataError, match="values must be real numbers"):
             GridFunction(0.0, 1.0, values)
+
+    @pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0]], [1.0, 10**400]], ids=["ragged", "huge int"])
+    def test_ragged_or_overflowing_values_are_data_errors(self, values):
+        # Not numpy's bare ValueError or OverflowError.
+        with pytest.raises(DataError, match="values must be real numbers in the float range"):
+            GridFunction(0.0, 1.0, values)
+        with pytest.raises(DataError):
+            GridFunction(0.0, 1.0, np.zeros(2)).with_values(values)
+
+    def test_real_objects_are_values(self):
+        # Any numbers.Real is a value, as it is an order: Fractions and mpmath numbers too.
+        g = GridFunction(0.0, 1.0, [Fraction(1, 3), mpmath.mpf(2), np.float32(0.5), True, 4])
+        assert g.values.tolist() == [1 / 3, 2.0, 0.5, 1.0, 4.0]
 
     def test_step_must_exceed_float_spacing(self):
         # 1e-9 / 1024 is below the spacing of floats near 1e6 (1.2e-10), so

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -350,7 +351,20 @@ class TestCaputo:
         with pytest.raises(fc.PreconditionError):
             fc.caputo_derivative(_grid(np.r_[np.nan, np.ones(64)], singular_start=True), 0.5, (1.0,))
 
-    @pytest.mark.parametrize("entry", ["a", 1j])
+    def test_real_taylor_objects_keep_the_bits_of_floats(self):
+        # Any numbers.Real is a Taylor entry, as it is an order.
+        t = np.linspace(0.0, 1.0, 65)
+        g = _grid(0.25 + 2.0 * t + t**2)
+        want = fc.caputo_derivative(g, 1.5, (0.25, 2.0))
+        assert not want.singular_start
+        for taylor in ((Fraction(1, 4), mpmath.mpf(2)), (np.float32(0.25), np.int64(2)), (0.25, 2)):
+            assert fc.caputo_derivative(g, 1.5, taylor).values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["a", 1j, pytest.param("0", id="numeric text"), pytest.param(b"0", id="bytes"), None,
+         pytest.param([[0.0, 1.0], [2.0]], id="ragged"), pytest.param(10**400, id="huge int")],
+    )
     def test_non_real_taylor_entry_is_a_mismatch(self, entry):
         # Not a bare ValueError or TypeError; the length, order and node-count refusals come first.
         g = _grid(np.linspace(0.0, 1.0, 65))

@@ -828,7 +828,7 @@ def _marchaud_values_from_table(g, h, a, table):
     # The pass with the reference's moment table (and the tail m**-a / a) in place of its own.
     tables = (*table, np.arange(1.0, g.shape[-1] + 2) ** -a / a)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, "_cell_moments", lambda nmax, order: tables)
+        mp.setattr(operators, "_cell_moments", lambda nmax, order, count: tables)
         return _marchaud_values(g, h, a)
 
 
