@@ -9,14 +9,13 @@ checked against exact answers.  Closed forms are anchored to the base point
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameterError, UnknownNameError
-from .grid import GridFunction
+from .grid import GridFunction, _count, _real
 from .special import gamma, mittag_leffler, rgamma, weierstrass
 
 ClosedForm = Callable[[float, np.ndarray], np.ndarray]
@@ -82,12 +81,7 @@ def _coerce_params(name: str, params: dict | None, allowed: dict[str, float | No
     out: dict[str, float] = {}
     for key, default in allowed.items():
         if key in given:
-            try:
-                out[key] = float(given.pop(key))
-            except (TypeError, ValueError):
-                raise InvalidParameterError(f"{name}: parameter {key!r} is not a number") from None
-            if not math.isfinite(out[key]):
-                raise InvalidParameterError(f"{name}: parameter {key!r} must be finite, got {out[key]}")
+            out[key] = _real(given.pop(key), InvalidParameterError, f"{name}: parameter {key!r}")
         elif default is None:
             raise InvalidParameterError(f"{name}: missing required parameter {key!r}")
         else:
@@ -303,16 +297,13 @@ def sample(f: AnalyticFunction, t0: float, t1: float, n: int) -> GridFunction:
     """Evaluate ``f`` on the uniform grid with ``n`` nodes over ``[t0, t1]``.
 
     The grid must start at the entry's base point, since that is where its
-    closed forms and Taylor data are anchored.  ``n`` must be an integer >= 2
-    and ``t1 - t0`` positive and finite, or InvalidParameterError is raised.
+    closed forms and Taylor data are anchored.  ``n`` must be an integer >= 2,
+    ``t0`` and ``t1`` finite real numbers and ``t1 - t0`` positive and finite,
+    or InvalidParameterError is raised.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidParameterError(f"need an integer number of grid nodes, got {n!r}") from None
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2 grid nodes, got {n}")
-    if not (t1 > t0 and math.isfinite(float(t1) - float(t0))):
+    n = _count(n, 2, "sample needs n")
+    t0, t1 = _real(t0, InvalidParameterError, "t0"), _real(t1, InvalidParameterError, "t1")
+    if not (t1 > t0 and math.isfinite(t1 - t0)):
         raise InvalidParameterError(f"need t1 > t0 and a finite t1 - t0, got [{t0}, {t1}]")
     if t0 != f.base_point:
         raise InvalidParameterError(

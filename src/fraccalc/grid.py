@@ -1,4 +1,4 @@
-"""Uniform-grid function values and the admission of fractional orders.
+"""Uniform-grid function values and the admission of every number a caller passes.
 
 A :class:`GridFunction` is the package's working representation of a function
 on ``[t0, t1]``: values at ``n`` equally spaced nodes.  Index 0 is special —
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,20 +22,42 @@ import numpy as np
 from .errors import DataError, InvalidParameterError
 
 
+def _real(value, error: type[Exception], what: str, lower: float = -math.inf, finite: bool = True) -> float:
+    # The one admission of a caller's real number, as a float: a numpy boolean, integer or float, or an
+    # object that is numbers.Real.  Text, bytes, None, complex numbers, sequences, arrays and integers
+    # past the float range raise ``error`` naming ``what``, as does a value that is not finite and
+    # >= ``lower``; with ``finite`` False any real number passes, nan and infinities too.
+    try:  # the first isinstance is the quicker one
+        x = float(value) if isinstance(value, (float, int)) or isinstance(value, (numbers.Real, np.bool_)) else None
+    except OverflowError:
+        x = None
+    if x is None:
+        raise error(f"{what} must be a real number in the float range, got {value!r}")
+    if finite and not (math.isfinite(x) and x >= lower):
+        raise error(f"{what} must be finite{'' if lower == -math.inf else f' and >= {lower:g}'}, got {x}")
+    return x
+
+
+def _count(value, lower: int, what: str) -> int:
+    # The one admission of a caller's count: an integer (operator.index) >= ``lower``; ``what`` reads "<who> needs n".
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{what} to be an integer, got {value!r}") from None
+    if k < lower:
+        raise InvalidParameterError(f"{what} >= {lower}, got {k}")
+    return k
+
+
 def as_order(order: float) -> float:
     """The one admission of a fractional order: a real number, finite and >= 0, as a float."""
-    if not isinstance(order, numbers.Real):
-        raise InvalidParameterError(f"order must be a real number, got {order!r}")
-    a = float(order)
-    if not (math.isfinite(a) and a >= 0.0):
-        raise InvalidParameterError(f"order must be finite and >= 0, got {a}")
-    return a
+    return _real(order, InvalidParameterError, "order", 0.0)
 
 
 def _real_array(values, error: type[Exception], what: str) -> np.ndarray:
-    # A new float64 array of ``values``, admitted as an order is: numpy booleans, integers and floats, or
-    # objects that are numbers.Real.  Ragged nesting, complex numbers, text, bytes, other objects and
-    # integers past the float range raise ``error``, not numpy's bare errors, warnings or parsed text.
+    # A new float64 array of ``values``, each entry admitted as _real admits a number.  Ragged nesting,
+    # complex numbers, text, bytes, other objects and integers past the float range raise ``error``, not
+    # numpy's bare errors, warnings or parsed text.
     try:
         arr = np.asarray(values)
         if arr.dtype.kind in "biuf" or arr.dtype == object and all(isinstance(x, numbers.Real) for x in arr.flat):
@@ -48,6 +71,7 @@ def _real_array(values, error: type[Exception], what: str) -> np.ndarray:
 class GridFunction:
     """Values of a function at ``n`` uniform nodes on ``[t0, t1]``.
 
+    ``t0`` and ``t1`` must be finite real numbers.
     ``values`` has shape (n,), or (d, n) for d >= 1 components.  The step
     (t1-t0)/(n-1) must be finite and above the float spacing at t0 and t1.
     ``values`` must be real numbers and ``values[..., 1:]`` finite.  If
@@ -66,8 +90,7 @@ class GridFunction:
     singular_start: bool = False
 
     def __post_init__(self) -> None:
-        t0 = float(self.t0)
-        t1 = float(self.t1)
+        t0, t1 = _real(self.t0, DataError, "t0"), _real(self.t1, DataError, "t1")
         vals = self.values.array if isinstance(self.values, _Owned) else _real_array(self.values, DataError, "values")
         if vals.ndim not in (1, 2) or vals.shape[-1] < 2 or vals.size < 2:
             raise DataError(f"values must have shape (n,) or (d, n) with n >= 2 and d >= 1, got shape {vals.shape}")

@@ -18,7 +18,6 @@ validates, so reports can be traced back to their source statement.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -26,8 +25,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import catalog
-from .errors import FracCalcError, InvalidParameterError, UnknownNameError
-from .grid import GridFunction
+from .errors import FracCalcError, UnknownNameError
+from .grid import GridFunction, _count
 from .operators import (
     caputo_derivative,
     frac_integral,
@@ -131,11 +130,6 @@ def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _require_n(who: str, n: int) -> None:
-    if n < _MIN_N:
-        raise InvalidParameterError(f"{who} needs n >= {_MIN_N}, got {n}")
-
-
 # ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
@@ -143,7 +137,7 @@ def _require_n(who: str, n: int) -> None:
 
 def check_semigroup(n: int) -> CheckReport:
     """J^0.3[J^0.4 f] versus J^0.7 f for f(t) = t on [0, 1]."""
-    _require_n("check_semigroup", n)
+    n = _count(n, _MIN_N, "check_semigroup needs n")
     alpha, beta = 0.3, 0.4
     f = catalog.builtin("power", {"p": 1.0})
     g = catalog.sample(f, 0.0, 1.0, n)
@@ -166,7 +160,7 @@ def check_semigroup(n: int) -> CheckReport:
 
 def check_integral_shift(n: int) -> CheckReport:
     """J^0.5 f versus J^1.5 f', f = t^2, whose Taylor boundary term f(0) vanishes."""
-    _require_n("check_integral_shift", n)
+    n = _count(n, _MIN_N, "check_integral_shift needs n")
     alpha = 0.5
     lhs = frac_integral(_power(2.0, n), alpha).values
     rhs = frac_integral(_power(1.0, n, scale=2.0), alpha + 1).values
@@ -184,7 +178,7 @@ def check_integral_shift(n: int) -> CheckReport:
 def check_derivative_commute(n: int) -> CheckReport:
     """d/dt of J^0.5 f, by the difference stencil of rl_derivative at order 1,
     versus J^0.5 f', f = t^2."""
-    _require_n("check_derivative_commute", n)
+    n = _count(n, _MIN_N, "check_derivative_commute needs n")
     alpha = 0.5
     lhs = rl_derivative(frac_integral(_power(2.0, n), alpha), 1).values
     rhs = frac_integral(_power(1.0, n, scale=2.0), alpha).values
@@ -203,7 +197,7 @@ def check_derivative_commute(n: int) -> CheckReport:
 
 def check_inversion(n: int) -> CheckReport:
     """J^0.6[D^0.6 f] versus f for f = t^1.5, off the start window."""
-    _require_n("check_inversion", n)
+    n = _count(n, _MIN_N, "check_inversion needs n")
     alpha = 0.6
     g = _power(1.5, n)
     d = rl_derivative(g, alpha)
@@ -242,7 +236,7 @@ def check_vanishing_at_start() -> CheckReport:
 
 def check_hardy_littlewood(n: int) -> CheckReport:
     """The Hölder-0.7 power t^0.7 is a member of the order-0.3 space."""
-    _require_n("check_hardy_littlewood", n)
+    n = _count(n, _MIN_N, "check_hardy_littlewood needs n")
     alpha, beta = 0.3, 0.7
     entry = catalog.builtin("power", {"p": beta})
     f = catalog.sample(entry, 0.0, 1.0, n)
@@ -283,9 +277,7 @@ def check_embedding_constant(seed: int) -> CheckReport:
     the first set to 0.  Each nonzero h is divided by its bound first; J is
     linear, so the worst ratio is the seminorm of one X-valued J over the
     stacked trials, with the sup norm on X."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise InvalidParameterError(f"embedding_constant needs seed >= 0, got {seed}")
+    seed = _count(seed, 0, "embedding_constant needs seed")
     alpha, trials, n = 0.5, 20, 1025
     knots = np.linspace(0.0, 1.0, 16)
     t = np.linspace(0.0, 1.0, n)
@@ -311,7 +303,7 @@ def check_leibniz(n: int, caputo: bool) -> CheckReport:
     the derivative of t^1.4; Caputo on (1 + t^0.6)(2 + t^0.8), whose derivative
     is 2 D t^0.6 + D t^0.8 + D t^1.4.  ``grid_derivative_gap`` is the sup past
     node 8 of the formula minus the grid derivative of the product."""
-    _require_n("check_leibniz", n)
+    n = _count(n, _MIN_N, "check_leibniz needs n")
     alpha = 0.5
     u0, v0 = (1.0, 2.0) if caputo else (0.0, 0.0)
     u, v = _power(0.6, n), _power(0.8, n)
@@ -339,7 +331,7 @@ def check_leibniz(n: int, caputo: bool) -> CheckReport:
 
 def check_banach_algebra(n: int) -> CheckReport:
     """Products of order-0.5 members stay members: D^0.5(t^0.7 t^0.9) continuous, start limit 0."""
-    _require_n("check_banach_algebra", n)
+    n = _count(n, _MIN_N, "check_banach_algebra needs n")
     alpha = 0.5
     u = _power(0.7, n)
     v = _power(0.9, n)
@@ -379,7 +371,7 @@ def _interior_jump_detected(d: np.ndarray, jump_index: int) -> bool:
 def check_counterexample_step(n: int) -> CheckReport:
     """J^0.5 of a jump at t = 0.5: Hölder exponent 0.5, derivative reproducing
     the jump, and an interior discontinuity that expels it from the order-0.5 space."""
-    _require_n("check_counterexample_step", n)
+    n = _count(n, _MIN_N, "check_counterexample_step needs n")
     alpha, t_jump = 0.5, 0.5
     entry = catalog.builtin("step", {"t_jump": t_jump})
     step = catalog.sample(entry, 0.0, 1.0, n)
@@ -467,13 +459,7 @@ class SuiteConfig:
             if t != "all" and not (isinstance(t, str) and t.removeprefix("check_") in _REGISTRY):
                 raise UnknownNameError(f"unknown check id {t!r}; known: all, {', '.join(check_ids())}")
         ids = _REGISTRY if "all" in tokens else dict.fromkeys(t.removeprefix("check_") for t in tokens)
-        try:
-            n, seed = operator.index(self.n), operator.index(self.seed)
-        except TypeError:
-            raise InvalidParameterError(f"suite needs integer n and seed, got n={self.n!r}, seed={self.seed!r}") from None
-        _require_n("suite", n)
-        if seed < 0:
-            raise InvalidParameterError(f"suite needs seed >= 0, got {seed}")
+        n, seed = _count(self.n, _MIN_N, "suite needs n"), _count(self.seed, 0, "suite needs seed")
         for name, value in (("checks", tuple(ids)), ("n", n), ("seed", seed)):
             object.__setattr__(self, name, value)
 

@@ -15,13 +15,12 @@ component, and data is continuous at the start when every component is.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstantInputError, InvalidParameterError, MembershipError, PreconditionError
-from .grid import GridFunction, as_order
+from .grid import GridFunction, _real, as_order
 from .operators import caputo_derivative, rl_derivative
 
 __all__ = [
@@ -218,8 +217,7 @@ def holder_seminorm(g: GridFunction, gamma: float) -> HolderEstimate:
     Values more than the float range apart give ``value`` = inf, without a
     warning.
     """
-    if not isinstance(gamma, numbers.Real):
-        raise InvalidParameterError(f"gamma must be a real number, got {gamma!r}")
+    gamma = _real(gamma, InvalidParameterError, "gamma")
     if not 0.0 < gamma <= 1.0:
         raise InvalidParameterError(f"need 0 < gamma <= 1, got {gamma}")
     if g.singular_start:

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError, NonConvergenceError, PoleError
+from .grid import _real, _real_array
 
 __all__ = [
     "gamma",
@@ -39,11 +40,11 @@ def gamma(x: float) -> float:
     """Gamma function for real ``x``, from :func:`math.gamma`.
 
     Raises :class:`PoleError` at non-positive integers and
-    :class:`InvalidParameterError` at -inf.  Where the value overflows (past
-    ~171.6, and for |x| below ~5.6e-309, where gamma ~ 1/x) the result is an
-    infinity of the sign of x; ``nan`` passes through.
+    :class:`InvalidParameterError` at -inf and for anything but a real number.
+    Where the value overflows (past ~171.6, and for |x| below ~5.6e-309, where
+    gamma ~ 1/x) the result is an infinity of the sign of x; ``nan`` passes through.
     """
-    x = float(x)
+    x = _real(x, InvalidParameterError, "x", finite=False)
     if x <= 0.0 and x.is_integer():
         raise PoleError(f"gamma pole at non-positive integer x={x}")
     if x == -math.inf:
@@ -63,7 +64,7 @@ def rgamma(x: float) -> float:
     x < 0 an overflowing gamma gives a zero of its sign; where 1/gamma
     overflows (x below about -171) the result is an infinity of its sign.
     """
-    x = float(x)
+    x = _real(x, InvalidParameterError, "x", finite=False)
     if x <= 0.0 and x.is_integer():
         return 0.0
     g = gamma(x)
@@ -82,7 +83,8 @@ def mittag_leffler(
 ) -> float | np.ndarray:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) by direct series.
 
-    ``z`` may be a scalar, which returns a ``float``, or an array, which
+    ``alpha`` and ``beta`` must be finite real numbers.  ``z`` may be a real
+    scalar, which returns a ``float``, or an array of real numbers, which
     returns an array of the same shape.  The series
     sum_{j>=0} z**j / gamma(alpha*j + beta) is summed with Kahan compensation,
     one pass over j for all points.  Direct summation is only trustworthy on a
@@ -98,13 +100,10 @@ def mittag_leffler(
     error stays a few ulps of the largest term; with beta <= 0 that is a
     large relative error only near a zero of E.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha) and math.isfinite(beta)):
-        raise InvalidParameterError(f"need alpha > 0 and finite beta, got alpha={alpha}, beta={beta}")
+    alpha, beta = _real(alpha, InvalidParameterError, "alpha"), _real(beta, InvalidParameterError, "beta")
     if alpha < 0.3:
-        raise InvalidParameterError(
-            f"alpha={alpha} below the supported direct-summation box (alpha >= 0.3)"
-        )
-    arg = np.asarray(z, dtype=float)
+        raise InvalidParameterError(f"alpha={alpha} below the supported direct-summation box (alpha >= 0.3)")
+    arg = _real_array(z, InvalidParameterError, "z")
     outside = ~(np.abs(arg) <= 5.0)
     if np.any(outside):
         raise InvalidParameterError(
@@ -191,8 +190,8 @@ def weierstrass(
     ``t`` may be a scalar, which returns a ``float``, or an array, which returns an array of
     the same shape.  The sum runs N terms, the fewest with geometric tail bound
     w_N / (1 - sigma**(-alpha)) <= 1e-14, where w_N = sigma**(-N*alpha) is formed by repeated
-    products, so N depends on (alpha, sigma) only, never on ``t``.  Requires sigma > 1 and
-    0 < alpha <= 1.  Where sigma**-alpha rounds to 1, N exceeds the 2,000-term budget or
+    products, so N depends on (alpha, sigma) only, never on ``t``.  Requires real sigma > 1,
+    0 < alpha <= 1 and finite t.  Where sigma**-alpha rounds to 1, N exceeds the 2,000-term budget or
     max|t| * sigma**N overflows, :class:`NonConvergenceError` is raised before any cosine.
     For sigma a power of two the arguments sigma**j * t are exact.  There, if
     all |t| <= 2**20, terms of weight <= 2**-12 take the fraction path: cos of
@@ -218,11 +217,12 @@ def weierstrass(
     cos(sigma**j * t); other sigma round it, a reproducible noise
     ~|t|*sigma**N*eps.  While all |t| <= 2**20 no entry depends on the others.
     """
-    if not (sigma > 1.0 and math.isfinite(sigma)):
+    alpha, sigma = _real(alpha, InvalidParameterError, "alpha"), _real(sigma, InvalidParameterError, "sigma")
+    if not sigma > 1.0:
         raise InvalidParameterError(f"need sigma > 1, got {sigma}")
     if not (0.0 < alpha <= 1.0):
         raise InvalidParameterError(f"need 0 < alpha <= 1, got {alpha}")
-    arg = np.asarray(t, dtype=float)
+    arg = _real_array(t, InvalidParameterError, "t")
     if not np.all(np.isfinite(arg)):
         raise InvalidParameterError(f"need finite t, got {t}")
 
