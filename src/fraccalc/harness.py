@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import catalog
-from .errors import FracCalcError, UnknownNameError
+from .errors import FracCalcError, InvalidParameterError, UnknownNameError
 from .grid import GridFunction, _count
 from .operators import (
     caputo_derivative,
@@ -44,24 +44,6 @@ from .spaces import (
     rl_norm,
 )
 from .special import rgamma
-
-__all__ = [
-    "CheckReport",
-    "SuiteConfig",
-    "check_semigroup",
-    "check_integral_shift",
-    "check_derivative_commute",
-    "check_inversion",
-    "check_vanishing_at_start",
-    "check_hardy_littlewood",
-    "check_embedding_constant",
-    "check_leibniz",
-    "check_banach_algebra",
-    "check_counterexample_step",
-    "check_weierstrass_nonmembership",
-    "check_ids",
-    "run_suite",
-]
 
 # Nodes of the *coarse* grid ahead of which refinement levels are compared;
 # deeper than the per-grid exclusion window so that all levels are compared on
@@ -500,5 +482,7 @@ def run_suite(config: SuiteConfig | None = None) -> list[CheckReport]:
     Reports come back in the order the checks were selected (registry order
     for the full suite).
     """
-    config = config or SuiteConfig()
+    config = SuiteConfig() if config is None else config
+    if not isinstance(config, SuiteConfig):
+        raise InvalidParameterError(f"run_suite needs a SuiteConfig or None, got {type(config).__name__}")
     return [_run_one(cid, config) for cid in config.checks]

@@ -51,15 +51,6 @@ from .errors import (
 from .grid import GridFunction, _Owned, _real_array, as_order
 from .special import gamma, rgamma
 
-__all__ = [
-    "frac_integral",
-    "rl_derivative",
-    "marchaud_derivative",
-    "caputo_derivative",
-    "leibniz_rl",
-    "leibniz_caputo",
-]
-
 # Estimates at the first node must grow by at least this factor under each of
 # two successive grid refinements before the output is marked singular.
 _PROBE_GROWTH = 1.15
@@ -401,14 +392,16 @@ def caputo_derivative(g: GridFunction, order: float, taylor: Sequence[float]) ->
     or a length-d vector.  Wrong Taylor data does not crash: the residual
     behaves like a function with f(t0) != 0 and typically surfaces as the
     singular-start marker.  Refusals come before any work on the entries:
-    the Taylor length, then the order and node count, then each entry's
-    realness, shape and finiteness.  As for :func:`rl_derivative`, the error
+    the Taylor data's type and length, then the order and node count, then
+    each entry's realness, shape and finiteness.  As for :func:`rl_derivative`, the error
     cannot go below the conditioning floor c * eps * h**-order * sup|f|.
     """
     a = as_order(order)
     if g.singular_start:
         raise PreconditionError("cannot differentiate data marked singular at the start")
     m = math.ceil(a)
+    if isinstance(taylor, (str, bytes, bytearray)) or not (isinstance(taylor, Sequence) or np.ndim(taylor) > 0):
+        raise TaylorMismatchError(f"Taylor data must be a sequence of entries, got {type(taylor).__name__}")
     if len(taylor) != m:
         raise TaylorMismatchError(f"order {a} needs exactly {m} Taylor coefficient(s), got {len(taylor)}")
     if m == 0:

@@ -23,16 +23,6 @@ from .errors import ConstantInputError, InvalidParameterError, MembershipError, 
 from .grid import GridFunction, _real, as_order
 from .operators import caputo_derivative, rl_derivative
 
-__all__ = [
-    "EXCLUDED_START_NODES",
-    "HolderEstimate",
-    "holder_seminorm",
-    "holder_exponent",
-    "continuous_at_start",
-    "rl_norm",
-    "c_norm",
-]
-
 # Number of leading nodes on which derivative values are not trusted.
 EXCLUDED_START_NODES = 8
 

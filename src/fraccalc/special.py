@@ -19,13 +19,6 @@ import numpy as np
 from .errors import InvalidParameterError, NonConvergenceError, PoleError
 from .grid import _real, _real_array
 
-__all__ = [
-    "gamma",
-    "rgamma",
-    "mittag_leffler",
-    "weierstrass",
-]
-
 _TOL = 1e-14  # truncation target of both series, relative to the sum
 _MAX_TERMS = 2000  # term budget past which both series raise NonConvergenceError
 _EPS = 2.0**-52

@@ -46,6 +46,8 @@ _CALLS = [
     ("rl_norm-order", lambda x: fc.rl_norm(_grid(), x), 2, True),
     ("c_norm-order", lambda x: fc.c_norm(_grid(), x, (0.0,)), 2, True),
     ("c_norm-taylor", lambda x: fc.c_norm(_grid(), 0.5, (x,)), 4, True),
+    ("caputo_derivative-taylor-sequence", lambda x: fc.caputo_derivative(_grid(), 0.5, x), 4, True),
+    ("c_norm-taylor-sequence", lambda x: fc.c_norm(_grid(), 0.5, x), 4, True),
     ("holder_seminorm-gamma", lambda x: fc.holder_seminorm(_grid(), x), 2, True),
     ("gamma-x", fc.gamma, 2, False),  # nan and infinities are documented results
     ("rgamma-x", fc.rgamma, 2, False),
@@ -57,6 +59,7 @@ _CALLS = [
     ("weierstrass-t", lambda x: fc.weierstrass(0.5, 2.0, x), 2, True),
     ("SuiteConfig-n", lambda x: fc.SuiteConfig(n=x), 2, True),
     ("SuiteConfig-seed", lambda x: fc.SuiteConfig(seed=x), 2, True),
+    ("run_suite-config", fc.run_suite, 2, True),
     ("check_embedding_constant-seed", harness.check_embedding_constant, 2, True),
     ("check_leibniz-n", lambda x: harness.check_leibniz(x, caputo=False), 2, True),
 ] + [
@@ -65,11 +68,19 @@ _CALLS = [
                  "check_hardy_littlewood", "check_banach_algebra", "check_counterexample_step")
 ]
 
-# (id, call, argument, exit code), one row per call and hostile argument.
+# Hostile arguments beyond HOSTILE for one position: a one-byte text is no list of one entry.
+_EXTRA = {
+    "caputo_derivative-taylor-sequence": {"one-byte": b"\x00"},
+    "c_norm-taylor-sequence": {"one-byte": b"\x00"},
+    "run_suite-config": {"int": 5, "ndarray": np.zeros(3)},
+}
+
+# (id, call, argument, exit code), one row per call and hostile argument; None is run_suite's default config.
 CASES = [
     (f"{name}-{arg_id}", call, arg, code)
     for name, call, code, finite in _CALLS
-    for arg_id, arg in {**HOSTILE, **(NON_FINITE if finite else {})}.items()
+    for arg_id, arg in {**HOSTILE, **(NON_FINITE if finite else {}), **_EXTRA.get(name, {})}.items()
+    if (name, arg_id) != ("run_suite-config", "None")
 ]
 
 
